@@ -20,7 +20,7 @@ g = build_graph(edges, features, labels, labeled)
 print(f"built graph: {g.n_nodes} nodes, {g.n_edges} edges, {g.n_classes} classes")
 print("degrees:", g.degrees().astype(int))
 
-ahat = normalize_adjacency(g).matrix
+ahat = normalize_adjacency(g.adjacency).toarray()
 print("\nnormalized adjacency (self-loops added, degree-scaled):")
 print(np.round(ahat, 3))
 print("symmetric:", np.allclose(ahat, ahat.T))

@@ -24,15 +24,15 @@ for name, spec in (
     ("ca-nll", LossSpec("nll", True, schedule)),
     ("ca-cw", LossSpec("cw", True, schedule, cw_kappa=1.0)),
 ):
-    analytic = attack_gradient(g, params, spec, labels).matrix
-    numeric = finite_difference_gradient(g, params, spec, labels, h=1e-5).matrix
+    analytic = attack_gradient(g, params, spec, labels)
+    numeric = finite_difference_gradient(g, params, spec, labels, h=1e-5)
     rel = np.abs(analytic - numeric).max() / np.abs(numeric).max()
     print(f"  {name:7s} max relative error {rel:.2e}")
 
 # Central differences converge quadratically: quartering the error when
 # the step halves.
 spec = LossSpec("nll")
-exact = attack_gradient(g, params, spec, labels).matrix
-e1 = np.abs(finite_difference_gradient(g, params, spec, labels, h=1e-3).matrix - exact).max()
-e2 = np.abs(finite_difference_gradient(g, params, spec, labels, h=5e-4).matrix - exact).max()
+exact = attack_gradient(g, params, spec, labels)
+e1 = np.abs(finite_difference_gradient(g, params, spec, labels, h=1e-3) - exact).max()
+e2 = np.abs(finite_difference_gradient(g, params, spec, labels, h=5e-4) - exact).max()
 print(f"\nerror(h)/error(h/2) = {e1 / e2:.2f}  (quadratic convergence -> ~4)")

@@ -9,29 +9,25 @@ from .attack import (
     degree_likelihood_ratio,
     dice_attack,
     meta_attack,
-    score_flips,
 )
 from .data import DatasetError, load_dataset, seeded_split
 from .evaluation import EvalReport, evaluate, margin_gradient_scatter
 from .experiment import ConfigError, ExperimentConfig, apply_flips, run_experiment
 from .gradients import (
-    GradMatrix,
     attack_gradient,
     attack_objective,
     finite_difference_gradient,
-    node_gradient,
     per_node_gradients,
 )
 from .graph import (
     Graph,
-    NormalizedAdjacency,
     build_graph,
     count_flips,
     flip_edge,
     largest_connected_component,
     normalize_adjacency,
 )
-from .losses import CAWeightParams, LossSpec, ca_loss, ca_weights, cw_loss, nll_loss
+from .losses import CAWeightParams, LossSpec, ca_weights, cw_loss, loss_value, nll_loss
 from .models import (
     SurrogateHyper,
     SurrogateParams,
@@ -56,10 +52,8 @@ __all__ = [
     "DatasetError",
     "EvalReport",
     "ExperimentConfig",
-    "GradMatrix",
     "Graph",
     "LossSpec",
-    "NormalizedAdjacency",
     "SurrogateHyper",
     "SurrogateParams",
     "VictimHyper",
@@ -68,7 +62,6 @@ __all__ = [
     "attack_gradient",
     "attack_objective",
     "build_graph",
-    "ca_loss",
     "ca_weights",
     "constraint_check",
     "count_flips",
@@ -81,17 +74,16 @@ __all__ = [
     "forward_logits",
     "largest_connected_component",
     "load_dataset",
+    "loss_value",
     "margin_gradient_scatter",
     "margins",
     "meta_attack",
     "nll_loss",
-    "node_gradient",
     "normalize_adjacency",
     "per_node_gradients",
     "pseudo_labels",
     "run_experiment",
     "sbm_graph",
-    "score_flips",
     "seeded_split",
     "train_surrogate",
     "train_victim",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import GradMatrix, attack_gradient, attack_objective
+from .gradients import attack_gradient, attack_objective
 from .graph import Graph, count_flips
 from .losses import LossSpec
 from .models import SurrogateHyper, pseudo_labels, train_surrogate
@@ -71,6 +71,8 @@ class AttackConfig:
             raise ValueError("retrain_every must be >= 1")
         if not 0.0 <= self.dice_add_prob <= 1.0:
             raise ValueError("dice_add_prob must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -80,21 +82,6 @@ class AttackResult:
     trace: list[dict]
     pseudo_labels: Array
     exhausted: bool = False
-
-
-def score_flips(grad: GradMatrix, g: Graph) -> list[tuple[int, int, float]]:
-    """Rank every unordered pair by gradient saliency in its feasible direction.
-
-    ``score = M[i, j] * (1 - 2 A[i, j])``: positive means the one flip the
-    pair admits (add when absent, delete when present) increases the attack
-    objective. Descending by score, ties by (i, j). Materializes all
-    N(N-1)/2 candidates; the attack loop itself uses an incremental argmax.
-    """
-    n = g.n_nodes
-    iu, ju = np.triu_indices(n, k=1)
-    scores = grad.matrix[iu, ju] * (1.0 - 2.0 * g.adjacency[iu, ju])
-    order = np.lexsort((ju, iu, -scores))
-    return [(int(iu[k]), int(ju[k]), float(scores[k])) for k in order]
 
 
 def _powerlaw_ll(log_degrees: Array, n: int, d_min: int) -> float:
@@ -193,7 +180,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
                 pseudo = pseudo_labels(params, current)
         grad, info = attack_gradient(current, params, cfg.loss_spec, pseudo, return_info=True)
 
-        scores = grad.matrix * (1.0 - 2.0 * adj)
+        scores = grad * (1.0 - 2.0 * adj)
         scores[blocked] = -np.inf
         chosen = None
         while True:
@@ -260,6 +247,11 @@ def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     blocked = np.eye(n, dtype=bool)
     flips: list[tuple[int, int, str]] = []
     trace: list[dict] = []
+    # within-class edges in row-major order; additions are cross-class, so
+    # only deletions change the list
+    iu, ju = np.nonzero(np.triu(adj, k=1))
+    same = pseudo[iu] == pseudo[ju]
+    within = list(zip(iu[same].tolist(), ju[same].tolist()))
 
     for step in range(cfg.budget):
         placed = False
@@ -270,13 +262,10 @@ def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
                     continue
                 op = ADD
             else:
-                iu, ju = np.where(np.triu(adj, k=1) == 1.0)
-                same = pseudo[iu] == pseudo[ju]
-                iu, ju = iu[same], ju[same]
-                if iu.size == 0:
+                if not within:
                     continue
-                k = int(rng.integers(iu.size))
-                i, j = int(iu[k]), int(ju[k])
+                k = int(rng.integers(len(within)))
+                i, j = within[k]
                 op = DELETE
             if i > j:
                 i, j = j, i
@@ -288,6 +277,8 @@ def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
             adj[i, j] = 1.0 - adj[i, j]
             adj[j, i] = adj[i, j]
             blocked[i, j] = blocked[j, i] = True
+            if op == DELETE:
+                within.pop(k)
             flips.append((i, j, op))
             trace.append({"iteration": step, "flip": [i, j, op]})
             placed = True

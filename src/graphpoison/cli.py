@@ -12,41 +12,37 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
-from .data import DatasetError, load_dataset
-from .evaluation import margin_gradient_scatter
+import numpy as np
+
+from .data import DatasetError
+from .evaluation import evaluate, margin_gradient_scatter
 from .experiment import (
     ConfigError,
     ExperimentConfig,
     apply_flips,
     attack_budget,
-    report_json,
+    load_graph,
+    report_payload,
     resolve_output,
     run_attack,
     run_experiment,
+    write_json,
+    write_text,
 )
-from .models import SurrogateHyper
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_RUNTIME = 4
 
-_BOOL_FIELDS = {
-    "ca_enabled",
-    "forbid_singletons",
-    "degree_test",
-    "refresh_pseudo_labels",
-}
-
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON config file; flags override its fields")
     for f in dataclasses.fields(ExperimentConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.name in _BOOL_FIELDS:
+        if f.type in ("bool", bool):
             p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
         elif f.name == "seeds":
             p.add_argument(flag, default=None, help="comma-separated victim seeds, e.g. 0,1,2")
@@ -82,18 +78,6 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig.from_dict(data)
 
 
-def _load(cfg: ExperimentConfig):
-    return load_dataset(
-        cfg.dataset, cfg.format, split_fraction=cfg.split_fraction, split_seed=cfg.split_seed
-    )
-
-
-def _write(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
     report = run_experiment(cfg)
@@ -107,26 +91,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    clean = _load(cfg)
+    clean = load_graph(cfg)
     result = run_attack(cfg, clean)
-    payload = {
-        "dataset": cfg.dataset,
-        "attack": cfg.attack,
-        "loss": cfg.loss_dict(),
-        "budget": attack_budget(cfg, clean),
-        "flips": [{"i": i, "j": j, "op": op} for i, j, op in result.flips],
-        "exhausted": result.exhausted,
-        "config": cfg.to_dict(),
-    }
     out = resolve_output(cfg.output)
-    _write(out, json.dumps(payload, indent=2, sort_keys=True))
+    budget = attack_budget(cfg, clean)
+    write_json(out, report_payload(cfg, result.flips, budget, exhausted=result.exhausted))
     if args.poisoned_edges:
-        lines = [
-            f"{i} {j}"
-            for i, j in zip(*[idx.tolist() for idx in result.poisoned.adjacency.nonzero()])
-            if i < j
-        ]
-        _write(args.poisoned_edges, "\n".join(lines) + "\n")
+        iu, ju = np.nonzero(np.triu(result.poisoned.adjacency, k=1))
+        lines = [f"{i} {j}" for i, j in zip(iu.tolist(), ju.tolist())]
+        write_text(args.poisoned_edges, "\n".join(lines) + "\n")
     print(f"{len(result.flips)} flips written to {out}" + (" (budget exhausted early)" if result.exhausted else ""))
     return EXIT_OK
 
@@ -137,15 +110,16 @@ def _read_flips(path: str) -> list[tuple[int, int, str]]:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise DatasetError(f"cannot read flips file {path}: {e}")
-    records = data["flips"] if isinstance(data, dict) else data
-    return [(int(r["i"]), int(r["j"]), str(r.get("op", ""))) for r in records]
+    try:
+        records = data["flips"] if isinstance(data, dict) else data
+        return [(int(r["i"]), int(r["j"]), str(r.get("op", ""))) for r in records]
+    except (KeyError, TypeError, ValueError) as e:
+        raise DatasetError(f"bad flip record in {path}: {e!r}")
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    from .evaluation import evaluate
-
     cfg = _build_config(args)
-    clean = _load(cfg)
+    clean = load_graph(cfg)
     flips = _read_flips(args.flips_file) if args.flips_file else []
     poisoned = apply_flips(clean, flips)
     report = evaluate(
@@ -160,25 +134,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
 
     out = resolve_output(cfg.output)
-    _write(out, report_json(report, cfg, flips, budget=len(flips)))
+    write_json(out, report_payload(cfg, flips, len(flips), report=report))
     print(f"mean accuracy {report.mean:.4f} +- {report.ci95_halfwidth:.4f} -> {out}")
     return EXIT_OK
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    g = _load(cfg)
-    rows = margin_gradient_scatter(
-        g,
-        cfg.loss_spec(),
-        SurrogateHyper(
-            cfg.surrogate_lr, cfg.surrogate_epochs, cfg.surrogate_weight_decay, cfg.surrogate_seed
-        ),
-    )
+    g = load_graph(cfg)
+    rows = margin_gradient_scatter(g, cfg.loss_spec(), cfg.surrogate_hyper())
     out = resolve_output(cfg.output)
     lines = ["node_id,margin,grad_l2"]
     lines += [f"{v},{margin:.10g},{norm:.10g}" for v, margin, norm in rows]
-    _write(out, "\n".join(lines) + "\n")
+    write_text(out, "\n".join(lines) + "\n")
     print(f"{len(rows)} nodes -> {out}")
     return EXIT_OK
 

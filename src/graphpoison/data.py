@@ -18,9 +18,8 @@ import os
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
-from .graph import Graph
+from .graph import Graph, build_graph, largest_component
 
 EDGES_FILE = "edges.txt"
 LABELS_FILE = "labels.txt"
@@ -33,10 +32,17 @@ class DatasetError(ValueError):
     """A dataset directory failed to parse or is internally inconsistent."""
 
 
-def seeded_split(n_nodes: int, fraction: float, seed: int) -> np.ndarray:
-    """Boolean labeled mask over nodes: a deterministic function of (seed, n)."""
+def check_split(fraction: float, seed: int) -> None:
+    """Raise ValueError unless ``(fraction, seed)`` is a valid split request."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("split fraction must be in (0, 1)")
+    if seed < 0:
+        raise ValueError("split seed must be nonnegative")
+
+
+def seeded_split(n_nodes: int, fraction: float, seed: int) -> np.ndarray:
+    """Boolean labeled mask over nodes: a deterministic function of (seed, n)."""
+    check_split(fraction, seed)
     n_labeled = max(1, int(np.floor(fraction * n_nodes)))
     if n_labeled >= n_nodes:
         raise ValueError("split leaves no unlabeled nodes")
@@ -63,7 +69,8 @@ def _read_labels(path: str) -> np.ndarray:
 
 
 def _read_edges(path: str, n_nodes: int) -> np.ndarray:
-    adj = np.zeros((n_nodes, n_nodes), dtype=np.float64)
+    """(E, 2) array of the file's node pairs, self-loop lines dropped."""
+    pairs = []
     try:
         with open(path) as fh:
             for lineno, line in enumerate(fh, start=1):
@@ -78,13 +85,11 @@ def _read_edges(path: str, n_nodes: int) -> np.ndarray:
                     raise DatasetError(f"{path}:{lineno}: non-integer node id")
                 if not (0 <= i < n_nodes and 0 <= j < n_nodes):
                     raise DatasetError(f"{path}:{lineno}: node id out of range for {n_nodes} nodes")
-                if i == j:
-                    continue
-                adj[i, j] = 1.0
-                adj[j, i] = 1.0
+                if i != j:
+                    pairs.append((i, j))
     except FileNotFoundError:
         raise DatasetError(f"missing edges file: {path}")
-    return adj
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def _read_features(path: str, n_nodes: int) -> np.ndarray | None:
@@ -98,15 +103,6 @@ def _read_features(path: str, n_nodes: int) -> np.ndarray | None:
     if feats.shape[0] != n_nodes:
         raise DatasetError(f"features have {feats.shape[0]} rows but labels define {n_nodes} nodes")
     return feats
-
-
-def _lcc_nodes(adj: np.ndarray) -> np.ndarray:
-    """Indices of the largest connected component (smallest-index tie break)."""
-    n_comp, comp = connected_components(sp.csr_matrix(adj), directed=False)
-    sizes = np.bincount(comp, minlength=n_comp)
-    best = sizes.max()
-    winner = next(int(comp[v]) for v in range(adj.shape[0]) if sizes[comp[v]] == best)
-    return np.flatnonzero(comp == winner)
 
 
 def load_dataset(
@@ -127,17 +123,20 @@ def load_dataset(
         raise DatasetError(f"unknown dataset format {format!r}")
     labels = _read_labels(os.path.join(dir_path, LABELS_FILE))
     n = labels.size
-    adj = _read_edges(os.path.join(dir_path, EDGES_FILE), n)
+    pairs = _read_edges(os.path.join(dir_path, EDGES_FILE), n)
     feats = _read_features(os.path.join(dir_path, FEATURES_FILE), n)
 
     if apply_lcc:
-        keep = _lcc_nodes(adj)
-        adj = adj[np.ix_(keep, keep)]
+        keep = largest_component(sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n)))
+        new_id = np.full(n, -1)
+        new_id[keep] = np.arange(keep.size)
+        pairs = new_id[pairs]
+        pairs = pairs[pairs[:, 0] >= 0]  # an edge leaves the LCC only with both endpoints
         labels = labels[keep]
         if feats is not None:
             feats = feats[keep]
     if feats is None:
-        feats = np.eye(adj.shape[0])
+        feats = np.eye(labels.size)
 
-    mask = seeded_split(adj.shape[0], split_fraction, split_seed)
-    return Graph(adj, feats, labels, mask)
+    mask = seeded_split(labels.size, split_fraction, split_seed)
+    return build_graph(pairs, feats, labels, mask)

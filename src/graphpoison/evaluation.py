@@ -31,20 +31,6 @@ class EvalReport:
     degenerate_ci: bool = False
     config: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "attack": self.attack,
-            "budget_fraction": self.budget_fraction,
-            "per_seed_accuracy": self.per_seed_accuracy,
-            "mean": self.mean,
-            "ci95": self.ci95_halfwidth,
-            "degenerate_ci": self.degenerate_ci,
-            "flip_count": self.flip_count,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "config": self.config,
-        }
-
 
 def confidence_halfwidth(values: Array) -> float:
     """1.96 * s / sqrt(n) with the sample standard deviation; 0 for n == 1."""
@@ -107,7 +93,7 @@ def margin_gradient_scatter(
     margins (against pseudo-labels they never could).
     """
     params = train_surrogate(g, surrogate_hyper)
-    logits = forward_logits(params, normalize_adjacency(g), g.features)
+    logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     phi = margins(logits, g.labels)
     norms = per_node_gradients(g, params, spec, g.labels)
     return [(v, float(phi[v]), norm) for v, norm in norms]

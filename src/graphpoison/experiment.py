@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .attack import AttackConfig, AttackConstraints, AttackResult, dice_attack, meta_attack
-from .data import load_dataset
+from .attack import ADD, DELETE, AttackConfig, AttackConstraints, AttackResult, dice_attack, meta_attack
+from .data import DatasetError, check_split, load_dataset
 from .evaluation import EvalReport, evaluate
 from .graph import Graph, flip_edge
 from .losses import CAWeightParams, LossSpec
@@ -29,7 +30,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one end-to-end run needs; JSON-serializable, flat."""
+    """Everything one end-to-end run needs; JSON-serializable, flat.
+
+    Construction validates every field: the rules live in the sub-configs
+    that own the fields (``LossSpec``, ``AttackConfig``, ``VictimHyper``,
+    ...), which are built once here; any violation raises ``ConfigError``.
+    """
 
     dataset: str = ""
     format: str = "plain"
@@ -64,17 +70,49 @@ class ExperimentConfig:
     output: str = "report.json"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.budget_fraction <= 1.0:
-            raise ConfigError("budget_fraction must be in [0, 1]")
-        if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError("split_fraction must be in (0, 1)")
-        if self.attack not in (META, DICE):
-            raise ConfigError(f"attack must be '{META}' or '{DICE}'")
-        if self.base not in ("nll", "cw"):
-            raise ConfigError("base must be 'nll' or 'cw'")
-        if not self.seeds:
-            raise ConfigError("seeds must be nonempty")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        try:
+            if not self.seeds:
+                raise ValueError("seeds must be nonempty")
+            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+            if min(self.seeds) < 0:
+                raise ValueError("seeds must be nonnegative")
+            if not 0.0 <= self.budget_fraction <= 1.0:
+                raise ValueError("budget_fraction must be in [0, 1]")
+            if self.attack not in (META, DICE):
+                raise ValueError(f"attack must be '{META}' or '{DICE}'")
+            check_split(self.split_fraction, self.split_seed)
+            ca_params = (
+                CAWeightParams(self.alpha1, self.beta1, self.alpha2, self.beta2)
+                if self.ca_enabled
+                else None
+            )
+            attack = AttackConfig(
+                loss_spec=LossSpec(self.base, self.ca_enabled, ca_params, self.cw_kappa),
+                retrain_every=self.retrain_every,
+                surrogate_hyper=SurrogateHyper(
+                    self.surrogate_lr,
+                    self.surrogate_epochs,
+                    self.surrogate_weight_decay,
+                    self.surrogate_seed,
+                ),
+                constraints=AttackConstraints(
+                    self.forbid_singletons, self.degree_test, self.degree_test_threshold
+                ),
+                seed=self.attack_seed,
+                refresh_pseudo_labels=self.refresh_pseudo_labels,
+                dice_add_prob=self.dice_add_prob,
+            )
+            victim = VictimHyper(
+                self.hidden,
+                self.victim_lr,
+                self.victim_epochs,
+                self.victim_weight_decay,
+                self.dropout,
+            )
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        object.__setattr__(self, "_attack", attack)
+        object.__setattr__(self, "_victim", victim)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -93,51 +131,20 @@ class ExperimentConfig:
         return out
 
     def loss_spec(self) -> LossSpec:
-        params = (
-            CAWeightParams(self.alpha1, self.beta1, self.alpha2, self.beta2)
-            if self.ca_enabled
-            else None
-        )
-        return LossSpec(self.base, self.ca_enabled, params, self.cw_kappa)
+        return self._attack.loss_spec
+
+    def surrogate_hyper(self) -> SurrogateHyper:
+        return self._attack.surrogate_hyper
 
     def attack_config(self, budget: int) -> AttackConfig:
-        return AttackConfig(
-            budget=budget,
-            loss_spec=self.loss_spec(),
-            retrain_every=self.retrain_every,
-            surrogate_hyper=SurrogateHyper(
-                self.surrogate_lr,
-                self.surrogate_epochs,
-                self.surrogate_weight_decay,
-                self.surrogate_seed,
-            ),
-            constraints=AttackConstraints(
-                self.forbid_singletons, self.degree_test, self.degree_test_threshold
-            ),
-            seed=self.attack_seed,
-            refresh_pseudo_labels=self.refresh_pseudo_labels,
-            dice_add_prob=self.dice_add_prob,
-        )
+        return dataclasses.replace(self._attack, budget=budget)
 
     def victim_hyper(self) -> VictimHyper:
-        return VictimHyper(
-            self.hidden,
-            self.victim_lr,
-            self.victim_epochs,
-            self.victim_weight_decay,
-            self.dropout,
-        )
+        return self._victim
 
     def loss_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "ca_enabled": self.ca_enabled,
-            "alpha1": self.alpha1,
-            "beta1": self.beta1,
-            "alpha2": self.alpha2,
-            "beta2": self.beta2,
-            "cw_kappa": self.cw_kappa,
-        }
+        names = ("base", "ca_enabled", "alpha1", "beta1", "alpha2", "beta2", "cw_kappa")
+        return {name: getattr(self, name) for name in names}
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -163,6 +170,13 @@ def flips_path(report_path: str) -> str:
     return f"{root}.flips{ext or '.json'}"
 
 
+def load_graph(cfg: ExperimentConfig) -> Graph:
+    """The dataset of ``cfg``, LCC-reduced and split."""
+    return load_dataset(
+        cfg.dataset, cfg.format, split_fraction=cfg.split_fraction, split_seed=cfg.split_seed
+    )
+
+
 def attack_budget(cfg: ExperimentConfig, g: Graph) -> int:
     """floor(budget_fraction * |E|) on the LCC-reduced graph."""
     return int(np.floor(cfg.budget_fraction * g.n_edges))
@@ -176,27 +190,85 @@ def run_attack(cfg: ExperimentConfig, g: Graph) -> AttackResult:
 
 
 def apply_flips(g: Graph, flips) -> Graph:
-    """Replay a recorded flip list onto a graph."""
+    """Replay a recorded flip list onto a graph.
+
+    Raises
+    ------
+    DatasetError
+        When a flip names a node outside the graph or a self-loop, when its
+        ``op`` disagrees with the current state of the pair ("add" on an
+        edge, "delete" on a non-edge), or when a pair repeats.
+    """
     out = g
-    for i, j, _op in flips:
-        out = flip_edge(out, int(i), int(j))
+    seen = set()
+    for k, (i, j, op) in enumerate(flips):
+        i, j = int(i), int(j)
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
+            raise DatasetError(f"flip {k}: pair {pair} is flipped twice")
+        seen.add(pair)
+        try:
+            out = flip_edge(out, i, j)
+        except ValueError as e:
+            raise DatasetError(f"flip {k}: {e}") from None
+        state = ADD if out.adjacency[i, j] == 1.0 else DELETE
+        if op != state:
+            raise DatasetError(f"flip {k}: op {op!r} on pair {pair}, whose flip is {state!r}")
     return out
 
 
-def report_json(report: EvalReport, cfg: ExperimentConfig, flips, budget: int) -> str:
+def flip_records(flips) -> list[dict]:
+    """The JSON form of a flip list."""
+    return [{"i": i, "j": j, "op": op} for i, j, op in flips]
+
+
+def report_payload(
+    cfg: ExperimentConfig,
+    flips,
+    budget: int,
+    report: EvalReport | None = None,
+    exhausted: bool | None = None,
+) -> dict:
+    """The JSON report of a run; accuracy keys with ``report``, ``exhausted`` when given."""
     payload = {
         "dataset": os.path.basename(os.path.normpath(cfg.dataset)) or cfg.dataset,
         "attack": cfg.attack,
         "loss": cfg.loss_dict(),
         "budget": budget,
-        "flips": [{"i": i, "j": j, "op": op} for i, j, op in flips],
-        "per_seed_accuracy": report.per_seed_accuracy,
-        "mean": report.mean,
-        "ci95": report.ci95_halfwidth,
-        "wall_clock_seconds": report.wall_clock_seconds,
+        "flips": flip_records(flips),
         "config": cfg.to_dict(),
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    if report is not None:
+        payload["per_seed_accuracy"] = report.per_seed_accuracy
+        payload["mean"] = report.mean
+        payload["ci95"] = report.ci95_halfwidth
+        payload["wall_clock_seconds"] = report.wall_clock_seconds
+    if exhausted is not None:
+        payload["exhausted"] = exhausted
+    return payload
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically.
+
+    The text goes to a temp file in the target directory, which then
+    replaces ``path``; a failed write leaves any previous file intact and
+    no temp file behind.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path: str, obj) -> None:
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True))
 
 
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
@@ -206,14 +278,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     types to exit codes.
     """
     start = time.perf_counter()
-    clean = _stage(
-        "load",
-        load_dataset,
-        cfg.dataset,
-        cfg.format,
-        split_fraction=cfg.split_fraction,
-        split_seed=cfg.split_seed,
-    )
+    clean = _stage("load", load_graph, cfg)
     result = _stage("attack", run_attack, cfg, clean)
     budget = attack_budget(cfg, clean)
     report = _stage(
@@ -231,11 +296,10 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     report = dataclasses.replace(report, wall_clock_seconds=time.perf_counter() - start)
 
     out_path = resolve_output(cfg.output)
+
     def _write() -> None:
-        os.makedirs(os.path.dirname(out_path) or ".", exist_ok=True)
-        with open(out_path, "w") as fh:
-            fh.write(report_json(report, cfg, result.flips, budget))
-        with open(flips_path(out_path), "w") as fh:
-            fh.write(json.dumps([{"i": i, "j": j, "op": op} for i, j, op in result.flips], indent=2))
+        write_json(out_path, report_payload(cfg, result.flips, budget, report=report))
+        write_json(flips_path(out_path), flip_records(result.flips))
+
     _stage("write", _write)
     return report

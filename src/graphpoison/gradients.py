@@ -20,28 +20,13 @@ weighted node term is exactly the weight times the unweighted gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .graph import Graph, normalize_adjacency, normalize_dense
-from .losses import CW, NLL, LossSpec, ca_weights, loss_value
-from .models import SurrogateParams, margins, runner_up, softmax
+from .graph import Graph, normalize_adjacency
+from .losses import NLL, LossSpec, loss_value, resolve_weights
+from .models import SurrogateParams, forward_logits, margins, runner_up, softmax
 
 Array = np.ndarray
-
-
-@dataclass(frozen=True)
-class GradMatrix:
-    """Symmetric, zero-diagonal gradient of the attack objective wrt A."""
-
-    matrix: Array
-
-    def __post_init__(self) -> None:
-        M = np.asarray(self.matrix, dtype=np.float64)
-        if not np.array_equal(M, M.T) or np.any(np.diagonal(M) != 0.0):
-            raise ValueError("gradient matrix must be symmetric with zero diagonal")
-        object.__setattr__(self, "matrix", M)
 
 
 def attack_objective(
@@ -59,23 +44,13 @@ def attack_objective(
     it is the negated weighted clamp sum. ``weights`` freezes the
     cost-aware schedule at externally computed values.
     """
-    ahat = normalize_dense(adjacency)
-    logits = ahat @ (ahat @ (features @ params.weight))
+    logits = forward_logits(params, normalize_adjacency(adjacency), features)
     total, _ = loss_value(logits, labels, mask, spec, weights)
     return total if spec.base == NLL else -total
 
 
-def resolve_weights(logits: Array, labels: Array, spec: LossSpec) -> Array:
-    """Per-node stop-gradient weights for ``spec`` at the given logits."""
-    if spec.ca_enabled:
-        assert spec.ca_params is not None
-        return ca_weights(margins(logits, labels), spec.ca_params)
-    return np.ones(logits.shape[0])
-
-
 def _logit_gradient(logits: Array, labels: Array, mask: Array, spec: LossSpec, weights: Array) -> Array:
     """d objective / d logits, nonzero only on masked rows."""
-    n = logits.shape[0]
     rows = np.flatnonzero(mask)
     g_z = np.zeros_like(logits)
     if spec.base == NLL:
@@ -91,18 +66,19 @@ def _logit_gradient(logits: Array, labels: Array, mask: Array, spec: LossSpec, w
     return g_z
 
 
-def _chain_to_adjacency(g_z: Array, g: Graph, ahat_dense: Array, ahat_sp, prop1: Array) -> Array:
+def _chain_to_adjacency(g_z: Array, g: Graph, ahat, prop1: Array) -> Array:
     """Pull d objective / d logits back to the raw adjacency gradient.
 
-    ``prop1`` is ``X W``; the result has independent-entry semantics with a
-    zeroed diagonal and is NOT symmetrized.
+    ``ahat`` is the CSR normalized adjacency and ``prop1`` is ``X W``; the
+    result has independent-entry semantics with a zeroed diagonal and is
+    NOT symmetrized.
     """
     q = g_z @ prop1.T
-    g_ahat = (ahat_sp @ q.T).T + ahat_sp @ q
+    g_ahat = (ahat @ q.T).T + ahat @ q
     deg = g.adjacency.sum(axis=1) + 1.0
     inv_sqrt = 1.0 / np.sqrt(deg)
     direct = g_ahat * np.outer(inv_sqrt, inv_sqrt)
-    t = g_ahat * ahat_dense
+    t = g_ahat * ahat.toarray()
     s = (t.sum(axis=1) + t.sum(axis=0)) / (2.0 * deg)
     raw = direct - s[:, None]
     np.fill_diagonal(raw, 0.0)
@@ -119,22 +95,20 @@ def attack_gradient(
     """Analytic gradient of the attack objective over the unlabeled nodes.
 
     The surrogate parameters are held fixed; differentiation runs through
-    the degree normalization. Output is symmetrized ``(M + M^T)/2`` with a
-    zero diagonal. With ``return_info=True`` also returns a dict carrying
-    the logits, margins, weights and objective value at the evaluation
-    point (one forward pass, reused by the attack loop).
+    the degree normalization. Returns the symmetrized (N, N) array
+    ``(M + M^T)/2``, which has a zero diagonal. With ``return_info=True``
+    also returns a dict carrying the logits, margins, weights and objective
+    value at the evaluation point (one forward pass, reused by the attack
+    loop).
     """
-    ahat = normalize_adjacency(g)
-    ahat_sp = ahat.sparse()
-    prop1 = g.features @ params.weight
-    f1 = ahat_sp @ prop1
-    logits = ahat_sp @ f1
+    ahat = normalize_adjacency(g.adjacency)
+    logits = forward_logits(params, ahat, g.features)
     mask = g.unlabeled_mask
 
     weights = resolve_weights(logits, labels, spec)
     g_z = _logit_gradient(logits, labels, mask, spec, weights)
-    raw = _chain_to_adjacency(g_z, g, ahat.matrix, ahat_sp, prop1)
-    grad = GradMatrix((raw + raw.T) / 2.0)
+    raw = _chain_to_adjacency(g_z, g, ahat, g.features @ params.weight)
+    grad = (raw + raw.T) / 2.0
     if not return_info:
         return grad
     total, _ = loss_value(logits, labels, mask, spec, weights)
@@ -147,40 +121,19 @@ def attack_gradient(
     return grad, info
 
 
-def node_gradient(
-    g: Graph, params: SurrogateParams, spec: LossSpec, labels: Array, node: int
-) -> Array:
-    """Raw (unsymmetrized) gradient of one node's weighted objective term.
-
-    Weights still come from the margins of the full logits, exactly as in
-    :func:`attack_gradient`; only the loss term is restricted to ``node``.
-    """
-    ahat = normalize_adjacency(g)
-    ahat_sp = ahat.sparse()
-    prop1 = g.features @ params.weight
-    logits = ahat_sp @ (ahat_sp @ prop1)
-    weights = resolve_weights(logits, labels, spec)
-    only = np.zeros(g.n_nodes, dtype=bool)
-    only[node] = True
-    g_z = _logit_gradient(logits, labels, only, spec, weights)
-    return _chain_to_adjacency(g_z, g, ahat.matrix, ahat_sp, prop1)
-
-
 def per_node_gradients(
     g: Graph, params: SurrogateParams, spec: LossSpec, labels: Array
 ) -> list[tuple[int, float]]:
     """Frobenius norm of each unlabeled node's gradient matrix.
 
     Exploits the rank-2 structure of a single node's pulled-back gradient,
-    so each node costs O(N + nnz) instead of materializing an N x N matrix;
-    equals ``norm(node_gradient(...))`` to rounding.
+    so each node costs O(N + nnz) instead of materializing an N x N
+    matrix per node.
     """
-    ahat = normalize_adjacency(g)
-    ahat_dense = ahat.matrix
-    ahat_sp = ahat.sparse()
+    ahat = normalize_adjacency(g.adjacency)
+    ahat_dense = ahat.toarray()
     prop1 = g.features @ params.weight
-    f1 = ahat_sp @ prop1
-    logits = ahat_sp @ f1
+    logits = forward_logits(params, ahat, g.features)
     weights = resolve_weights(logits, labels, spec)
     full_mask = np.ones(g.n_nodes, dtype=bool)
     g_z = _logit_gradient(logits, labels, full_mask, spec, weights)
@@ -193,9 +146,9 @@ def per_node_gradients(
     for v in np.flatnonzero(g.unlabeled_mask):
         q = g_z[v]
         b = prop1 @ q
-        a = ahat_sp @ b            # == f1 @ q
+        a = ahat @ b               # == (Ahat X W) @ q
         col_v = ahat_dense[:, v]
-        m2 = ahat_sp @ col_v       # row v of Ahat^2
+        m2 = ahat @ col_v          # row v of Ahat^2
 
         # G_hat(v) = e_v a^T + col_v b^T; entrywise-normalized pieces:
         alpha = inv_sqrt[v] * (a * inv_sqrt)
@@ -225,7 +178,7 @@ def finite_difference_gradient(
     spec: LossSpec,
     labels: Array,
     h: float = 1e-5,
-) -> GradMatrix:
+) -> Array:
     """Central-difference oracle for :func:`attack_gradient`.
 
     Perturbs both mirrored entries of each unordered pair together by +-h
@@ -237,8 +190,7 @@ def finite_difference_gradient(
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
-    ahat = normalize_adjacency(g)
-    logits = forward_from(ahat.sparse(), g.features, params)
+    logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     weights = resolve_weights(logits, labels, spec)
     mask = g.unlabeled_mask
 
@@ -256,9 +208,4 @@ def finite_difference_gradient(
             f_plus = attack_objective(plus, g.features, params, labels, mask, spec, weights)
             f_minus = attack_objective(minus, g.features, params, labels, mask, spec, weights)
             out[i, j] = out[j, i] = (f_plus - f_minus) / (4.0 * h)
-    return GradMatrix(out)
-
-
-def forward_from(ahat_sp, features: Array, params: SurrogateParams) -> Array:
-    """Logits from a prebuilt sparse normalized adjacency."""
-    return ahat_sp @ (ahat_sp @ (features @ params.weight))
+    return out

@@ -1,8 +1,12 @@
 """Immutable graph values: construction, normalization, connectivity, flips.
 
-The adjacency matrix is kept dense (the attack gradient is a dense N x N
-matrix anyway, and all benchmark graphs here have a few thousand nodes at
+``Graph`` holds a dense symmetric binary adjacency (the attack gradient is a
+dense N x N matrix anyway, and the graphs here have a few thousand nodes at
 most). Graphs are value objects: every mutation constructs a new ``Graph``.
+``build_graph`` is the one edge-list -> adjacency routine, and
+``largest_component`` the one connectivity routine; ``load_dataset`` uses
+both. ``normalize_adjacency`` builds the surrogate's propagation matrix
+``Ahat = D^{-1/2} (A + I) D^{-1/2}`` in CSR form.
 """
 
 from __future__ import annotations
@@ -101,25 +105,11 @@ class Graph:
         return Graph(adjacency, self.features, self.labels, self.labeled_mask, self.n_classes)
 
 
-@dataclass(frozen=True)
-class NormalizedAdjacency:
-    """The symmetrically normalized adjacency D^{-1/2} (A + I) D^{-1/2}."""
-
-    matrix: Array
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "matrix", _frozen(np.asarray(self.matrix, dtype=np.float64)))
-
-    def sparse(self) -> sp.csr_matrix:
-        """CSR view for fast products (the matrix is as sparse as A + I)."""
-        return sp.csr_matrix(self.matrix)
-
-
 def build_graph(edges, features, labels, labeled_mask, n_classes: int = 0) -> Graph:
-    """Build a Graph from an undirected edge list.
+    """Build a Graph from an undirected edge list of ``(i, j)`` pairs.
 
-    Each ``(i, j)`` pair sets both ``A[i, j]`` and ``A[j, i]``; duplicates
-    collapse. Node count comes from ``features``.
+    Each pair sets both ``A[i, j]`` and ``A[j, i]``; duplicates collapse.
+    Node count comes from ``features``.
 
     Raises
     ------
@@ -131,65 +121,67 @@ def build_graph(edges, features, labels, labeled_mask, n_classes: int = 0) -> Gr
     if X.ndim != 2:
         raise ValueError("features must be a 2-d (N, d) array")
     n = X.shape[0]
+    pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    loops = pairs[:, 0] == pairs[:, 1]
+    if loops.any():
+        raise ValueError(f"self-loop {tuple(pairs[loops][0].tolist())} not allowed")
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if outside.any():
+        raise ValueError(f"edge {tuple(pairs[outside][0].tolist())} out of range for {n} nodes")
     A = np.zeros((n, n), dtype=np.float64)
-    for i, j in edges:
-        i, j = int(i), int(j)
-        if i == j:
-            raise ValueError(f"self-loop ({i}, {j}) not allowed")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"edge ({i}, {j}) out of range for {n} nodes")
-        A[i, j] = 1.0
-        A[j, i] = 1.0
+    A[pairs[:, 0], pairs[:, 1]] = 1.0
+    A[pairs[:, 1], pairs[:, 0]] = 1.0
     return Graph(A, X, labels, labeled_mask, n_classes)
 
 
-def normalize_dense(adjacency: Array) -> Array:
-    """D^{-1/2} (A + I) D^{-1/2} for a dense (possibly non-binary) adjacency.
+def normalize_adjacency(adjacency) -> sp.csr_matrix:
+    """D^{-1/2} (A + I) D^{-1/2} as a CSR matrix (as sparse as A + I).
 
     Degrees are row sums of A + I, so they are strictly positive for any
     nonnegative A and the normalization never divides by zero. Accepting
     non-binary input lets the finite-difference oracle evaluate the same
     map on relaxed adjacencies.
     """
-    A = np.asarray(adjacency, dtype=np.float64)
-    tilde = A + np.eye(A.shape[0])
-    inv_sqrt = 1.0 / np.sqrt(tilde.sum(axis=1))
-    return tilde * np.outer(inv_sqrt, inv_sqrt)
+    n = adjacency.shape[0]
+    tilde = sp.csr_matrix(adjacency, dtype=np.float64) + sp.identity(n, format="csr")
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(tilde.sum(axis=1)).ravel())
+    entries = tilde.tocoo()
+    entries.data *= inv_sqrt[entries.row] * inv_sqrt[entries.col]
+    return entries.tocsr()
 
 
-def normalize_adjacency(g: Graph) -> NormalizedAdjacency:
-    """Symmetrically normalized adjacency of ``g`` (self-loops added)."""
-    return NormalizedAdjacency(normalize_dense(g.adjacency))
+def largest_component(adjacency) -> Array:
+    """Sorted node ids of the largest connected component of an adjacency.
+
+    Ties between equal-size components go to the one containing the
+    smallest node id.
+    """
+    _, comp = connected_components(adjacency, directed=False)
+    size_of = np.bincount(comp)[comp]  # per node: the size of its component
+    return np.flatnonzero(comp == comp[np.argmax(size_of == size_of.max())])
 
 
 def largest_connected_component(g: Graph) -> Graph:
-    """Induced subgraph on the largest connected component.
+    """Induced subgraph on :func:`largest_component`.
 
-    Node indices are remapped densely, preserving relative order. Ties
-    between equal-size components go to the one containing the smallest
-    original node index.
+    Node indices are remapped densely, preserving relative order.
     """
-    n_comp, comp = connected_components(sp.csr_matrix(g.adjacency), directed=False)
-    sizes = np.bincount(comp, minlength=n_comp)
-    best_size = sizes.max()
-    # among max-size components, the winner is the first one encountered
-    # scanning nodes in index order
-    winner = next(int(comp[v]) for v in range(g.n_nodes) if sizes[comp[v]] == best_size)
-    keep = np.flatnonzero(comp == winner)
-    sub = Graph(
+    keep = largest_component(sp.csr_matrix(g.adjacency))
+    return Graph(
         g.adjacency[np.ix_(keep, keep)],
         g.features[keep],
         g.labels[keep],
         g.labeled_mask[keep],
         g.n_classes,
     )
-    return sub
 
 
 def flip_edge(g: Graph, i: int, j: int) -> Graph:
     """Toggle the undirected edge {i, j}; returns a new Graph."""
     if i == j:
         raise ValueError("cannot flip a self-loop")
+    if not (0 <= i < g.n_nodes and 0 <= j < g.n_nodes):
+        raise ValueError(f"pair ({i}, {j}) out of range for {g.n_nodes} nodes")
     A = g.adjacency.copy()
     A[i, j] = 1.0 - A[i, j]
     A[j, i] = A[i, j]

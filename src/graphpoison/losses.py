@@ -103,49 +103,30 @@ def ca_weights(margin_values: Array, params: CAWeightParams) -> Array:
     return alpha * np.exp(-beta * phi * phi)
 
 
-def base_loss(
-    logits: Array, labels: Array, mask: Array, base: str, cw_kappa: float = 0.0
-) -> tuple[float, Array]:
-    if base == NLL:
-        return nll_loss(logits, labels, mask)
-    return cw_loss(logits, labels, mask, cw_kappa)
-
-
-def ca_loss(
-    logits: Array,
-    labels: Array,
-    mask: Array,
-    params: CAWeightParams,
-    base: str = NLL,
-    cw_kappa: float = 0.0,
-) -> tuple[float, Array]:
-    """Margin-weighted base loss: per-node ``w(v) * loss(v)``, summed over ``mask``.
-
-    Weights come from the margins of ``logits`` against ``labels`` and are
-    held constant by the gradient engine (no derivative flows through them).
-    """
-    mask = _check_mask(mask)
-    _, per_node = base_loss(logits, labels, mask, base, cw_kappa)
-    weighted = ca_weights(margins(logits, labels), params) * per_node
-    return float(weighted[mask].sum()), weighted
+def resolve_weights(logits: Array, labels: Array, spec: LossSpec) -> Array:
+    """Per-node stop-gradient weights for ``spec`` at the given logits."""
+    if spec.ca_enabled:
+        assert spec.ca_params is not None
+        return ca_weights(margins(logits, labels), spec.ca_params)
+    return np.ones(logits.shape[0])
 
 
 def loss_value(
     logits: Array, labels: Array, mask: Array, spec: LossSpec, weights: Array | None = None
 ) -> tuple[float, Array]:
-    """Evaluate ``spec`` on logits; ``weights`` overrides the CA schedule.
+    """Weighted base loss of ``spec``: per-node ``w(v) * loss(v)``, summed over ``mask``.
 
-    Passing precomputed ``weights`` freezes the stop-gradient weights when a
-    caller (the finite-difference oracle) re-evaluates the loss at perturbed
-    adjacencies.
+    Weights come from :func:`resolve_weights` (the cost-aware schedule, or
+    ones). Passing precomputed ``weights`` freezes the stop-gradient weights
+    when a caller (the finite-difference oracle) re-evaluates the loss at
+    perturbed adjacencies.
     """
     mask = _check_mask(mask)
-    _, per_node = base_loss(logits, labels, mask, spec.base, spec.cw_kappa)
+    if spec.base == NLL:
+        _, per_node = nll_loss(logits, labels, mask)
+    else:
+        _, per_node = cw_loss(logits, labels, mask, spec.cw_kappa)
     if weights is None:
-        if spec.ca_enabled:
-            assert spec.ca_params is not None
-            weights = ca_weights(margins(logits, labels), spec.ca_params)
-        else:
-            weights = np.ones(logits.shape[0])
+        weights = resolve_weights(logits, labels, spec)
     weighted = weights * per_node
     return float(weighted[mask].sum()), weighted

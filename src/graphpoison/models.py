@@ -13,9 +13,20 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, NormalizedAdjacency, normalize_adjacency
+from .graph import Graph, normalize_adjacency
 
 Array = np.ndarray
+
+
+def _check_training(lr: float, epochs: int, weight_decay: float, seed: int) -> None:
+    if not lr > 0:
+        raise ValueError("learning rate must be positive")
+    if epochs < 0:
+        raise ValueError("epochs must be nonnegative")
+    if weight_decay < 0:
+        raise ValueError("weight_decay must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -24,6 +35,9 @@ class SurrogateHyper:
     epochs: int = 200
     weight_decay: float = 5e-4
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_training(self.lr, self.epochs, self.weight_decay, self.seed)
 
 
 @dataclass(frozen=True)
@@ -48,6 +62,13 @@ class VictimHyper:
     dropout: float = 0.5
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        _check_training(self.lr, self.epochs, self.weight_decay, self.seed)
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+
 
 @dataclass(frozen=True)
 class VictimParams:
@@ -66,21 +87,9 @@ def softmax(z: Array) -> Array:
     return np.exp(log_softmax(z))
 
 
-def propagated_features(ahat: NormalizedAdjacency, features: Array) -> Array:
-    """Ahat^2 X, the input the linear surrogate actually sees."""
-    a = ahat.sparse()
-    return a @ (a @ features)
-
-
-def forward_logits(params: SurrogateParams, ahat: NormalizedAdjacency, features: Array) -> Array:
-    """Pre-softmax logits Ahat^2 X W of the linearized surrogate."""
-    if features.shape[1] != params.weight.shape[0]:
-        raise ValueError(
-            f"feature dim {features.shape[1]} does not match weight rows {params.weight.shape[0]}"
-        )
-    if ahat.matrix.shape[0] != features.shape[0]:
-        raise ValueError("adjacency and feature row counts disagree")
-    return propagated_features(ahat, features) @ params.weight
+def forward_logits(params: SurrogateParams, ahat: sp.spmatrix, features: Array) -> Array:
+    """Pre-softmax logits Ahat (Ahat (X W)) of the linearized surrogate."""
+    return ahat @ (ahat @ (features @ params.weight))
 
 
 def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> SurrogateParams:
@@ -97,8 +106,9 @@ def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> Surro
     scale = 1.0 / np.sqrt(d)
     W = rng.uniform(-scale, scale, size=(d, k))
 
-    ahat = normalize_adjacency(g)
-    f2 = propagated_features(ahat, g.features)
+    # Ahat^2 X is fixed during training: the logistic-regression design matrix
+    ahat = normalize_adjacency(g.adjacency)
+    f2 = ahat @ (ahat @ g.features)
     idx = np.flatnonzero(g.labeled_mask)
     f2_lab = f2[idx]
     y = g.labels[idx]
@@ -111,20 +121,12 @@ def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> Surro
     return SurrogateParams(W)
 
 
-def surrogate_nll(params: SurrogateParams, g: Graph) -> float:
-    """Mean training NLL (with the L2 term omitted), for curve monitoring."""
-    logits = forward_logits(params, normalize_adjacency(g), g.features)
-    idx = np.flatnonzero(g.labeled_mask)
-    logp = log_softmax(logits[idx])
-    return float(-logp[np.arange(len(idx)), g.labels[idx]].mean())
-
-
 def pseudo_labels(params: SurrogateParams, g: Graph) -> Array:
     """Ground-truth labels where visible, surrogate argmax elsewhere.
 
     Argmax ties resolve to the smallest class index.
     """
-    logits = forward_logits(params, normalize_adjacency(g), g.features)
+    logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     out = logits.argmax(axis=1)
     out[g.labeled_mask] = g.labels[g.labeled_mask]
     return out.astype(np.int64)
@@ -179,7 +181,7 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> tuple[VictimPa
     W1 = _glorot(rng, d, h)
     W2 = _glorot(rng, h, k)
 
-    ahat_sp = normalize_adjacency(g).sparse()
+    ahat_sp = normalize_adjacency(g.adjacency)
     X = g.features
     idx = np.flatnonzero(g.labeled_mask)
     onehot = np.eye(k)[g.labels[idx]]

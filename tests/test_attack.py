@@ -5,7 +5,6 @@ from graphpoison import (
     AttackConfig,
     AttackConstraints,
     CAWeightParams,
-    GradMatrix,
     LossSpec,
     SurrogateHyper,
     build_graph,
@@ -15,10 +14,10 @@ from graphpoison import (
     dice_attack,
     meta_attack,
     sbm_graph,
-    score_flips,
 )
 
 from .conftest import tiny_graph
+from .oracles import score_flips
 
 FAST_SURROGATE = SurrogateHyper(epochs=60)
 
@@ -33,14 +32,14 @@ def test_score_flips_sign_cases():
     m = np.zeros((3, 3))
     m[0, 1] = m[1, 0] = -3.0  # existing edge, negative gradient: deleting helps
     m[0, 2] = m[2, 0] = 2.0   # absent edge, positive gradient: adding helps
-    ranked = score_flips(GradMatrix(m), g)
+    ranked = score_flips(m, g)
     assert ranked[0] == (0, 1, 3.0)
     assert ranked[1] == (0, 2, 2.0)
 
 
 def test_score_flips_zero_gradient_lexicographic():
     g = build_graph([], np.eye(4), [0, 1, 0, 1], [True, False, False, False])
-    ranked = score_flips(GradMatrix(np.zeros((4, 4))), g)
+    ranked = score_flips(np.zeros((4, 4)), g)
     assert [r[:2] for r in ranked] == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert all(r[2] == 0.0 for r in ranked)
 
@@ -151,6 +150,28 @@ def test_ca_and_base_flip_sequences_match_with_unit_weights(medium_sbm):
     assert base_run.flips == ca_run.flips
 
 
+# Flip lists recorded on the seeded 100-node SBM (``medium_sbm``) before the
+# surrogate forward pass and the normalized adjacency were consolidated;
+# they must never drift.
+PINNED_META_FLIPS = {
+    ("nll", False): [(39, 65, "add"), (39, 99, "add"), (28, 67, "add"), (39, 74, "add"),
+                     (0, 97, "add"), (39, 98, "add"), (47, 67, "add"), (43, 52, "add")],
+    ("nll", True): [(39, 97, "add"), (30, 97, "add"), (39, 65, "add"), (18, 97, "add"),
+                    (39, 85, "add"), (0, 65, "add"), (46, 65, "add"), (39, 90, "add")],
+    ("cw", False): [(39, 99, "add"), (39, 98, "add"), (0, 67, "add"), (39, 52, "add"),
+                    (28, 74, "add"), (30, 99, "add"), (46, 67, "add"), (21, 51, "add")],
+    ("cw", True): [(39, 97, "add"), (39, 65, "add"), (39, 85, "add"), (0, 65, "add"),
+                   (28, 67, "add"), (30, 97, "add"), (39, 90, "add"), (39, 53, "add")],
+}
+
+
+@pytest.mark.parametrize("base, ca", sorted(PINNED_META_FLIPS))
+def test_meta_attack_pinned_flip_lists(medium_sbm, base, ca):
+    spec = LossSpec(base, ca, CAWeightParams(4.5, 1.0, 1.0, 1.0) if ca else None)
+    res = meta_attack(medium_sbm, _cfg(budget=8, loss_spec=spec))
+    assert res.flips == PINNED_META_FLIPS[(base, ca)]
+
+
 def test_retrain_every_controls_surrogate_refresh(medium_sbm):
     r1 = meta_attack(medium_sbm, _cfg(budget=6, retrain_every=3))
     assert len(r1.flips) == 6  # the schedule must not break the loop
@@ -232,6 +253,16 @@ def test_dice_deterministic(medium_sbm):
     r1 = dice_attack(medium_sbm, _cfg(budget=10, seed=5))
     r2 = dice_attack(medium_sbm, _cfg(budget=10, seed=5))
     assert r1.flips == r2.flips
+
+
+def test_dice_pinned_flip_list(medium_sbm):
+    # recorded while DICE still rebuilt its within-class edge list per draw
+    res = dice_attack(medium_sbm, _cfg(budget=12, seed=11))
+    assert res.flips == [
+        (49, 79, "add"), (60, 84, "delete"), (7, 43, "delete"), (73, 87, "delete"),
+        (22, 26, "delete"), (91, 97, "delete"), (65, 78, "delete"), (80, 82, "delete"),
+        (68, 69, "delete"), (7, 47, "delete"), (11, 48, "delete"), (35, 98, "add"),
+    ]
 
 
 def test_dice_retry_exhaustion_raises():

@@ -81,7 +81,7 @@ def test_scatter_covers_unlabeled_pool():
 
 
 def test_scatter_ca_scales_base_by_weights():
-    from graphpoison.gradients import resolve_weights
+    from graphpoison.losses import resolve_weights
     from graphpoison.graph import normalize_adjacency
     from graphpoison.models import forward_logits, train_surrogate
 
@@ -91,7 +91,7 @@ def test_scatter_ca_scales_base_by_weights():
     ca_rows = {v: n for v, _, n in margin_gradient_scatter(g, ca)}
 
     params = train_surrogate(g)
-    logits = forward_logits(params, normalize_adjacency(g), g.features)
+    logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     weights = resolve_weights(logits, g.labels, ca)
     for v in base_rows:
         assert ca_rows[v] == pytest.approx(weights[v] * base_rows[v], rel=1e-9, abs=1e-12)

@@ -4,9 +4,17 @@ import os
 import numpy as np
 import pytest
 
-from graphpoison import ConfigError, ExperimentConfig, run_experiment, sbm_graph
+from graphpoison import (
+    ConfigError,
+    DatasetError,
+    ExperimentConfig,
+    apply_flips,
+    build_graph,
+    run_experiment,
+    sbm_graph,
+)
 from graphpoison.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from graphpoison.experiment import flips_path
+from graphpoison.experiment import flips_path, write_text
 
 from .conftest import write_plain_dataset
 
@@ -123,6 +131,35 @@ def test_apply_flips_reproduces_poisoned_graph(dataset_dir):
     assert np.array_equal(replayed.adjacency, res.poisoned.adjacency)
 
 
+def _path4():
+    # 4-node path 0-1-2-3
+    return build_graph([(0, 1), (1, 2), (2, 3)], np.eye(4), [0, 1, 0, 1], [True, False, False, False])
+
+
+def test_apply_flips_rejects_negative_node_id():
+    with pytest.raises(DatasetError, match="out of range"):
+        apply_flips(_path4(), [(-1, 0, "add")])
+
+
+def test_apply_flips_rejects_op_that_disagrees_with_the_edge():
+    with pytest.raises(DatasetError, match="op 'add'"):
+        apply_flips(_path4(), [(0, 1, "add")])
+
+
+def test_apply_flips_rejects_repeated_pair():
+    with pytest.raises(DatasetError, match="twice"):
+        apply_flips(_path4(), [(0, 2, "add"), (2, 0, "delete")])
+
+
+def test_write_text_failure_keeps_previous_file(tmp_path):
+    target = tmp_path / "report.json"
+    write_text(str(target), "previous")
+    with pytest.raises(UnicodeEncodeError):
+        write_text(str(target), "partial" * 1000 + "\udc80")  # a lone surrogate fails mid-write
+    assert target.read_text() == "previous"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
 # --- CLI ---------------------------------------------------------------
 
 
@@ -207,3 +244,56 @@ def test_cli_runtime_failure_exit_code(tmp_path, capsys):
     ])
     assert rc == EXIT_RUNTIME
     assert "[attack]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--retrain-every", "0"],
+        ["--ca-enabled", "--alpha1", "-1"],
+        ["--hidden", "0"],
+        ["--victim-epochs", "-5"],
+        ["--dropout", "1.0"],
+        ["--split-seed", "-1"],
+        ["--surrogate-lr", "0"],
+        ["--victim-weight-decay", "-1"],
+        ["--seeds", "0,-1"],
+    ],
+    ids=[
+        "retrain-every", "alpha1", "hidden", "victim-epochs", "dropout", "split-seed",
+        "surrogate-lr", "victim-weight-decay", "seeds",
+    ],
+)
+def test_cli_invalid_values_exit_2_before_loading(dataset_dir, tmp_path, flags):
+    out = tmp_path / "report.json"
+    rc = main(["run", "--dataset", dataset_dir, "--output", str(out), "--seeds", "0", *flags])
+    assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_cli_evaluate_rejects_bad_flips_file(dataset_dir, tmp_path, capsys):
+    flips = tmp_path / "flips.json"
+    flips.write_text(json.dumps([{"i": -1, "j": 0, "op": "add"}]))
+    out = tmp_path / "eval.json"
+    rc = main([
+        "evaluate", "--dataset", dataset_dir, "--flips-file", str(flips),
+        "--output", str(out), "--seeds", "0", "--victim-epochs", "5",
+    ])
+    assert rc == EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_attack_file_schema(dataset_dir, tmp_path):
+    out = tmp_path / "attack.json"
+    edges = tmp_path / "poisoned.txt"
+    rc = main([
+        "attack", "--dataset", dataset_dir, "--output", str(out), "--poisoned-edges", str(edges),
+        "--budget-fraction", "0.02", "--surrogate-epochs", "20",
+    ])
+    assert rc == EXIT_OK
+    blob = json.loads(out.read_text())
+    assert set(blob) == {"dataset", "attack", "loss", "budget", "flips", "exhausted", "config"}
+    assert blob["dataset"] == "sbm"
+    assert blob["config"]["dataset"] == dataset_dir
+    assert len(edges.read_text().splitlines()) > 0

@@ -13,6 +13,7 @@ from graphpoison import (
 )
 
 from .conftest import tiny_graph
+from .oracles import normalize_dense
 
 
 def _features(n, d=2):
@@ -76,14 +77,14 @@ def test_graph_arrays_are_immutable():
 
 def test_normalize_isolated_node_is_identity():
     g = Graph(np.zeros((2, 2)), _features(2), [0, 1], _mask(2))
-    ahat = normalize_adjacency(g).matrix
+    ahat = normalize_adjacency(g.adjacency).toarray()
     assert np.allclose(ahat, np.eye(2))
 
 
 def test_normalize_single_edge_hand_value():
     # degrees of A+I are (2, 2), so every entry is 1/sqrt(2*2)
     g = build_graph([(0, 1)], _features(2), [0, 1], _mask(2))
-    ahat = normalize_adjacency(g).matrix
+    ahat = normalize_adjacency(g.adjacency).toarray()
     assert np.allclose(ahat, [[0.5, 0.5], [0.5, 0.5]])
 
 
@@ -91,12 +92,25 @@ def test_normalize_single_edge_hand_value():
 @given(seed=st.integers(0, 10_000), n=st.integers(3, 12))
 def test_normalize_symmetry_and_bounds(seed, n):
     g = tiny_graph(n=n, seed=seed)
-    ahat = normalize_adjacency(g).matrix
+    ahat = normalize_adjacency(g.adjacency).toarray()
     assert np.abs(ahat - ahat.T).max() < 1e-12
     assert (ahat >= 0).all() and (ahat <= 1).all()
     filled = (g.adjacency + np.eye(n)) > 0
     assert (ahat[filled] > 0).all()
     assert not ahat[~filled].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(3, 12))
+def test_normalize_matches_dense_formula(seed, n):
+    g = tiny_graph(n=n, seed=seed)
+    ahat = normalize_adjacency(g.adjacency)
+    assert ahat.has_sorted_indices
+    assert np.array_equal(ahat.toarray(), normalize_dense(g.adjacency))
+    # relaxed, non-binary input (the finite-difference oracle's case)
+    relaxed = g.adjacency * np.random.default_rng(seed).uniform(0.5, 1.5, size=(n, n))
+    relaxed = (relaxed + relaxed.T) / 2.0
+    assert np.allclose(normalize_adjacency(relaxed).toarray(), normalize_dense(relaxed), rtol=1e-14, atol=0)
 
 
 def test_lcc_picks_larger_component():
@@ -145,6 +159,13 @@ def test_flip_edge_rejects_self_loop():
     g = tiny_graph()
     with pytest.raises(ValueError):
         flip_edge(g, 2, 2)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, -2), (4, 1), (1, 4)])
+def test_flip_edge_rejects_ids_outside_the_graph(i, j):
+    g = tiny_graph(n=4)
+    with pytest.raises(ValueError, match="out of range"):
+        flip_edge(g, i, j)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphpoison import CAWeightParams, LossSpec, ca_loss, ca_weights, cw_loss, nll_loss
+from graphpoison import CAWeightParams, LossSpec, ca_weights, cw_loss, loss_value, nll_loss
 
 LN2 = 0.6931471805599453
 
@@ -99,7 +99,7 @@ def test_ca_loss_with_unit_weights_equals_base():
     mask = _mask(10, [0, 2, 5, 9])
     unit = CAWeightParams(1.0, 0.0, 1.0, 0.0)
     for base in ("nll", "cw"):
-        t_ca, per_ca = ca_loss(logits, labels, mask, unit, base)
+        t_ca, per_ca = loss_value(logits, labels, mask, LossSpec(base, True, unit))
         t_b, per_b = (nll_loss if base == "nll" else cw_loss)(logits, labels, mask)
         assert abs(t_ca - t_b) <= 1e-12 * abs(t_b)
         assert np.allclose(per_ca, per_b, rtol=1e-12)
@@ -110,7 +110,8 @@ def test_ca_loss_single_node_product():
     logits = np.zeros((2, 2))
     labels = np.array([0, 0])
     mask = _mask(2, [0])
-    total, _ = ca_loss(logits, labels, mask, CAWeightParams(alpha1=2.0 / LN2, beta1=1.0), "nll")
+    spec = LossSpec("nll", True, CAWeightParams(alpha1=2.0 / LN2, beta1=1.0))
+    total, _ = loss_value(logits, labels, mask, spec)
     assert total == pytest.approx(2.0 / LN2 * LN2)
 
 
@@ -135,6 +136,6 @@ def test_ca_loss_linear_in_alpha():
     mask = _mask(8)
     p = CAWeightParams(1.5, 0.7, 2.5, 0.3)
     doubled = CAWeightParams(3.0, 0.7, 5.0, 0.3)
-    t1, _ = ca_loss(logits, labels, mask, p, "nll")
-    t2, _ = ca_loss(logits, labels, mask, doubled, "nll")
+    t1, _ = loss_value(logits, labels, mask, LossSpec("nll", True, p))
+    t2, _ = loss_value(logits, labels, mask, LossSpec("nll", True, doubled))
     assert t2 == pytest.approx(2.0 * t1)

@@ -15,9 +15,8 @@ from graphpoison import (
     train_surrogate,
     train_victim,
 )
-from graphpoison.models import surrogate_nll
-
 from .conftest import tiny_graph
+from .oracles import surrogate_nll
 
 
 def _toy_separable():
@@ -31,14 +30,14 @@ def _toy_separable():
 def test_forward_logits_zero_weight():
     g = tiny_graph()
     params = SurrogateParams(np.zeros((4, 3)))
-    z = forward_logits(params, normalize_adjacency(g), g.features)
+    z = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     assert not z.any()
 
 
 def test_forward_logits_hand_product():
     g = Graph(np.zeros((2, 2)), np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 1], [True, False])
     params = SurrogateParams(np.array([[2.0, 0.0], [0.0, 3.0]]))
-    z = forward_logits(params, normalize_adjacency(g), g.features)
+    z = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     assert np.allclose(z[0], [2.0, 0.0])
 
 
@@ -46,7 +45,7 @@ def test_forward_logits_permutation_equivariance():
     g = tiny_graph(n=7, seed=2)
     rng = np.random.default_rng(0)
     params = SurrogateParams(rng.normal(size=(4, 3)))
-    z = forward_logits(params, normalize_adjacency(g), g.features)
+    z = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
 
     perm = rng.permutation(7)
     gp = Graph(
@@ -56,7 +55,7 @@ def test_forward_logits_permutation_equivariance():
         g.labeled_mask[perm],
         g.n_classes,
     )
-    zp = forward_logits(params, normalize_adjacency(gp), gp.features)
+    zp = forward_logits(params, normalize_adjacency(gp.adjacency), gp.features)
     assert np.allclose(zp, z[perm])
 
 
@@ -64,7 +63,7 @@ def test_forward_logits_linear_in_weights():
     g = tiny_graph(n=6, seed=4)
     rng = np.random.default_rng(1)
     w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    ahat = normalize_adjacency(g)
+    ahat = normalize_adjacency(g.adjacency)
     combo = forward_logits(SurrogateParams(2.0 * w1 + 0.5 * w2), ahat, g.features)
     parts = 2.0 * forward_logits(SurrogateParams(w1), ahat, g.features) + 0.5 * forward_logits(
         SurrogateParams(w2), ahat, g.features
@@ -75,7 +74,7 @@ def test_forward_logits_linear_in_weights():
 def test_train_surrogate_separable_reaches_full_accuracy():
     g = _toy_separable()
     params = train_surrogate(g, SurrogateHyper(lr=0.5, epochs=200))
-    z = forward_logits(params, normalize_adjacency(g), g.features)
+    z = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     labeled = g.labeled_mask
     assert (z[labeled].argmax(axis=1) == g.labels[labeled]).all()
 
