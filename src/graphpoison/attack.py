@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradients import attack_gradient, attack_objective
-from .graph import Graph, count_flips
+from .graph import Graph, count_flips, flip_edge
 from .losses import LossSpec
 from .models import SurrogateHyper, pseudo_labels, train_surrogate
 
@@ -23,6 +23,7 @@ Array = np.ndarray
 
 ADD = "add"
 DELETE = "delete"
+DICE_MAX_RETRIES = 200  # draws per DICE step before the step fails
 
 
 @dataclass(frozen=True)
@@ -32,13 +33,12 @@ class AttackConstraints:
     The singleton rule rejects deletions that would isolate a node. The
     optional degree test rejects flips whose degree sequence no longer
     looks drawn from the same power law as the reference graph's, using
-    the likelihood-ratio statistic over degrees >= d_min.
+    the likelihood-ratio statistic over degrees >= 2.
     """
 
     forbid_singletons: bool = True
     degree_test: bool = False
     degree_test_threshold: float = 0.004
-    degree_test_d_min: int = 2
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,6 @@ class AttackConfig:
     seed: int = 0
     refresh_pseudo_labels: bool = False
     dice_add_prob: float = 0.5
-    dice_max_retries: int = 200
 
     def __post_init__(self) -> None:
         if self.budget < 0:
@@ -133,7 +132,7 @@ def constraint_check(
         delta = -1.0 if deleting else 1.0
         deg_new[i] += delta
         deg_new[j] += delta
-        ratio = degree_likelihood_ratio(ref.degrees(), deg_new, rules.degree_test_d_min)
+        ratio = degree_likelihood_ratio(ref.degrees(), deg_new)
         if ratio > rules.degree_test_threshold:
             return "degree_test"
     return None
@@ -163,9 +162,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     n = g.n_nodes
     if cfg.budget > n * (n - 1) // 2:
         raise ValueError("budget exceeds the number of unordered pairs")
-    clean = g
-    adj = g.adjacency.copy()
-    blocked = np.eye(n, dtype=bool)  # diagonal plus every pair already flipped
+    current = g
     flips: list[tuple[int, int, str]] = []
     trace: list[dict] = []
     params = None
@@ -173,15 +170,16 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     exhausted = False
 
     for step in range(cfg.budget):
-        current = clean.with_adjacency(adj)
         if params is None or step % cfg.retrain_every == 0:
             params = train_surrogate(current, cfg.surrogate_hyper)
             if pseudo is None or cfg.refresh_pseudo_labels:
                 pseudo = pseudo_labels(params, current)
         grad, info = attack_gradient(current, params, cfg.loss_spec, pseudo, return_info=True)
 
-        scores = grad * (1.0 - 2.0 * adj)
-        scores[blocked] = -np.inf
+        scores = grad * (1.0 - 2.0 * current.adjacency)
+        np.fill_diagonal(scores, -np.inf)
+        for i, j, _ in flips:
+            scores[i, j] = scores[j, i] = -np.inf
         chosen = None
         while True:
             flat = int(scores.argmax())
@@ -192,7 +190,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
                 break
             if i > j:
                 i, j = j, i
-            if constraint_check(current, i, j, cfg, reference=clean) is None:
+            if constraint_check(current, i, j, cfg, reference=g) is None:
                 chosen = (i, j, float(best))
                 break
             scores[i, j] = -np.inf
@@ -201,12 +199,10 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
             break
 
         i, j, score = chosen
-        op = DELETE if adj[i, j] == 1.0 else ADD
-        adj[i, j] = 1.0 - adj[i, j]
-        adj[j, i] = adj[i, j]
-        blocked[i, j] = blocked[j, i] = True
+        op = DELETE if current.adjacency[i, j] == 1.0 else ADD
+        current = flip_edge(current, i, j)
         objective_after = attack_objective(
-            adj, g.features, params, pseudo, g.unlabeled_mask, cfg.loss_spec, info["weights"]
+            current.adjacency, g.features, params, pseudo, g.unlabeled_mask, cfg.loss_spec, info["weights"]
         )
         flips.append((i, j, op))
         trace.append(
@@ -222,11 +218,10 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
 
     assert pseudo is not None or cfg.budget == 0
     if pseudo is None:
-        params = train_surrogate(clean, cfg.surrogate_hyper)
-        pseudo = pseudo_labels(params, clean)
-    poisoned = clean.with_adjacency(adj)
-    assert count_flips(clean, poisoned) == len(flips)
-    return AttackResult(flips, poisoned, trace, pseudo, exhausted)
+        params = train_surrogate(g, cfg.surrogate_hyper)
+        pseudo = pseudo_labels(params, g)
+    assert count_flips(g, current) == len(flips)
+    return AttackResult(flips, current, trace, pseudo, exhausted)
 
 
 def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
@@ -235,30 +230,29 @@ def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     Class membership is the surrogate's pseudo-labeling (gray-box, like the
     gradient attack). Each step flips a seeded coin for the operation, draws
     a uniform candidate of that kind, and retries -- recoining -- when the
-    draw is infeasible or constraint-rejected, up to
-    ``cfg.dice_max_retries`` attempts per step.
+    draw is infeasible or constraint-rejected, up to ``DICE_MAX_RETRIES``
+    attempts per step. No pair is flipped twice: an added pair is a
+    cross-class edge from then on, and a deleted pair leaves the
+    within-class edge list that deletions draw from.
     """
     params = train_surrogate(g, cfg.surrogate_hyper)
     pseudo = pseudo_labels(params, g)
     rng = np.random.default_rng(cfg.seed)
     n = g.n_nodes
-    clean = g
-    adj = g.adjacency.copy()
-    blocked = np.eye(n, dtype=bool)
+    current = g
     flips: list[tuple[int, int, str]] = []
     trace: list[dict] = []
     # within-class edges in row-major order; additions are cross-class, so
     # only deletions change the list
-    iu, ju = np.nonzero(np.triu(adj, k=1))
+    iu, ju = np.nonzero(np.triu(g.adjacency, k=1))
     same = pseudo[iu] == pseudo[ju]
     within = list(zip(iu[same].tolist(), ju[same].tolist()))
 
     for step in range(cfg.budget):
-        placed = False
-        for _ in range(cfg.dice_max_retries):
+        for _ in range(DICE_MAX_RETRIES):
             if rng.random() < cfg.dice_add_prob:
                 i, j = int(rng.integers(n)), int(rng.integers(n))
-                if i == j or adj[i, j] == 1.0 or pseudo[i] == pseudo[j]:
+                if i == j or current.adjacency[i, j] == 1.0 or pseudo[i] == pseudo[j]:
                     continue
                 op = ADD
             else:
@@ -269,25 +263,18 @@ def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
                 op = DELETE
             if i > j:
                 i, j = j, i
-            if blocked[i, j]:
+            if constraint_check(current, i, j, cfg, reference=g) is not None:
                 continue
-            current = clean.with_adjacency(adj)
-            if constraint_check(current, i, j, cfg, reference=clean) is not None:
-                continue
-            adj[i, j] = 1.0 - adj[i, j]
-            adj[j, i] = adj[i, j]
-            blocked[i, j] = blocked[j, i] = True
+            current = flip_edge(current, i, j)
             if op == DELETE:
                 within.pop(k)
             flips.append((i, j, op))
             trace.append({"iteration": step, "flip": [i, j, op]})
-            placed = True
             break
-        if not placed:
+        else:
             raise RuntimeError(
-                f"DICE found no feasible flip within {cfg.dice_max_retries} retries at step {step}"
+                f"DICE found no feasible flip within {DICE_MAX_RETRIES} retries at step {step}"
             )
 
-    poisoned = clean.with_adjacency(adj)
-    assert count_flips(clean, poisoned) == len(flips)
-    return AttackResult(flips, poisoned, trace, pseudo, exhausted=False)
+    assert count_flips(g, current) == len(flips)
+    return AttackResult(flips, current, trace, pseudo, exhausted=False)

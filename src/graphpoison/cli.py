@@ -4,7 +4,9 @@ Subcommands: ``run`` (end-to-end), ``attack``, ``evaluate``, ``scatter``.
 Every ExperimentConfig field is available as a kebab-case flag; a JSON
 config file may supply any subset, with flags taking precedence.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime failure.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 runtime failure. A
+failure after the config check names the stage it happened in:
+``[load]``, ``[attack]``, ``[evaluate]`` or ``[write]``.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .experiment import (
     resolve_output,
     run_attack,
     run_experiment,
+    stage,
     write_json,
     write_text,
 )
@@ -91,15 +94,16 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_attack(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    clean = load_graph(cfg)
-    result = run_attack(cfg, clean)
+    clean = stage("load", load_graph, cfg)
+    result = stage("attack", run_attack, cfg, clean)
     out = resolve_output(cfg.output)
     budget = attack_budget(cfg, clean)
-    write_json(out, report_payload(cfg, result.flips, budget, exhausted=result.exhausted))
+    payload = report_payload(cfg, result.flips, budget, exhausted=result.exhausted)
+    stage("write", write_json, out, payload)
     if args.poisoned_edges:
         iu, ju = np.nonzero(np.triu(result.poisoned.adjacency, k=1))
         lines = [f"{i} {j}" for i, j in zip(iu.tolist(), ju.tolist())]
-        write_text(args.poisoned_edges, "\n".join(lines) + "\n")
+        stage("write", write_text, args.poisoned_edges, "\n".join(lines) + "\n")
     print(f"{len(result.flips)} flips written to {out}" + (" (budget exhausted early)" if result.exhausted else ""))
     return EXIT_OK
 
@@ -119,10 +123,12 @@ def _read_flips(path: str) -> list[tuple[int, int, str]]:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    clean = load_graph(cfg)
-    flips = _read_flips(args.flips_file) if args.flips_file else []
-    poisoned = apply_flips(clean, flips)
-    report = evaluate(
+    clean = stage("load", load_graph, cfg)
+    flips = stage("load", _read_flips, args.flips_file) if args.flips_file else []
+    poisoned = stage("load", apply_flips, clean, flips)
+    report = stage(
+        "evaluate",
+        evaluate,
         clean,
         poisoned,
         cfg.victim_hyper(),
@@ -134,19 +140,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     )
 
     out = resolve_output(cfg.output)
-    write_json(out, report_payload(cfg, flips, len(flips), report=report))
+    stage("write", write_json, out, report_payload(cfg, flips, len(flips), report=report))
     print(f"mean accuracy {report.mean:.4f} +- {report.ci95_halfwidth:.4f} -> {out}")
     return EXIT_OK
 
 
 def cmd_scatter(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
-    g = load_graph(cfg)
-    rows = margin_gradient_scatter(g, cfg.loss_spec(), cfg.surrogate_hyper())
+    g = stage("load", load_graph, cfg)
+    rows = stage("evaluate", margin_gradient_scatter, g, cfg.loss_spec(), cfg.surrogate_hyper())
     out = resolve_output(cfg.output)
     lines = ["node_id,margin,grad_l2"]
     lines += [f"{v},{margin:.10g},{norm:.10g}" for v, margin, norm in rows]
-    write_text(out, "\n".join(lines) + "\n")
+    stage("write", write_text, out, "\n".join(lines) + "\n")
     print(f"{len(rows)} nodes -> {out}")
     return EXIT_OK
 
@@ -179,19 +185,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _message(e: Exception) -> str:
+    """``e``'s message, prefixed with ``[stage]`` when it failed in a stage."""
+    where = getattr(e, "stage", None)
+    return f"[{where}] {e}" if where else str(e)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
+        print(f"config error: {_message(e)}", file=sys.stderr)
         return EXIT_CONFIG
     except DatasetError as e:
-        print(f"data error: {e}", file=sys.stderr)
+        print(f"data error: {_message(e)}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # noqa: BLE001 - CLI boundary
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {_message(e)}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -4,9 +4,9 @@ A dataset directory holds:
 
     edges.txt      one undirected edge per line, "i j" (whitespace separated)
     labels.txt     one integer class per line; line number = node id
-    features.csv   optional; row v = comma-separated feature values of node v
-                   (absent file -> identity features, the featureless-graph
-                   convention)
+    features.csv   optional; row v = comma-separated finite feature values of
+                   node v (absent file -> identity features, the
+                   featureless-graph convention)
 
 Loading applies largest-connected-component extraction and a seeded
 labeled/unlabeled split. Self-loop lines and duplicate edges are dropped.
@@ -102,6 +102,9 @@ def _read_features(path: str, n_nodes: int) -> np.ndarray | None:
         raise DatasetError(f"bad features file {path}: {e}")
     if feats.shape[0] != n_nodes:
         raise DatasetError(f"features have {feats.shape[0]} rows but labels define {n_nodes} nodes")
+    bad_rows = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad_rows.size:
+        raise DatasetError(f"non-finite feature value (NaN or inf) in {path}, row {bad_rows[0]}")
     return feats
 
 
@@ -110,7 +113,6 @@ def load_dataset(
     format: str = PLAIN,
     split_fraction: float = 0.10,
     split_seed: int = 0,
-    apply_lcc: bool = True,
 ) -> Graph:
     """Load a dataset directory into a Graph (LCC-reduced, seeded split).
 
@@ -126,17 +128,13 @@ def load_dataset(
     pairs = _read_edges(os.path.join(dir_path, EDGES_FILE), n)
     feats = _read_features(os.path.join(dir_path, FEATURES_FILE), n)
 
-    if apply_lcc:
-        keep = largest_component(sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n)))
-        new_id = np.full(n, -1)
-        new_id[keep] = np.arange(keep.size)
-        pairs = new_id[pairs]
-        pairs = pairs[pairs[:, 0] >= 0]  # an edge leaves the LCC only with both endpoints
-        labels = labels[keep]
-        if feats is not None:
-            feats = feats[keep]
-    if feats is None:
-        feats = np.eye(labels.size)
+    keep = largest_component(sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n)))
+    new_id = np.full(n, -1)
+    new_id[keep] = np.arange(keep.size)
+    pairs = new_id[pairs]
+    pairs = pairs[pairs[:, 0] >= 0]  # an edge leaves the LCC only with both endpoints
+    labels = labels[keep]
+    feats = np.eye(keep.size) if feats is None else feats[keep]
 
     mask = seeded_split(labels.size, split_fraction, split_seed)
     return build_graph(pairs, feats, labels, mask)

@@ -147,13 +147,18 @@ class ExperimentConfig:
         return {name: getattr(self, name) for name in names}
 
 
-def _stage(name: str, fn, *args, **kwargs):
+def stage(name: str, fn, *args, **kwargs):
+    """Call ``fn``; an exception it raises records ``name`` as its ``stage``.
+
+    The innermost stage wins. The stage is an attribute, not part of the
+    message, because ``str`` of an ``OSError`` ignores a rewritten message;
+    the CLI prints it as a ``[name]`` prefix.
+    """
     try:
         return fn(*args, **kwargs)
     except Exception as e:
-        if not getattr(e, "_staged", False):
-            e.args = (f"[{name}] {e}",)
-            e._staged = True  # type: ignore[attr-defined]
+        if not hasattr(e, "stage"):
+            e.stage = name  # type: ignore[attr-defined]
         raise
 
 
@@ -274,14 +279,15 @@ def write_json(path: str, obj) -> None:
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     """Load -> LCC -> split -> attack -> evaluate -> write report and flips.
 
-    Failures carry a stage tag in their message; the CLI maps exception
-    types to exit codes.
+    Failures carry the stage they happened in (``load``, ``attack``,
+    ``evaluate``, ``write``) as a ``stage`` attribute; the CLI maps
+    exception types to exit codes.
     """
     start = time.perf_counter()
-    clean = _stage("load", load_graph, cfg)
-    result = _stage("attack", run_attack, cfg, clean)
+    clean = stage("load", load_graph, cfg)
+    result = stage("attack", run_attack, cfg, clean)
     budget = attack_budget(cfg, clean)
-    report = _stage(
+    report = stage(
         "evaluate",
         evaluate,
         clean,
@@ -301,5 +307,5 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
         write_json(out_path, report_payload(cfg, result.flips, budget, report=report))
         write_json(flips_path(out_path), flip_records(result.flips))
 
-    _stage("write", _write)
+    stage("write", _write)
     return report

@@ -2,15 +2,18 @@
 
 ``Graph`` holds a dense symmetric binary adjacency (the attack gradient is a
 dense N x N matrix anyway, and the graphs here have a few thousand nodes at
-most). Graphs are value objects: every mutation constructs a new ``Graph``.
-``build_graph`` is the one edge-list -> adjacency routine, and
-``largest_component`` the one connectivity routine; ``load_dataset`` uses
-both. ``normalize_adjacency`` builds the surrogate's propagation matrix
+most). A graph is validated once, at the boundary: ``Graph(...)``,
+``build_graph`` (the one edge-list -> adjacency routine) and ``load_dataset``
+check every field. ``flip_edge`` then derives new values from a valid graph
+without re-validating them; it is the only code that toggles an adjacency
+entry. ``largest_component`` is the one connectivity routine, and
+``normalize_adjacency`` builds the surrogate's propagation matrix
 ``Ahat = D^{-1/2} (A + I) D^{-1/2}`` in CSR form.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +39,7 @@ class Graph:
     adjacency : (N, N) float array
         Symmetric binary adjacency with zero diagonal.
     features : (N, d) float array
-        Node feature matrix.
+        Node feature matrix; every entry finite.
     labels : (N,) int array
         Class index per node, in ``{0 .. n_classes-1}``.
     labeled_mask : (N,) bool array
@@ -62,6 +65,8 @@ class Graph:
             raise ValueError(f"adjacency must be square, got shape {A.shape}")
         if X.ndim != 2 or X.shape[0] != n:
             raise ValueError(f"features must have {n} rows, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("features must be finite (no NaN or inf)")
         if y.shape != (n,) or m.shape != (n,):
             raise ValueError("labels and labeled_mask must be 1-d of length n_nodes")
         if not np.array_equal(A, A.T):
@@ -99,10 +104,6 @@ class Graph:
 
     def degrees(self) -> Array:
         return self.adjacency.sum(axis=1)
-
-    def with_adjacency(self, adjacency: Array) -> "Graph":
-        """New Graph sharing features/labels/mask with a different adjacency."""
-        return Graph(adjacency, self.features, self.labels, self.labeled_mask, self.n_classes)
 
 
 def build_graph(edges, features, labels, labeled_mask, n_classes: int = 0) -> Graph:
@@ -177,15 +178,22 @@ def largest_connected_component(g: Graph) -> Graph:
 
 
 def flip_edge(g: Graph, i: int, j: int) -> Graph:
-    """Toggle the undirected edge {i, j}; returns a new Graph."""
+    """Toggle the undirected edge {i, j}; returns a new Graph.
+
+    The new graph shares ``g``'s features, labels and mask and is not
+    re-validated: toggling a mirrored off-diagonal pair of a valid
+    adjacency keeps it symmetric, binary and zero-diagonal.
+    """
     if i == j:
         raise ValueError("cannot flip a self-loop")
     if not (0 <= i < g.n_nodes and 0 <= j < g.n_nodes):
         raise ValueError(f"pair ({i}, {j}) out of range for {g.n_nodes} nodes")
     A = g.adjacency.copy()
-    A[i, j] = 1.0 - A[i, j]
-    A[j, i] = A[i, j]
-    return g.with_adjacency(A)
+    A[i, j] = A[j, i] = 1.0 - A[i, j]
+    A.flags.writeable = False
+    out = copy.copy(g)
+    object.__setattr__(out, "adjacency", A)
+    return out
 
 
 def count_flips(g: Graph, g2: Graph) -> int:

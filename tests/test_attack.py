@@ -269,7 +269,7 @@ def test_dice_retry_exhaustion_raises():
     # a 2-labeled triangle with all-same pseudo-labels cannot add cross-class
     # edges, and deleting is blocked by the singleton rule after one edge
     g = build_graph([(0, 1)], np.eye(3, 2), [0, 0, 0], [True, True, False], n_classes=2)
-    cfg = _cfg(budget=2, dice_add_prob=1.0, dice_max_retries=20)
+    cfg = _cfg(budget=2, dice_add_prob=1.0)
     with pytest.raises(RuntimeError, match="retries"):
         dice_attack(g, cfg)
 

@@ -11,8 +11,9 @@ POLBLOGS_DIR = os.path.join(DATA_ROOT, "polblogs")
 
 
 def test_roundtrip_with_features(tmp_path, small_sbm):
+    # small_sbm is connected, so LCC extraction keeps every node in order
     d = write_plain_dataset(small_sbm, tmp_path / "ds")
-    g = load_dataset(d, split_fraction=0.2, split_seed=3, apply_lcc=False)
+    g = load_dataset(d, split_fraction=0.2, split_seed=3)
     assert g.n_nodes == small_sbm.n_nodes
     assert g.n_edges == small_sbm.n_edges
     assert np.array_equal(g.labels, small_sbm.labels)
@@ -21,7 +22,7 @@ def test_roundtrip_with_features(tmp_path, small_sbm):
 
 def test_missing_features_gives_identity(tmp_path, small_sbm):
     d = write_plain_dataset(small_sbm, tmp_path / "ds", features=False)
-    g = load_dataset(d, apply_lcc=False)
+    g = load_dataset(d)
     assert np.array_equal(g.features, np.eye(small_sbm.n_nodes))
 
 
@@ -41,7 +42,7 @@ def test_duplicate_and_self_loop_lines_dropped(tmp_path):
     os.makedirs(d)
     (d / "edges.txt").write_text("0 1\n1 0\n0 1\n2 2\n1 2\n")
     (d / "labels.txt").write_text("0\n1\n0\n")
-    g = load_dataset(str(d), split_fraction=0.4, apply_lcc=False)
+    g = load_dataset(str(d), split_fraction=0.4)
     assert g.n_edges == 2
 
 
@@ -127,6 +128,16 @@ def test_feature_row_count_mismatch(tmp_path):
     (d / "features.csv").write_text("1.0,0.0\n0.0,1.0\n1.0,1.0\n")
     with pytest.raises(DatasetError, match="rows"):
         load_dataset(str(d))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_features_rejected(tmp_path, small_sbm, bad):
+    d = write_plain_dataset(small_sbm, tmp_path / "ds")
+    rows = (tmp_path / "ds" / "features.csv").read_text().splitlines()
+    rows[3] = ",".join([bad] + rows[3].split(",")[1:])
+    (tmp_path / "ds" / "features.csv").write_text("\n".join(rows) + "\n")
+    with pytest.raises(DatasetError, match=r"non-finite .*features\.csv, row 3"):
+        load_dataset(d)
 
 
 def test_unknown_format(tmp_path):

@@ -13,6 +13,8 @@ DEMOS = [
     "02_surrogate_margins_weights.py",
     "03_gradient_vs_finite_differences.py",
     "04_margin_gradient_scatter.py",
+    "05_poison_and_evaluate.py",
+    "06_pseudo_label_regimes.py",
 ]
 
 

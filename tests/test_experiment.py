@@ -120,15 +120,25 @@ def test_flips_path_naming():
 
 def test_apply_flips_reproduces_poisoned_graph(dataset_dir):
     """The recorded flip list is a faithful encoding of the poisoned graph."""
-    from graphpoison import AttackConfig, LossSpec, SurrogateHyper, apply_flips, load_dataset, meta_attack
+    from graphpoison import (
+        AttackConfig, CAWeightParams, LossSpec, SurrogateHyper, dice_attack, load_dataset, meta_attack,
+    )
 
     clean = load_dataset(dataset_dir)
-    res = meta_attack(
-        clean,
-        AttackConfig(budget=8, loss_spec=LossSpec("nll"), surrogate_hyper=SurrogateHyper(epochs=60)),
-    )
-    replayed = apply_flips(clean, res.flips)
-    assert np.array_equal(replayed.adjacency, res.poisoned.adjacency)
+    hyper = SurrogateHyper(epochs=60)
+    schedule = CAWeightParams(4.5, 1.0, 1.0, 1.0)
+    runs = [
+        meta_attack(clean, AttackConfig(
+            budget=8, loss_spec=LossSpec(base, ca, schedule if ca else None), surrogate_hyper=hyper,
+        ))
+        for base in ("nll", "cw")
+        for ca in (False, True)
+    ]
+    runs.append(dice_attack(clean, AttackConfig(budget=8, seed=3, surrogate_hyper=hyper)))
+    for res in runs:
+        assert len(res.flips) == 8
+        replayed = apply_flips(clean, res.flips)
+        assert np.array_equal(replayed.adjacency, res.poisoned.adjacency)
 
 
 def _path4():
@@ -222,10 +232,34 @@ def test_cli_scatter_csv(dataset_dir, tmp_path):
     int(node_id); float(margin); float(grad)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(dataset_dir, tmp_path, capsys):
+    from graphpoison.cli import EXIT_RUNTIME
+
     assert main(["run", "--dataset", str(tmp_path / "nope")]) == EXIT_DATA
     assert main(["run", "--dataset", str(tmp_path), "--budget-fraction", "2.0"]) == EXIT_CONFIG
     assert main(["run"]) == EXIT_CONFIG  # dataset required
+    capsys.readouterr()
+
+    # every subcommand names the stage that failed
+    stuck = tmp_path / "stuck"  # one class on a path: DICE finds no feasible flip
+    os.makedirs(stuck)
+    (stuck / "edges.txt").write_text("0 1\n1 2\n")
+    (stuck / "labels.txt").write_text("0\n0\n0\n")
+    taken = tmp_path / "taken"  # a non-empty directory where the report should go
+    os.makedirs(taken / "inside")
+    out = str(tmp_path / "out.json")
+    fast = ["--seeds", "0", "--surrogate-epochs", "5", "--victim-epochs", "5"]
+    cases = [
+        (["run", "--dataset", str(tmp_path / "nope"), "--output", out], EXIT_DATA, "data error: [load] "),
+        (["attack", "--dataset", str(stuck), "--attack", "dice", "--budget-fraction", "0.5",
+          "--split-fraction", "0.34", "--output", out], EXIT_RUNTIME, "error: [attack] DICE"),
+        (["evaluate", "--dataset", dataset_dir, "--output", str(taken)], EXIT_RUNTIME, "error: [write] "),
+        (["scatter", "--dataset", str(tmp_path / "nope"), "--output", out], EXIT_DATA, "data error: [load] "),
+    ]
+    for argv, code, message in cases:
+        assert main(argv + fast) == code, argv
+        assert capsys.readouterr().err.startswith(message), argv
+    assert not os.path.exists(out)
 
 
 def test_cli_runtime_failure_exit_code(tmp_path, capsys):
@@ -268,6 +302,22 @@ def test_cli_invalid_values_exit_2_before_loading(dataset_dir, tmp_path, flags):
     out = tmp_path / "report.json"
     rc = main(["run", "--dataset", dataset_dir, "--output", str(out), "--seeds", "0", *flags])
     assert rc == EXIT_CONFIG
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+def test_cli_rejects_non_finite_features(dataset_dir, tmp_path, capsys, command):
+    features = os.path.join(dataset_dir, "features.csv")
+    with open(features) as fh:
+        rows = fh.read().splitlines()
+    rows[0] = ",".join(["nan"] * len(rows[0].split(",")))
+    with open(features, "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    out = tmp_path / "report.json"
+    rc = main([command, "--dataset", dataset_dir, "--output", str(out), "--seeds", "0", "--victim-epochs", "5"])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [load] non-finite") and "features.csv" in err
     assert not out.exists()
 
 

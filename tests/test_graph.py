@@ -10,6 +10,7 @@ from graphpoison import (
     flip_edge,
     largest_connected_component,
     normalize_adjacency,
+    sbm_graph,
 )
 
 from .conftest import tiny_graph
@@ -62,6 +63,14 @@ def test_graph_rejects_asymmetric_adjacency():
     a[0, 1] = 1
     with pytest.raises(ValueError, match="symmetric"):
         Graph(a, _features(2), [0, 1], _mask(2))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_graph_rejects_non_finite_features(bad):
+    feats = _features(2)
+    feats[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Graph(np.zeros((2, 2)), feats, [0, 1], _mask(2))
 
 
 def test_graph_requires_mixed_mask():
@@ -176,6 +185,29 @@ def test_flip_is_involution(seed):
     i, j = rng.choice(8, size=2, replace=False)
     assert count_flips(g, flip_edge(flip_edge(g, i, j), i, j)) == 0
     assert count_flips(g, flip_edge(g, i, j)) == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=15),
+)
+def test_flip_edge_keeps_a_valid_read_only_graph(seed, pairs):
+    g = sbm_graph((15, 15), p_in=0.3, p_out=0.05, seed=seed)
+    n = g.n_nodes  # sbm_graph keeps the largest component, so n may be below 30
+    for i, j in pairs:
+        i, j = i % n, j % n
+        if i == j:
+            continue
+        before = g.adjacency.copy()
+        out = flip_edge(g, i, j)
+        # rebuilding through the constructor re-runs every check flip_edge skips
+        again = Graph(out.adjacency, out.features, out.labels, out.labeled_mask, out.n_classes)
+        assert np.array_equal(again.adjacency, out.adjacency)
+        assert not out.adjacency.flags.writeable
+        assert np.array_equal(g.adjacency, before)
+        assert count_flips(g, out) == 1 and out.adjacency[i, j] != g.adjacency[i, j]
+        g = out
 
 
 def test_count_flips_counts_distinct_pairs():
