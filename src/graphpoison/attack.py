@@ -122,17 +122,13 @@ def constraint_check(
         raise ValueError("self-loops cannot be flipped")
     rules = cfg.constraints
     deleting = g.adjacency[i, j] == 1.0
-    if rules.forbid_singletons and deleting:
-        deg = g.degrees()
-        if deg[i] <= 1.0 or deg[j] <= 1.0:
-            return "singleton"
+    deg = g.degrees()
+    if rules.forbid_singletons and deleting and (deg[i] <= 1.0 or deg[j] <= 1.0):
+        return "singleton"
     if rules.degree_test:
         ref = g if reference is None else reference
-        deg_new = g.degrees()
-        delta = -1.0 if deleting else 1.0
-        deg_new[i] += delta
-        deg_new[j] += delta
-        ratio = degree_likelihood_ratio(ref.degrees(), deg_new)
+        deg[[i, j]] += -1.0 if deleting else 1.0
+        ratio = degree_likelihood_ratio(ref.degrees(), deg)
         if ratio > rules.degree_test_threshold:
             return "degree_test"
     return None
@@ -176,7 +172,8 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
                 pseudo = pseudo_labels(params, current)
         grad, info = attack_gradient(current, params, cfg.loss_spec, pseudo, return_info=True)
 
-        scores = grad * (1.0 - 2.0 * current.adjacency)
+        scores = grad  # the feasible direction: removing an edge negates the gradient
+        scores[current.adjacency == 1.0] *= -1.0
         np.fill_diagonal(scores, -np.inf)
         for i, j, _ in flips:
             scores[i, j] = scores[j, i] = -np.inf

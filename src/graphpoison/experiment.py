@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import ADD, DELETE, AttackConfig, AttackConstraints, AttackResult, dice_attack, meta_attack
-from .data import DatasetError, check_split, load_dataset
+from .data import PLAIN, DatasetError, check_split, load_dataset
 from .evaluation import EvalReport, evaluate
 from .graph import Graph, flip_edge
 from .losses import CAWeightParams, LossSpec
@@ -28,13 +30,34 @@ class ConfigError(ValueError):
     """An experiment configuration is invalid."""
 
 
+def _check_type(name: str, value, annotation: str) -> None:
+    """Raise ValueError unless ``value`` has the field's annotated type.
+
+    A bool is no number (JSON ``true`` is no count), an int is a float,
+    floats must be finite, and ``seeds`` (annotated ``tuple``) is a list or
+    tuple of ints.
+    """
+    if annotation == "tuple":
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list of integers, got {value!r}")
+        for item in value:
+            _check_type(name, item, "int")
+        return
+    kind = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}[annotation]
+    if not isinstance(value, kind) or (annotation != "bool" and isinstance(value, bool)):
+        raise ValueError(f"{name} must be of type {annotation}, got {value!r}")
+    if annotation == "float" and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one end-to-end run needs; JSON-serializable, flat.
 
-    Construction validates every field: the rules live in the sub-configs
-    that own the fields (``LossSpec``, ``AttackConfig``, ``VictimHyper``,
-    ...), which are built once here; any violation raises ``ConfigError``.
+    Construction validates every field: first its type against the
+    annotation, then the rules in the sub-configs that own the fields
+    (``LossSpec``, ``AttackConfig``, ``VictimHyper``, ...), which are built
+    once here; any violation raises ``ConfigError``.
     """
 
     dataset: str = ""
@@ -71,6 +94,8 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         try:
+            for f in dataclasses.fields(self):
+                _check_type(f.name, getattr(self, f.name), f.type)
             if not self.seeds:
                 raise ValueError("seeds must be nonempty")
             object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -80,14 +105,14 @@ class ExperimentConfig:
                 raise ValueError("budget_fraction must be in [0, 1]")
             if self.attack not in (META, DICE):
                 raise ValueError(f"attack must be '{META}' or '{DICE}'")
+            if self.format != PLAIN:
+                raise ValueError(f"format must be '{PLAIN}'")
             check_split(self.split_fraction, self.split_seed)
-            ca_params = (
-                CAWeightParams(self.alpha1, self.beta1, self.alpha2, self.beta2)
-                if self.ca_enabled
-                else None
-            )
+            ca_params = CAWeightParams(self.alpha1, self.beta1, self.alpha2, self.beta2)
             attack = AttackConfig(
-                loss_spec=LossSpec(self.base, self.ca_enabled, ca_params, self.cw_kappa),
+                loss_spec=LossSpec(
+                    self.base, self.ca_enabled, ca_params if self.ca_enabled else None, self.cw_kappa
+                ),
                 retrain_every=self.retrain_every,
                 surrogate_hyper=SurrogateHyper(
                     self.surrogate_lr,

@@ -1,15 +1,20 @@
 """Closed-form gradients of attack losses with respect to the adjacency.
 
-The surrogate's logits are ``Z = Ahat (Ahat (X W))`` with
-``Ahat = D^{-1/2}(A + I)D^{-1/2}``, so a scalar loss ``L(Z)`` pulls back to
-the adjacency through two matrix products and the degree normalization.
-With ``G = dL/dAhat`` the independent-entry gradient is
+The surrogate's logits are ``Z = Ahat (Ahat P)`` with ``P = X W`` and
+``Ahat = D^{-1/2}(A + I)D^{-1/2}``, so with ``g_z = dL/dZ`` the gradient
+``G = dL/dAhat = g_z (Ahat P)^T + (Ahat g_z) P^T = u^T v`` has rank <= 2K,
+with factors stored factor-major: ``u = [g_z, Ahat g_z]^T`` and
+``v = [Ahat P, P]^T``. Through the degree normalization,
 
-    dL/dA[u, v] = G[u, v] / sqrt(d_u d_v)  -  (r_u + c_u) / (2 d_u),
+    dL/dA[a, b] = G[a, b] / sqrt(d_a d_b)  -  (r_a + c_a) / (2 d_a),
 
-where ``d`` are the degrees of ``A + I`` and ``r``/``c`` are the row/column
-sums of ``G * Ahat`` (the second term is the sensitivity of every entry of
-row u's normalization to the degree bump from A[u, v]).
+with ``d`` the degrees of ``A + I`` and ``r``/``c`` the row/column sums of
+``G * Ahat``. As ``Ahat`` is symmetric, ``r = sum_k u_k * Ahat v_k`` and
+``c = sum_k v_k * Ahat u_k``, so :func:`_pull_back` needs no N x N array:
+``attack_gradient`` builds only its output (plus one transposed copy to
+symmetrize it) and ``per_node_gradients`` none.
+The dense formula is kept as a test oracle (``tests/oracles.py``), beside
+``finite_difference_gradient``.
 
 The attack maximizes a single scalar objective: the weighted masked sum of
 the base loss for NLL, and its negation for the clamped-margin loss (which
@@ -66,23 +71,18 @@ def _logit_gradient(logits: Array, labels: Array, mask: Array, spec: LossSpec, w
     return g_z
 
 
-def _chain_to_adjacency(g_z: Array, g: Graph, ahat, prop1: Array) -> Array:
-    """Pull d objective / d logits back to the raw adjacency gradient.
+def _pull_back(u: Array, v: Array, ahat_u: Array, ahat_v: Array, deg: Array) -> tuple[Array, Array, Array]:
+    """Pull ``dL/dAhat = u^T v`` back to the raw adjacency.
 
-    ``ahat`` is the CSR normalized adjacency and ``prop1`` is ``X W``; the
-    result has independent-entry semantics with a zeroed diagonal and is
-    NOT symmetrized.
+    ``u``, ``v`` are (k, N) factors, ``ahat_u``/``ahat_v`` their products
+    with ``Ahat`` in the same layout, ``deg`` the degrees of ``A + I``.
+    Returns the D^{-1/2}-scaled factors ``us``, ``vs`` and the degree term
+    ``s``: the raw gradient is ``us^T vs - s 1^T`` with a zeroed diagonal
+    (independent-entry semantics, NOT symmetrized).
     """
-    q = g_z @ prop1.T
-    g_ahat = (ahat @ q.T).T + ahat @ q
-    deg = g.adjacency.sum(axis=1) + 1.0
+    s = (np.einsum("kn,kn->n", u, ahat_v) + np.einsum("kn,kn->n", v, ahat_u)) / (2.0 * deg)
     inv_sqrt = 1.0 / np.sqrt(deg)
-    direct = g_ahat * np.outer(inv_sqrt, inv_sqrt)
-    t = g_ahat * ahat.toarray()
-    s = (t.sum(axis=1) + t.sum(axis=0)) / (2.0 * deg)
-    raw = direct - s[:, None]
-    np.fill_diagonal(raw, 0.0)
-    return raw
+    return u * inv_sqrt, v * inv_sqrt, s
 
 
 def attack_gradient(
@@ -107,8 +107,19 @@ def attack_gradient(
 
     weights = resolve_weights(logits, labels, spec)
     g_z = _logit_gradient(logits, labels, mask, spec, weights)
-    raw = _chain_to_adjacency(g_z, g, ahat, g.features @ params.weight)
-    grad = (raw + raw.T) / 2.0
+    prop1 = g.features @ params.weight
+    prop2, ahat_gz = ahat @ prop1, ahat @ g_z
+    us, vs, s = _pull_back(
+        np.vstack([g_z.T, ahat_gz.T]),
+        np.vstack([prop2.T, prop1.T]),
+        np.vstack([ahat_gz.T, (ahat @ ahat_gz).T]),
+        np.vstack([logits.T, prop2.T]),  # logits = Ahat prop2
+        g.degrees() + 1.0,
+    )
+    grad = us.T @ vs - s[:, None]
+    np.fill_diagonal(grad, 0.0)
+    grad += grad.T
+    grad /= 2.0
     if not return_info:
         return grad
     total, _ = loss_value(logits, labels, mask, spec, weights)
@@ -124,50 +135,33 @@ def attack_gradient(
 def per_node_gradients(
     g: Graph, params: SurrogateParams, spec: LossSpec, labels: Array
 ) -> list[tuple[int, float]]:
-    """Frobenius norm of each unlabeled node's gradient matrix.
+    """Frobenius norm of each unlabeled node's (raw) gradient matrix.
 
-    Exploits the rank-2 structure of a single node's pulled-back gradient,
-    so each node costs O(N + nnz) instead of materializing an N x N
-    matrix per node.
+    Node v's term has ``dL/dAhat = e_v (Ahat P q)^T + Ahat[:, v] (P q)^T``
+    with ``q = g_z[v]``: rank-2 factors, so each node costs O(N + nnz)
+    instead of materializing an N x N matrix.
     """
     ahat = normalize_adjacency(g.adjacency)
-    ahat_dense = ahat.toarray()
     prop1 = g.features @ params.weight
+    prop2 = ahat @ prop1
     logits = forward_logits(params, ahat, g.features)
     weights = resolve_weights(logits, labels, spec)
     full_mask = np.ones(g.n_nodes, dtype=bool)
     g_z = _logit_gradient(logits, labels, full_mask, spec, weights)
-
-    deg = g.adjacency.sum(axis=1) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg)
+    deg = g.degrees() + 1.0
     n = g.n_nodes
 
     out: list[tuple[int, float]] = []
     for v in np.flatnonzero(g.unlabeled_mask):
-        q = g_z[v]
-        b = prop1 @ q
-        a = ahat @ b               # == (Ahat X W) @ q
-        col_v = ahat_dense[:, v]
-        m2 = ahat @ col_v          # row v of Ahat^2
-
-        # G_hat(v) = e_v a^T + col_v b^T; entrywise-normalized pieces:
-        alpha = inv_sqrt[v] * (a * inv_sqrt)
-        gamma = col_v * inv_sqrt
-        delta = b * inv_sqrt
-
-        r = ahat_dense[:, v] * a
-        r[v] += a @ col_v
-        c = a * col_v + b * m2
-        s = (r + c) / (2.0 * deg)
-
-        sq_direct = alpha @ alpha + 2.0 * gamma[v] * (alpha @ delta) + (gamma @ gamma) * (delta @ delta)
-        row_sums = gamma * delta.sum()
-        row_sums[v] += alpha.sum()
-        total = sq_direct - 2.0 * (s @ row_sums) + n * (s @ s)
-
-        diag = gamma * delta
-        diag[v] += alpha[v]
-        total -= (diag - s) @ (diag - s)
+        u = np.zeros((2, n))
+        u[0, v] = 1.0
+        row = slice(ahat.indptr[v], ahat.indptr[v + 1])
+        u[1, ahat.indices[row]] = ahat.data[row]  # Ahat[:, v], read as row v (Ahat symmetric)
+        a, b = prop2 @ g_z[v], prop1 @ g_z[v]
+        us, vs, s = _pull_back(u, np.stack([a, b]), np.stack([u[1], ahat @ u[1]]), np.stack([ahat @ a, a]), deg)
+        # ||us^T vs - s 1^T||_F^2 from 2 x 2 Grams, minus the zeroed diagonal
+        diag = np.einsum("kn,kn->n", us, vs) - s
+        total = ((us @ us.T) * (vs @ vs.T)).sum() - 2.0 * (us @ s) @ vs.sum(axis=1) + n * (s @ s) - diag @ diag
         out.append((int(v), float(np.sqrt(max(total, 0.0)))))
     return out
 

@@ -46,6 +46,9 @@ class Graph:
         True for nodes whose label is visible to the attacker (the training
         set); the complement is the unlabeled pool used for the attack loss
         and for evaluation.
+
+    The degree vector is computed once, at construction, and kept up to
+    date by ``flip_edge``; ``degrees()`` returns a copy.
     """
 
     adjacency: Array
@@ -88,6 +91,7 @@ class Graph:
         object.__setattr__(self, "labels", _frozen(y))
         object.__setattr__(self, "labeled_mask", _frozen(m))
         object.__setattr__(self, "n_classes", k)
+        object.__setattr__(self, "_degrees", _frozen(A.sum(axis=1)))
 
     @property
     def n_nodes(self) -> int:
@@ -96,14 +100,14 @@ class Graph:
     @property
     def n_edges(self) -> int:
         """Number of undirected edges."""
-        return int(self.adjacency.sum()) // 2
+        return int(self._degrees.sum()) // 2
 
     @property
     def unlabeled_mask(self) -> Array:
         return ~self.labeled_mask
 
     def degrees(self) -> Array:
-        return self.adjacency.sum(axis=1)
+        return self._degrees.copy()
 
 
 def build_graph(edges, features, labels, labeled_mask, n_classes: int = 0) -> Graph:
@@ -191,8 +195,12 @@ def flip_edge(g: Graph, i: int, j: int) -> Graph:
     A = g.adjacency.copy()
     A[i, j] = A[j, i] = 1.0 - A[i, j]
     A.flags.writeable = False
+    deg = g._degrees.copy()
+    deg[[i, j]] += 1.0 if A[i, j] == 1.0 else -1.0
+    deg.flags.writeable = False
     out = copy.copy(g)
     object.__setattr__(out, "adjacency", A)
+    object.__setattr__(out, "_degrees", deg)
     return out
 
 

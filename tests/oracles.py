@@ -7,7 +7,7 @@ faster or more implicitly; tests compare the two.
 import numpy as np
 
 from graphpoison import Graph, LossSpec, SurrogateParams
-from graphpoison.gradients import _chain_to_adjacency, _logit_gradient
+from graphpoison.gradients import _logit_gradient
 from graphpoison.graph import normalize_adjacency
 from graphpoison.losses import resolve_weights
 from graphpoison.models import forward_logits, log_softmax
@@ -29,6 +29,44 @@ def surrogate_nll(params: SurrogateParams, g: Graph) -> float:
     return float(-logp[np.arange(len(idx)), g.labels[idx]].mean())
 
 
+def dense_adjacency_gradient(g_z: np.ndarray, g: Graph, params: SurrogateParams) -> np.ndarray:
+    """Pull d objective / d logits back to the raw adjacency by the dense formula.
+
+    ``G = dL/dAhat = g_z (Ahat X W)^T + Ahat g_z (X W)^T`` is materialized,
+    and ``dL/dA[u, v] = G[u, v] / sqrt(d_u d_v) - (r_u + c_u) / (2 d_u)``
+    with ``r``/``c`` the row/column sums of ``G * Ahat``. Independent-entry
+    semantics, zeroed diagonal, NOT symmetrized.
+    """
+    ahat = normalize_dense(g.adjacency)
+    prop1 = g.features @ params.weight
+    g_ahat = g_z @ (ahat @ prop1).T + (ahat @ g_z) @ prop1.T
+    deg = g.adjacency.sum(axis=1) + 1.0
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    t = g_ahat * ahat
+    s = (t.sum(axis=1) + t.sum(axis=0)) / (2.0 * deg)
+    raw = g_ahat * np.outer(inv_sqrt, inv_sqrt) - s[:, None]
+    np.fill_diagonal(raw, 0.0)
+    return raw
+
+
+def _masked_gradient(g: Graph, params: SurrogateParams, spec: LossSpec, labels, mask) -> np.ndarray:
+    """Raw dense-formula gradient of the objective restricted to ``mask``.
+
+    Weights come from the margins of the full logits, as in the library.
+    """
+    logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
+    weights = resolve_weights(logits, labels, spec)
+    return dense_adjacency_gradient(_logit_gradient(logits, labels, mask, spec, weights), g, params)
+
+
+def dense_attack_gradient(
+    g: Graph, params: SurrogateParams, spec: LossSpec, labels: np.ndarray
+) -> np.ndarray:
+    """``attack_gradient`` by the dense formula: ``(M + M^T) / 2`` over the unlabeled nodes."""
+    raw = _masked_gradient(g, params, spec, labels, g.unlabeled_mask)
+    return (raw + raw.T) / 2.0
+
+
 def node_gradient(
     g: Graph, params: SurrogateParams, spec: LossSpec, labels: np.ndarray, node: int
 ) -> np.ndarray:
@@ -39,13 +77,9 @@ def node_gradient(
     ``per_node_gradients`` returns the Frobenius norms of these matrices
     without materializing them.
     """
-    ahat = normalize_adjacency(g.adjacency)
-    logits = forward_logits(params, ahat, g.features)
-    weights = resolve_weights(logits, labels, spec)
     only = np.zeros(g.n_nodes, dtype=bool)
     only[node] = True
-    g_z = _logit_gradient(logits, labels, only, spec, weights)
-    return _chain_to_adjacency(g_z, g, ahat, g.features @ params.weight)
+    return _masked_gradient(g, params, spec, labels, only)
 
 
 def score_flips(grad: np.ndarray, g: Graph) -> list[tuple[int, int, float]]:

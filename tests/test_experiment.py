@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphpoison import (
     ConfigError,
@@ -292,16 +294,39 @@ def test_cli_runtime_failure_exit_code(tmp_path, capsys):
         ["--surrogate-lr", "0"],
         ["--victim-weight-decay", "-1"],
         ["--seeds", "0,-1"],
+        # wrong types, through a JSON config file
+        {"ca_enabled": "no"},
+        {"degree_test": "false"},
+        {"budget_fraction": True},
+        {"seeds": [0.7]},
+        {"retrain_every": 1.5},
+        {"attack_seed": 2.5},
+        {"surrogate_epochs": 2.5},
+        {"hidden": 2.5},
+        {"split_seed": 1.5},
+        {"surrogate_lr": float("inf")},
     ],
     ids=[
         "retrain-every", "alpha1", "hidden", "victim-epochs", "dropout", "split-seed",
         "surrogate-lr", "victim-weight-decay", "seeds",
+        "config-ca-enabled-str", "config-degree-test-str", "config-budget-fraction-bool",
+        "config-seeds-float", "config-retrain-every-float", "config-attack-seed-float",
+        "config-surrogate-epochs-float", "config-hidden-float", "config-split-seed-float",
+        "config-surrogate-lr-inf",
     ],
 )
-def test_cli_invalid_values_exit_2_before_loading(dataset_dir, tmp_path, flags):
+def test_cli_invalid_values_exit_2_before_loading(dataset_dir, tmp_path, capsys, flags):
     out = tmp_path / "report.json"
-    rc = main(["run", "--dataset", dataset_dir, "--output", str(out), "--seeds", "0", *flags])
+    argv = ["run", "--dataset", dataset_dir, "--output", str(out)]
+    if isinstance(flags, dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seeds": [0], **flags}))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--seeds", "0", *flags]
+    rc = main(argv)
     assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error")
     assert not out.exists()
 
 
@@ -347,3 +372,94 @@ def test_cli_attack_file_schema(dataset_dir, tmp_path):
     assert blob["dataset"] == "sbm"
     assert blob["config"]["dataset"] == dataset_dir
     assert len(edges.read_text().splitlines()) > 0
+
+
+# --- property: every config is rejected up front or runs to a finite report ---
+
+NAN, INF = float("nan"), float("inf")
+NOT_A_NUMBER = [True, False, "1", None, [1]]
+
+
+def _field(valid, *invalid):
+    """Draw ``(value, is_valid)``: from ``valid`` or from the ``invalid`` list."""
+    return st.one_of(valid.map(lambda v: (v, True)), st.sampled_from(invalid).map(lambda v: (v, False)))
+
+
+def _ints(lo, hi, *out_of_range):
+    return _field(st.integers(lo, hi), *out_of_range, 1.5, *NOT_A_NUMBER)
+
+
+def _floats(lo, hi, *out_of_range):
+    return _field(st.floats(lo, hi), *out_of_range, NAN, INF, -INF, *NOT_A_NUMBER)
+
+
+def _bools():
+    return _field(st.booleans(), "no", "false", 0, 1, None)
+
+
+def _choice(*valid):
+    return _field(st.sampled_from(valid), "bogus", 0, None)
+
+
+CONFIG_FIELDS = {
+    "format": _choice("plain"),
+    "split_fraction": _floats(0.2, 0.5, 0.0, 1.0, -0.1),
+    "split_seed": _ints(0, 5, -1),
+    "attack": _choice("meta", "dice"),
+    "base": _choice("nll", "cw"),
+    "ca_enabled": _bools(),
+    "alpha1": _floats(0.1, 5.0, 0.0, -1.0),
+    "beta1": _floats(0.0, 5.0, -1.0),
+    "alpha2": _floats(0.1, 5.0, 0.0, -1.0),
+    "beta2": _floats(0.0, 5.0, -1.0),
+    "cw_kappa": _floats(0.0, 2.0, -0.5),
+    "budget_fraction": _floats(0.0, 0.2, -0.1, 1.5),
+    "retrain_every": _ints(1, 3, 0, -1),
+    "forbid_singletons": _bools(),
+    "degree_test": _bools(),
+    "degree_test_threshold": _floats(0.05, 1.0),
+    "refresh_pseudo_labels": _bools(),
+    "dice_add_prob": _floats(0.0, 1.0, -0.1, 1.1),
+    "surrogate_lr": _floats(0.01, 1.0, 0.0, -0.1),
+    "surrogate_epochs": _ints(0, 5, -1),
+    "surrogate_weight_decay": _floats(0.0, 0.01, -1e-3),
+    "surrogate_seed": _ints(0, 5, -1),
+    "attack_seed": _ints(0, 5, -1),
+    "hidden": _ints(1, 8, 0, -2),
+    "victim_lr": _floats(0.001, 0.1, 0.0, -0.01),
+    "victim_epochs": _ints(0, 5, -5),
+    "victim_weight_decay": _floats(0.0, 0.01, -1.0),
+    "dropout": _floats(0.0, 0.9, 1.0, -0.1),
+    "seeds": _field(st.lists(st.integers(0, 3), min_size=1, max_size=2), [], [-1], [0.7], [True], "0", 3),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("property")
+    g = sbm_graph((10, 10), 0.4, 0.1, seed=3)  # connected: 20 nodes, 41 edges, 2 classes
+    return write_plain_dataset(g, root / "sbm"), str(root / "report.json")
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=st.lists(st.sampled_from(sorted(CONFIG_FIELDS)), max_size=4, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({name: CONFIG_FIELDS[name] for name in names})
+))
+def test_every_config_is_rejected_or_runs_to_a_finite_report(tiny_dataset, drawn):
+    dataset, output = tiny_dataset
+    # The default degree-test threshold (0.004) rejects every flip of this
+    # 20-node graph, and DICE then fails by design (exit 4, not a config
+    # error), so the threshold here starts at 0.05, which rejects none.
+    data = dict(
+        dataset=dataset, output=output, surrogate_epochs=5, victim_epochs=5, seeds=[0],
+        budget_fraction=0.1, degree_test_threshold=0.05,
+    )
+    data.update({name: value for name, (value, _) in drawn.items()})
+    if not all(valid for _, valid in drawn.values()):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(data)
+        return
+    report = run_experiment(ExperimentConfig.from_dict(data))
+    acc = np.asarray(report.per_seed_accuracy)
+    assert acc.size == len(data["seeds"])
+    assert np.all(np.isfinite(acc)) and np.all((acc >= 0.0) & (acc <= 1.0))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from graphpoison import (
 )
 
 from .conftest import tiny_graph
-from .oracles import node_gradient
+from .oracles import dense_attack_gradient, node_gradient
 
 CA = CAWeightParams(4.5, 1.0, 1.0, 1.0)
 ALL_SPECS = [
@@ -145,20 +147,23 @@ def test_per_node_norm_scales_with_weight():
         assert ca[v] == pytest.approx(weights[v] * base[v], rel=1e-9, abs=1e-12)
 
 
-def test_fd_agreement_on_stress_graphs():
-    """Heterogeneous degrees (a star), near-isolated nodes, big feature scales."""
-    from graphpoison import Graph, build_graph
+def _star():
+    """Hub-and-spokes star plus one isolated node: degrees {7, 1, ..., 1, 0}."""
+    from graphpoison import build_graph
 
     rng = np.random.default_rng(17)
-    # hub-and-spokes star plus one isolated node: degrees {7, 1, ..., 1, 0}
     n = 9
     feats = rng.normal(size=(n, 3)) * 100.0
     labels = rng.integers(0, 3, size=n)
     mask = np.zeros(n, dtype=bool)
     mask[:3] = True
     star = build_graph([(0, k) for k in range(1, 8)], feats, labels, mask, n_classes=3)
+    return star, SurrogateParams(rng.normal(size=(3, 3)) * 0.01), labels
 
-    params = SurrogateParams(rng.normal(size=(3, 3)) * 0.01)
+
+def test_fd_agreement_on_stress_graphs():
+    """Heterogeneous degrees (a star), near-isolated nodes, big feature scales."""
+    star, params, labels = _star()
     for spec in ALL_SPECS:
         analytic = attack_gradient(star, params, spec, labels)
         fd = finite_difference_gradient(star, params, spec, labels, h=1e-5)
@@ -176,3 +181,40 @@ def test_huge_beta_drives_norm_to_zero():
     shrunk = [v for v in norms if norms[v] < 1e-6 * max(base[v], 1e-30) or base[v] < 1e-12]
     # every node with a nonzero margin collapses; allow the rare exact-zero margin
     assert len(shrunk) >= len(norms) - 1
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=["nll", "cw", "ca-nll", "ca-cw"])
+@pytest.mark.parametrize("graph", ["tiny", "star", "medium_sbm"])
+def test_factored_gradient_matches_dense_formula(spec, graph, medium_sbm):
+    if graph == "star":
+        g, params, labels = _star()
+    else:
+        g = tiny_graph(n=9, seed=5) if graph == "tiny" else medium_sbm
+        params, labels = _trained(g)
+    factored = attack_gradient(g, params, spec, labels)
+    dense = dense_attack_gradient(g, params, spec, labels)
+    assert np.abs(dense).max() > 0
+    assert _rel_err(factored, dense) <= 1e-12
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes traced while ``fn(*args)`` runs, above what was live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_gradient_memory_stays_within_a_few_n_by_n_arrays():
+    g = sbm_graph((200,) * 7, 0.02, 0.001, seed=0)
+    n = g.n_nodes
+    assert n > 1300
+    params, labels = _trained(g, epochs=20)
+    spec = LossSpec("nll", True, CA)
+    square = n * n * 8
+    # the output itself is one N x N array; symmetrizing it needs one more
+    assert _traced_peak(attack_gradient, g, params, spec, labels) <= 2.5 * square
+    assert _traced_peak(per_node_gradients, g, params, spec, labels) <= 0.25 * square

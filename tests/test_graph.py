@@ -207,7 +207,20 @@ def test_flip_edge_keeps_a_valid_read_only_graph(seed, pairs):
         assert not out.adjacency.flags.writeable
         assert np.array_equal(g.adjacency, before)
         assert count_flips(g, out) == 1 and out.adjacency[i, j] != g.adjacency[i, j]
+        # the degree vector flip_edge updates equals the one a fresh build computes
+        assert np.array_equal(out.degrees(), again.degrees()) and out.n_edges == again.n_edges
         g = out
+
+
+def test_degrees_are_stored_and_returned_as_copies():
+    g = tiny_graph(n=8, seed=3)
+    deg = g.degrees()
+    assert np.array_equal(deg, g.adjacency.sum(axis=1))
+    deg[0] += 5.0
+    assert np.array_equal(g.degrees(), g.adjacency.sum(axis=1))
+    flipped = flip_edge(g, 0, 1)
+    assert np.array_equal(flipped.degrees(), flipped.adjacency.sum(axis=1))
+    assert np.array_equal(g.degrees(), g.adjacency.sum(axis=1))
 
 
 def test_count_flips_counts_distinct_pairs():
