@@ -83,11 +83,11 @@ class AttackResult:
     exhausted: bool = False
 
 
-def _powerlaw_ll(log_degrees: Array, n: int, d_min: int) -> float:
+def _powerlaw_ll(log_deg: Array, n: int, d_min: int) -> float:
     """Log-likelihood of a fitted Zipf-type tail over degrees >= d_min."""
     if n == 0:
         return 0.0
-    sum_log = float(log_degrees.sum())
+    sum_log = float(log_deg.sum())
     alpha = 1.0 + n / (sum_log - n * np.log(d_min - 0.5))
     return n * np.log(alpha) + n * alpha * np.log(d_min) - (alpha + 1.0) * sum_log
 
@@ -121,7 +121,7 @@ def constraint_check(
     if i == j:
         raise ValueError("self-loops cannot be flipped")
     rules = cfg.constraints
-    deleting = g.adjacency[i, j] == 1.0
+    deleting = g.csr[i, j] == 1.0
     deg = g.degrees()
     if rules.forbid_singletons and deleting and (deg[i] <= 1.0 or deg[j] <= 1.0):
         return "singleton"
@@ -173,7 +173,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
         grad, info = attack_gradient(current, params, cfg.loss_spec, pseudo, return_info=True)
 
         scores = grad  # the feasible direction: removing an edge negates the gradient
-        scores[current.adjacency == 1.0] *= -1.0
+        scores[current.csr.nonzero()] *= -1.0
         np.fill_diagonal(scores, -np.inf)
         for i, j, _ in flips:
             scores[i, j] = scores[j, i] = -np.inf
@@ -196,10 +196,10 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
             break
 
         i, j, score = chosen
-        op = DELETE if current.adjacency[i, j] == 1.0 else ADD
+        op = DELETE if current.csr[i, j] == 1.0 else ADD
         current = flip_edge(current, i, j)
         objective_after = attack_objective(
-            current.adjacency, g.features, params, pseudo, g.unlabeled_mask, cfg.loss_spec, info["weights"]
+            current.csr, g.features, params, pseudo, g.unlabeled_mask, cfg.loss_spec, info["weights"]
         )
         flips.append((i, j, op))
         trace.append(
@@ -241,15 +241,15 @@ def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     trace: list[dict] = []
     # within-class edges in row-major order; additions are cross-class, so
     # only deletions change the list
-    iu, ju = np.nonzero(np.triu(g.adjacency, k=1))
-    same = pseudo[iu] == pseudo[ju]
+    iu, ju = g.csr.nonzero()
+    same = (iu < ju) & (pseudo[iu] == pseudo[ju])
     within = list(zip(iu[same].tolist(), ju[same].tolist()))
 
     for step in range(cfg.budget):
         for _ in range(DICE_MAX_RETRIES):
             if rng.random() < cfg.dice_add_prob:
                 i, j = int(rng.integers(n)), int(rng.integers(n))
-                if i == j or current.adjacency[i, j] == 1.0 or pseudo[i] == pseudo[j]:
+                if i == j or current.csr[i, j] == 1.0 or pseudo[i] == pseudo[j]:
                     continue
                 op = ADD
             else:

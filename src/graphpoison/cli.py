@@ -16,8 +16,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from .data import DatasetError
 from .evaluation import evaluate, margin_gradient_scatter
 from .experiment import (
@@ -101,8 +99,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     payload = report_payload(cfg, result.flips, budget, exhausted=result.exhausted)
     stage("write", write_json, out, payload)
     if args.poisoned_edges:
-        iu, ju = np.nonzero(np.triu(result.poisoned.adjacency, k=1))
-        lines = [f"{i} {j}" for i, j in zip(iu.tolist(), ju.tolist())]
+        iu, ju = result.poisoned.csr.nonzero()  # row-major; keep the upper triangle
+        lines = [f"{i} {j}" for i, j in zip(iu.tolist(), ju.tolist()) if i < j]
         stage("write", write_text, args.poisoned_edges, "\n".join(lines) + "\n")
     print(f"{len(result.flips)} flips written to {out}" + (" (budget exhausted early)" if result.exhausted else ""))
     return EXIT_OK

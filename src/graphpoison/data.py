@@ -119,11 +119,13 @@ def load_dataset(
     The node count is defined by the labels file. LCC reduction happens
     before the split, so the labeled fraction refers to the graph actually
     attacked; identity features for featureless graphs are built at the
-    reduced size.
+    reduced size. A component with fewer than two distinct labels is
+    rejected: no margin, attack or accuracy means anything on it.
     """
     if format != PLAIN:
         raise DatasetError(f"unknown dataset format {format!r}")
-    labels = _read_labels(os.path.join(dir_path, LABELS_FILE))
+    labels_path = os.path.join(dir_path, LABELS_FILE)
+    labels = _read_labels(labels_path)
     n = labels.size
     pairs = _read_edges(os.path.join(dir_path, EDGES_FILE), n)
     feats = _read_features(os.path.join(dir_path, FEATURES_FILE), n)
@@ -134,6 +136,8 @@ def load_dataset(
     pairs = new_id[pairs]
     pairs = pairs[pairs[:, 0] >= 0]  # an edge leaves the LCC only with both endpoints
     labels = labels[keep]
+    if np.unique(labels).size < 2:
+        raise DatasetError(f"the largest connected component holds fewer than two classes: {labels_path}")
     feats = np.eye(keep.size) if feats is None else feats[keep]
 
     mask = seeded_split(labels.size, split_fraction, split_seed)

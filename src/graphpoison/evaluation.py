@@ -93,7 +93,7 @@ def margin_gradient_scatter(
     margins (against pseudo-labels they never could).
     """
     params = train_surrogate(g, surrogate_hyper)
-    logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
+    logits = forward_logits(params, normalize_adjacency(g.csr), g.features)
     phi = margins(logits, g.labels)
     norms = per_node_gradients(g, params, spec, g.labels)
     return [(v, float(phi[v]), norm) for v, norm in norms]

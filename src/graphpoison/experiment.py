@@ -241,7 +241,7 @@ def apply_flips(g: Graph, flips) -> Graph:
             out = flip_edge(out, i, j)
         except ValueError as e:
             raise DatasetError(f"flip {k}: {e}") from None
-        state = ADD if out.adjacency[i, j] == 1.0 else DELETE
+        state = ADD if out.csr[i, j] == 1.0 else DELETE
         if op != state:
             raise DatasetError(f"flip {k}: op {op!r} on pair {pair}, whose flip is {state!r}")
     return out

@@ -101,7 +101,7 @@ def attack_gradient(
     value at the evaluation point (one forward pass, reused by the attack
     loop).
     """
-    ahat = normalize_adjacency(g.adjacency)
+    ahat = normalize_adjacency(g.csr)
     logits = forward_logits(params, ahat, g.features)
     mask = g.unlabeled_mask
 
@@ -141,7 +141,7 @@ def per_node_gradients(
     with ``q = g_z[v]``: rank-2 factors, so each node costs O(N + nnz)
     instead of materializing an N x N matrix.
     """
-    ahat = normalize_adjacency(g.adjacency)
+    ahat = normalize_adjacency(g.csr)
     prop1 = g.features @ params.weight
     prop2 = ahat @ prop1
     logits = forward_logits(params, ahat, g.features)
@@ -184,7 +184,7 @@ def finite_difference_gradient(
     """
     if h <= 0:
         raise ValueError("step size h must be positive")
-    logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
+    logits = forward_logits(params, normalize_adjacency(g.csr), g.features)
     weights = resolve_weights(logits, labels, spec)
     mask = g.unlabeled_mask
 

@@ -1,12 +1,12 @@
 """Immutable graph values: construction, normalization, connectivity, flips.
 
-``Graph`` holds a dense symmetric binary adjacency (the attack gradient is a
-dense N x N matrix anyway, and the graphs here have a few thousand nodes at
-most). A graph is validated once, at the boundary: ``Graph(...)``,
-``build_graph`` (the one edge-list -> adjacency routine) and ``load_dataset``
-check every field. ``flip_edge`` then derives new values from a valid graph
-without re-validating them; it is the only code that toggles an adjacency
-entry. ``largest_component`` is the one connectivity routine, and
+``Graph`` stores its adjacency once, as a read-only canonical CSR matrix
+(``Graph.csr``); the dense ``Graph.adjacency`` is a copy for outside readers.
+A graph is validated once, at the boundary: ``Graph(...)``, ``build_graph``
+(the one edge-list -> adjacency routine) and ``load_dataset`` check every
+field. ``flip_edge`` then derives new values from a valid graph without
+re-validating them; it is the only code that changes an adjacency entry.
+``largest_component`` is the one connectivity routine, and
 ``normalize_adjacency`` builds the surrogate's propagation matrix
 ``Ahat = D^{-1/2} (A + I) D^{-1/2}`` in CSR form.
 """
@@ -14,7 +14,7 @@ entry. ``largest_component`` is the one connectivity routine, and
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,21 +23,20 @@ from scipy.sparse.csgraph import connected_components
 Array = np.ndarray
 
 
-def _frozen(a: Array) -> Array:
-    """Return a read-only copy of ``a`` (C-contiguous)."""
-    out = np.ascontiguousarray(a).copy()
-    out.flags.writeable = False
-    return out
+def _read_only(*arrays: Array) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Graph:
     """An undirected, unweighted attributed graph with a labeled/unlabeled split.
 
     Attributes
     ----------
-    adjacency : (N, N) float array
-        Symmetric binary adjacency with zero diagonal.
+    csr : (N, N) CSR matrix
+        The adjacency, canonical (sorted indices, no duplicates, no explicit
+        zeros, every stored value 1.0), symmetric, zero diagonal.
     features : (N, d) float array
         Node feature matrix; every entry finite.
     labels : (N,) int array
@@ -47,67 +46,74 @@ class Graph:
         set); the complement is the unlabeled pool used for the attack loss
         and for evaluation.
 
-    The degree vector is computed once, at construction, and kept up to
-    date by ``flip_edge``; ``degrees()`` returns a copy.
+    Every array, the three of ``csr`` included, is a read-only copy. The
+    constructor accepts a dense or scipy-sparse adjacency; ``adjacency`` is a
+    dense copy of ``csr``, O(N^2) per access, for readers outside the library.
     """
 
-    adjacency: Array
+    csr: sp.csr_matrix
     features: Array
     labels: Array
     labeled_mask: Array
-    n_classes: int = field(default=0)
+    n_classes: int
 
-    def __post_init__(self) -> None:
-        A = np.asarray(self.adjacency, dtype=np.float64)
-        X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
-        m = np.asarray(self.labeled_mask, dtype=bool)
+    def __init__(self, adjacency, features, labels, labeled_mask, n_classes: int = 0) -> None:
+        shape = np.shape(adjacency)
+        X = np.array(features, dtype=np.float64, order="C")
+        y = np.array(labels, dtype=np.int64)
+        m = np.array(labeled_mask, dtype=bool)
 
-        n = A.shape[0]
-        if A.ndim != 2 or A.shape[1] != n:
-            raise ValueError(f"adjacency must be square, got shape {A.shape}")
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {shape}")
+        n = shape[0]
         if X.ndim != 2 or X.shape[0] != n:
             raise ValueError(f"features must have {n} rows, got shape {X.shape}")
         if not np.isfinite(X).all():
             raise ValueError("features must be finite (no NaN or inf)")
         if y.shape != (n,) or m.shape != (n,):
             raise ValueError("labels and labeled_mask must be 1-d of length n_nodes")
-        if not np.array_equal(A, A.T):
+        A = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
+        A.sum_duplicates()
+        A.eliminate_zeros()
+        if (A != A.T).nnz:
             raise ValueError("adjacency must be symmetric")
-        if np.any(np.diagonal(A) != 0.0):
+        if A.diagonal().any():
             raise ValueError("adjacency diagonal must be zero")
-        if not np.all((A == 0.0) | (A == 1.0)):
+        if np.any(A.data != 1.0):
             raise ValueError("adjacency entries must be 0 or 1")
         if np.any(y < 0):
             raise ValueError("labels must be nonnegative class indices")
-        k = self.n_classes if self.n_classes > 0 else int(y.max()) + 1 if n else 0
+        k = n_classes if n_classes > 0 else int(y.max()) + 1 if n else 0
         if np.any(y >= k):
             raise ValueError(f"label index >= n_classes ({k})")
         if not (m.any() and (~m).any()):
             raise ValueError("labeled_mask needs at least one labeled and one unlabeled node")
 
-        object.__setattr__(self, "adjacency", _frozen(A))
-        object.__setattr__(self, "features", _frozen(X))
-        object.__setattr__(self, "labels", _frozen(y))
-        object.__setattr__(self, "labeled_mask", _frozen(m))
-        object.__setattr__(self, "n_classes", k)
-        object.__setattr__(self, "_degrees", _frozen(A.sum(axis=1)))
+        _read_only(A.data, A.indices, A.indptr, X, y, m)
+        for name, value in zip(("csr", "features", "labels", "labeled_mask", "n_classes"), (A, X, y, m, k)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def adjacency(self) -> Array:
+        out = self.csr.toarray()
+        _read_only(out)
+        return out
 
     @property
     def n_nodes(self) -> int:
-        return self.adjacency.shape[0]
+        return self.csr.shape[0]
 
     @property
     def n_edges(self) -> int:
         """Number of undirected edges."""
-        return int(self._degrees.sum()) // 2
+        return self.csr.nnz // 2
 
     @property
     def unlabeled_mask(self) -> Array:
         return ~self.labeled_mask
 
     def degrees(self) -> Array:
-        return self._degrees.copy()
+        return np.diff(self.csr.indptr).astype(np.float64)
 
 
 def build_graph(edges, features, labels, labeled_mask, n_classes: int = 0) -> Graph:
@@ -133,9 +139,8 @@ def build_graph(edges, features, labels, labeled_mask, n_classes: int = 0) -> Gr
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if outside.any():
         raise ValueError(f"edge {tuple(pairs[outside][0].tolist())} out of range for {n} nodes")
-    A = np.zeros((n, n), dtype=np.float64)
-    A[pairs[:, 0], pairs[:, 1]] = 1.0
-    A[pairs[:, 1], pairs[:, 0]] = 1.0
+    rows, cols = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0).T
+    A = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     return Graph(A, X, labels, labeled_mask, n_classes)
 
 
@@ -171,9 +176,9 @@ def largest_connected_component(g: Graph) -> Graph:
 
     Node indices are remapped densely, preserving relative order.
     """
-    keep = largest_component(sp.csr_matrix(g.adjacency))
+    keep = largest_component(g.csr)
     return Graph(
-        g.adjacency[np.ix_(keep, keep)],
+        g.csr[keep][:, keep],
         g.features[keep],
         g.labels[keep],
         g.labeled_mask[keep],
@@ -184,23 +189,21 @@ def largest_connected_component(g: Graph) -> Graph:
 def flip_edge(g: Graph, i: int, j: int) -> Graph:
     """Toggle the undirected edge {i, j}; returns a new Graph.
 
-    The new graph shares ``g``'s features, labels and mask and is not
-    re-validated: toggling a mirrored off-diagonal pair of a valid
-    adjacency keeps it symmetric, binary and zero-diagonal.
+    Adds a two-entry +-1 CSR to ``g.csr`` (O(nnz)) and drops the zero it
+    leaves on a deletion. The new graph shares ``g``'s features, labels and
+    mask and is not re-validated: toggling a mirrored off-diagonal pair of a
+    canonical adjacency keeps it canonical, symmetric and zero-diagonal.
     """
     if i == j:
         raise ValueError("cannot flip a self-loop")
     if not (0 <= i < g.n_nodes and 0 <= j < g.n_nodes):
         raise ValueError(f"pair ({i}, {j}) out of range for {g.n_nodes} nodes")
-    A = g.adjacency.copy()
-    A[i, j] = A[j, i] = 1.0 - A[i, j]
-    A.flags.writeable = False
-    deg = g._degrees.copy()
-    deg[[i, j]] += 1.0 if A[i, j] == 1.0 else -1.0
-    deg.flags.writeable = False
+    step = 1.0 - 2.0 * g.csr[i, j]
+    A = g.csr + sp.csr_matrix(([step, step], ([i, j], [j, i])), shape=g.csr.shape)
+    A.eliminate_zeros()
+    _read_only(A.data, A.indices, A.indptr)
     out = copy.copy(g)
-    object.__setattr__(out, "adjacency", A)
-    object.__setattr__(out, "_degrees", deg)
+    object.__setattr__(out, "csr", A)
     return out
 
 
@@ -208,5 +211,4 @@ def count_flips(g: Graph, g2: Graph) -> int:
     """Number of undirected edge positions where two graphs differ."""
     if g.n_nodes != g2.n_nodes:
         raise ValueError("graphs must have the same node count")
-    diff = g.adjacency != g2.adjacency
-    return int(np.triu(diff, k=1).sum())
+    return (g.csr != g2.csr).nnz // 2

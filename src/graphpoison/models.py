@@ -107,7 +107,7 @@ def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> Surro
     W = rng.uniform(-scale, scale, size=(d, k))
 
     # Ahat^2 X is fixed during training: the logistic-regression design matrix
-    ahat = normalize_adjacency(g.adjacency)
+    ahat = normalize_adjacency(g.csr)
     f2 = ahat @ (ahat @ g.features)
     idx = np.flatnonzero(g.labeled_mask)
     f2_lab = f2[idx]
@@ -126,7 +126,7 @@ def pseudo_labels(params: SurrogateParams, g: Graph) -> Array:
 
     Argmax ties resolve to the smallest class index.
     """
-    logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
+    logits = forward_logits(params, normalize_adjacency(g.csr), g.features)
     out = logits.argmax(axis=1)
     out[g.labeled_mask] = g.labels[g.labeled_mask]
     return out.astype(np.int64)
@@ -181,7 +181,7 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> tuple[VictimPa
     W1 = _glorot(rng, d, h)
     W2 = _glorot(rng, h, k)
 
-    ahat_sp = normalize_adjacency(g.adjacency)
+    ahat_sp = normalize_adjacency(g.csr)
     X = g.features
     idx = np.flatnonzero(g.labeled_mask)
     onehot = np.eye(k)[g.labels[idx]]

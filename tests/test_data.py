@@ -86,6 +86,16 @@ def test_negative_label_rejected(tmp_path):
         load_dataset(str(d))
 
 
+def test_fewer_than_two_classes_rejected(tmp_path):
+    # the file holds two classes, but the only 1 is on node 3, outside the LCC
+    d = tmp_path / "ds"
+    os.makedirs(d)
+    (d / "edges.txt").write_text("0 1\n1 2\n")
+    (d / "labels.txt").write_text("0\n0\n0\n1\n")
+    with pytest.raises(DatasetError, match="fewer than two classes: .*labels.txt"):
+        load_dataset(str(d))
+
+
 def test_missing_labels_file(tmp_path):
     d = tmp_path / "ds"
     os.makedirs(d)

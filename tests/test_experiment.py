@@ -243,17 +243,17 @@ def test_cli_exit_codes(dataset_dir, tmp_path, capsys):
     capsys.readouterr()
 
     # every subcommand names the stage that failed
-    stuck = tmp_path / "stuck"  # one class on a path: DICE finds no feasible flip
+    stuck = tmp_path / "stuck"  # one edge, two nodes: DICE finds no feasible flip
     os.makedirs(stuck)
-    (stuck / "edges.txt").write_text("0 1\n1 2\n")
-    (stuck / "labels.txt").write_text("0\n0\n0\n")
+    (stuck / "edges.txt").write_text("0 1\n")
+    (stuck / "labels.txt").write_text("0\n1\n")
     taken = tmp_path / "taken"  # a non-empty directory where the report should go
     os.makedirs(taken / "inside")
     out = str(tmp_path / "out.json")
     fast = ["--seeds", "0", "--surrogate-epochs", "5", "--victim-epochs", "5"]
     cases = [
         (["run", "--dataset", str(tmp_path / "nope"), "--output", out], EXIT_DATA, "data error: [load] "),
-        (["attack", "--dataset", str(stuck), "--attack", "dice", "--budget-fraction", "0.5",
+        (["attack", "--dataset", str(stuck), "--attack", "dice", "--budget-fraction", "1.0",
           "--split-fraction", "0.34", "--output", out], EXIT_RUNTIME, "error: [attack] DICE"),
         (["evaluate", "--dataset", dataset_dir, "--output", str(taken)], EXIT_RUNTIME, "error: [write] "),
         (["scatter", "--dataset", str(tmp_path / "nope"), "--output", out], EXIT_DATA, "data error: [load] "),
@@ -267,14 +267,14 @@ def test_cli_exit_codes(dataset_dir, tmp_path, capsys):
 def test_cli_runtime_failure_exit_code(tmp_path, capsys):
     from graphpoison.cli import EXIT_RUNTIME
 
-    # a single-class path graph leaves DICE no feasible flip: cross-class
-    # additions are impossible and every deletion isolates an endpoint
+    # a single edge leaves DICE no feasible flip: there is no non-edge to
+    # add, and deleting the edge isolates both endpoints
     d = tmp_path / "stuck"
     os.makedirs(d)
-    (d / "edges.txt").write_text("0 1\n1 2\n")
-    (d / "labels.txt").write_text("0\n0\n0\n")
+    (d / "edges.txt").write_text("0 1\n")
+    (d / "labels.txt").write_text("0\n1\n")
     rc = main([
-        "run", "--dataset", str(d), "--attack", "dice", "--budget-fraction", "0.5",
+        "run", "--dataset", str(d), "--attack", "dice", "--budget-fraction", "1.0",
         "--split-fraction", "0.34", "--seeds", "0", "--victim-epochs", "20",
         "--surrogate-epochs", "20", "--output", str(tmp_path / "r.json"),
     ])
@@ -343,6 +343,20 @@ def test_cli_rejects_non_finite_features(dataset_dir, tmp_path, capsys, command)
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("data error: [load] non-finite") and "features.csv" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run", "--attack", "dice"], ["evaluate"]])
+def test_cli_rejects_a_single_class_dataset(tmp_path, capsys, command):
+    g = sbm_graph((30, 30), 0.25, 0.02, seed=2)
+    d = write_plain_dataset(g, tmp_path / "one_class")
+    with open(os.path.join(d, "labels.txt"), "w") as fh:
+        fh.write("0\n" * g.n_nodes)
+    out = tmp_path / "report.json"
+    rc = main([*command, "--dataset", d, "--output", str(out), "--seeds", "0", "--victim-epochs", "5"])
+    assert rc == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [load] ") and "fewer than two classes" in err and "labels.txt" in err
     assert not out.exists()
 
 

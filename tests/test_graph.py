@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphpoison import (
+    AttackConfig,
     Graph,
     build_graph,
     count_flips,
+    dice_attack,
     flip_edge,
     largest_connected_component,
     normalize_adjacency,
@@ -25,6 +30,14 @@ def _mask(n):
     m = np.zeros(n, dtype=bool)
     m[0] = True
     return m
+
+
+def _csr_arrays(m):
+    return (m.data, m.indices, m.indptr)
+
+
+def _same_csr(a, b):
+    return all(np.array_equal(x, y) for x, y in zip(_csr_arrays(a), _csr_arrays(b)))
 
 
 def test_build_single_edge_symmetry():
@@ -65,6 +78,29 @@ def test_graph_rejects_asymmetric_adjacency():
         Graph(a, _features(2), [0, 1], _mask(2))
 
 
+def _coo(entries, shape=(3, 3), value=1.0):
+    rows, cols = zip(*entries)
+    return sp.coo_matrix((np.full(len(entries), value), (rows, cols)), shape=shape)
+
+
+@pytest.mark.parametrize("form", ["dense", "sparse"])
+@pytest.mark.parametrize(
+    "adjacency, message",
+    [
+        (_coo([(0, 1), (1, 0)], shape=(3, 4)), "square"),
+        (_coo([(0, 1)]), "symmetric"),
+        (_coo([(0, 1), (1, 0), (2, 2)]), "diagonal"),
+        (_coo([(0, 1), (1, 0)], value=2.0), "0 or 1"),
+        (_coo([(0, 1), (1, 0), (0, 1), (1, 0)]), "0 or 1"),  # a duplicated pair sums to 2
+    ],
+    ids=["non-square", "asymmetric", "diagonal", "entry-2", "duplicate-pair"],
+)
+def test_graph_rejects_invalid_adjacency(adjacency, message, form):
+    a = adjacency.toarray() if form == "dense" else adjacency
+    with pytest.raises(ValueError, match=message):
+        Graph(a, _features(3), [0, 1, 1], _mask(3))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_graph_rejects_non_finite_features(bad):
     feats = _features(2)
@@ -82,6 +118,9 @@ def test_graph_arrays_are_immutable():
     g = tiny_graph()
     with pytest.raises(ValueError):
         g.adjacency[0, 1] = 1.0
+    for a in _csr_arrays(g.csr):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def test_normalize_isolated_node_is_identity():
@@ -207,8 +246,12 @@ def test_flip_edge_keeps_a_valid_read_only_graph(seed, pairs):
         assert not out.adjacency.flags.writeable
         assert np.array_equal(g.adjacency, before)
         assert count_flips(g, out) == 1 and out.adjacency[i, j] != g.adjacency[i, j]
-        # the degree vector flip_edge updates equals the one a fresh build computes
         assert np.array_equal(out.degrees(), again.degrees()) and out.n_edges == again.n_edges
+        # the stored CSR stays canonical and read-only, and either form rebuilds to it
+        assert out.csr.has_canonical_format and np.all(out.csr.data == 1.0)
+        assert not any(a.flags.writeable for a in _csr_arrays(out.csr))
+        from_csr = Graph(out.csr, out.features, out.labels, out.labeled_mask, out.n_classes)
+        assert _same_csr(from_csr.csr, out.csr) and _same_csr(again.csr, out.csr)
         g = out
 
 
@@ -231,6 +274,29 @@ def test_count_flips_counts_distinct_pairs():
         g2 = flip_edge(g2, i, j)
     assert count_flips(g, g2) == len(pairs)
     assert count_flips(g, g) == 0
+
+
+def test_graph_operations_never_hold_a_dense_adjacency():
+    # a ring plus chords; sbm_graph would draw an N x N coin matrix
+    n = 5_000
+    ring = [(v, (v + 1) % n) for v in range(n)]
+    chords = [(v, v + n // 2) for v in range(0, n // 2, 7)]
+    labels = (np.arange(n) >= n // 2).astype(int)
+    feats = np.eye(2)[labels] + 0.1 * np.random.default_rng(0).normal(size=(n, 2))
+    mask = np.arange(n) % 10 == 0
+    tracemalloc.start()
+    try:
+        g = build_graph(ring + chords, feats, labels, mask)
+        flipped = flip_edge(g, 0, 2)
+        assert count_flips(g, flipped) == 1
+        assert largest_connected_component(flipped).n_nodes == n
+        normalize_adjacency(flipped.csr)
+        assert flipped.degrees().sum() == 2 * flipped.n_edges
+        assert len(dice_attack(g, AttackConfig(budget=3)).flips) == 3
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.05 * n * n * 8
 
 
 def test_count_flips_size_mismatch():
