@@ -19,7 +19,7 @@ budget = int(0.10 * g.n_edges)
 seeds = range(10)
 print(f"graph: {g.n_nodes} nodes, {g.n_edges} edges; budget {budget} flips (10%)\n")
 
-clean = evaluate(g, g, seeds=seeds, dataset="sbm", attack="none")
+clean = evaluate(g, g, seeds=seeds)
 print(f"clean    mean accuracy {clean.mean:.4f} +- {clean.ci95_halfwidth:.4f}")
 
 schedule = CAWeightParams(alpha1=4.5, beta1=1.0, alpha2=1.0, beta2=1.0)
@@ -31,7 +31,7 @@ runs = [
 ]
 for name, run in runs:
     result = run()
-    report = evaluate(g, result.poisoned, seeds=seeds, dataset="sbm", attack=name)
+    report = evaluate(g, result.poisoned, seeds=seeds)
     adds = sum(op == "add" for _, _, op in result.flips)
     print(f"{name:8s} mean accuracy {report.mean:.4f} +- {report.ci95_halfwidth:.4f}  "
           f"({adds} adds, {len(result.flips) - adds} deletes)")

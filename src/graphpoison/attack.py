@@ -147,11 +147,12 @@ def _margin_summary(phi: Array, mask: Array) -> dict:
 def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     """Gradient-guided greedy poisoning under a flip budget.
 
-    Per iteration: retrain the surrogate every ``retrain_every`` steps
-    (re-deriving pseudo-labels only when ``cfg.refresh_pseudo_labels``),
-    compute the attack gradient under ``cfg.loss_spec`` with weights from
-    the current margins, and apply the best-scoring constraint-allowed
-    flip. Stops early, flagged ``exhausted``, when no allowed candidate
+    The surrogate and pseudo-labels are fit on the clean graph. Per
+    iteration: refit the surrogate at every ``retrain_every``-th step after
+    the first (re-deriving pseudo-labels only when
+    ``cfg.refresh_pseudo_labels``), compute the attack gradient under
+    ``cfg.loss_spec`` with weights from the current margins, and apply the
+    best-scoring constraint-allowed flip. Stops early, flagged ``exhausted``, when no allowed candidate
     still has positive score. A pair is never flipped twice. Deterministic
     given the config.
     """
@@ -161,20 +162,19 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     current = g
     flips: list[tuple[int, int, str]] = []
     trace: list[dict] = []
-    params = None
-    pseudo: Array | None = None
+    params = train_surrogate(g, cfg.surrogate_hyper)
+    pseudo = pseudo_labels(params, g)
     exhausted = False
 
     for step in range(cfg.budget):
-        if params is None or step % cfg.retrain_every == 0:
+        if step and step % cfg.retrain_every == 0:
             params = train_surrogate(current, cfg.surrogate_hyper)
-            if pseudo is None or cfg.refresh_pseudo_labels:
+            if cfg.refresh_pseudo_labels:
                 pseudo = pseudo_labels(params, current)
         grad, info = attack_gradient(current, params, cfg.loss_spec, pseudo, return_info=True)
 
         scores = grad  # the feasible direction: removing an edge negates the gradient
-        scores[current.csr.nonzero()] *= -1.0
-        np.fill_diagonal(scores, -np.inf)
+        scores[current.csr.nonzero()] *= -1.0  # the diagonal stays 0, never a positive score
         for i, j, _ in flips:
             scores[i, j] = scores[j, i] = -np.inf
         chosen = None
@@ -213,10 +213,6 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
             }
         )
 
-    assert pseudo is not None or cfg.budget == 0
-    if pseudo is None:
-        params = train_surrogate(g, cfg.surrogate_hyper)
-        pseudo = pseudo_labels(params, g)
     assert count_flips(g, current) == len(flips)
     return AttackResult(flips, current, trace, pseudo, exhausted)
 

@@ -43,13 +43,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON config file; flags override its fields")
     for f in dataclasses.fields(ExperimentConfig):
         flag = "--" + f.name.replace("_", "-")
-        if f.type in ("bool", bool):
+        if f.type == "bool":
             p.add_argument(flag, action=argparse.BooleanOptionalAction, default=None)
         elif f.name == "seeds":
             p.add_argument(flag, default=None, help="comma-separated victim seeds, e.g. 0,1,2")
-        elif f.type in ("int", int):
+        elif f.type == "int":
             p.add_argument(flag, type=int, default=None)
-        elif f.type in ("float", float):
+        elif f.type == "float":
             p.add_argument(flag, type=float, default=None)
         else:
             p.add_argument(flag, default=None)
@@ -107,6 +107,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _read_flips(path: str) -> list[tuple[int, int, str]]:
+    """The flips of a flips file or report; ``i``/``j`` must be JSON integers, ``op`` a string."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -114,9 +115,15 @@ def _read_flips(path: str) -> list[tuple[int, int, str]]:
         raise DatasetError(f"cannot read flips file {path}: {e}")
     try:
         records = data["flips"] if isinstance(data, dict) else data
-        return [(int(r["i"]), int(r["j"]), str(r.get("op", ""))) for r in records]
-    except (KeyError, TypeError, ValueError) as e:
+        flips = [(r["i"], r["j"], r.get("op", "")) for r in records]
+    except (KeyError, TypeError) as e:
         raise DatasetError(f"bad flip record in {path}: {e!r}")
+    for k, (i, j, op) in enumerate(flips):
+        if not (type(i) is int and type(j) is int and isinstance(op, str)):  # a bool is no id
+            raise DatasetError(
+                f"flip {k} in {path}: i and j must be integers and op a string, got {records[k]!r}"
+            )
+    return flips
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -124,21 +131,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     clean = stage("load", load_graph, cfg)
     flips = stage("load", _read_flips, args.flips_file) if args.flips_file else []
     poisoned = stage("load", apply_flips, clean, flips)
-    report = stage(
-        "evaluate",
-        evaluate,
-        clean,
-        poisoned,
-        cfg.victim_hyper(),
-        cfg.seeds,
-        dataset=cfg.dataset,
-        attack=cfg.attack if flips else "none",
-        budget_fraction=cfg.budget_fraction,
-        config=cfg.to_dict(),
-    )
-
+    report = stage("evaluate", evaluate, clean, poisoned, cfg.victim_hyper(), cfg.seeds)
+    payload = report_payload(cfg, flips, len(flips), report=report)
+    if not args.flips_file:
+        payload["attack"] = "none"  # a clean graph; ``config`` still records the attack option
     out = resolve_output(cfg.output)
-    stage("write", write_json, out, report_payload(cfg, flips, len(flips), report=report))
+    stage("write", write_json, out, payload)
     print(f"mean accuracy {report.mean:.4f} +- {report.ci95_halfwidth:.4f} -> {out}")
     return EXIT_OK
 

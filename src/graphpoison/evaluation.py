@@ -1,10 +1,11 @@
-"""Victim retraining over seeds, summary statistics, and margin/gradient
-diagnostics for loss-design analysis."""
+"""Victim retraining over seeds with summary statistics, and the
+margin/gradient diagnostic for loss design. These only measure: the
+dataset, attack and config of a report come from ``experiment.report_payload``."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,18 +19,14 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-seed victim accuracies on one graph plus provenance metadata."""
+    """Victim accuracy per seed on one graph, its mean and 95% CI half-width
+    (0 for one seed), and the number of pairs flipped against the clean graph."""
 
-    dataset: str
-    attack: str
-    budget_fraction: float
     per_seed_accuracy: list[float]
     mean: float
     ci95_halfwidth: float
     wall_clock_seconds: float
     flip_count: int
-    degenerate_ci: bool = False
-    config: dict = field(default_factory=dict)
 
 
 def confidence_halfwidth(values: Array) -> float:
@@ -44,16 +41,12 @@ def evaluate(
     poisoned: Graph,
     victim_hyper: VictimHyper = VictimHyper(),
     seeds=(0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
-    dataset: str = "",
-    attack: str = "",
-    budget_fraction: float = 0.0,
-    config: dict | None = None,
 ) -> EvalReport:
     """Retrain the victim on ``poisoned`` once per seed and summarize accuracy.
 
     Accuracy is measured on the unlabeled pool against ground-truth labels.
-    ``clean`` supplies the flip count; both graphs must share nodes and
-    labels.
+    ``clean`` supplies only the flip count; both graphs must share nodes
+    and labels. ``wall_clock_seconds`` times the victim fits.
     """
     seeds = list(seeds)
     if not seeds:
@@ -67,16 +60,11 @@ def evaluate(
         accs.append(acc)
     arr = np.asarray(accs)
     return EvalReport(
-        dataset=dataset,
-        attack=attack,
-        budget_fraction=budget_fraction,
         per_seed_accuracy=[float(a) for a in accs],
         mean=float(arr.mean()),
         ci95_halfwidth=confidence_halfwidth(arr),
         wall_clock_seconds=time.perf_counter() - start,
         flip_count=count_flips(clean, poisoned),
-        degenerate_ci=len(seeds) == 1,
-        config=config or {},
     )
 
 

@@ -312,18 +312,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     clean = stage("load", load_graph, cfg)
     result = stage("attack", run_attack, cfg, clean)
     budget = attack_budget(cfg, clean)
-    report = stage(
-        "evaluate",
-        evaluate,
-        clean,
-        result.poisoned,
-        cfg.victim_hyper(),
-        cfg.seeds,
-        dataset=cfg.dataset,
-        attack=cfg.attack,
-        budget_fraction=cfg.budget_fraction,
-        config=cfg.to_dict(),
-    )
+    report = stage("evaluate", evaluate, clean, result.poisoned, cfg.victim_hyper(), cfg.seeds)
     report = dataclasses.replace(report, wall_clock_seconds=time.perf_counter() - start)
 
     out_path = resolve_output(cfg.output)

@@ -97,9 +97,10 @@ def attack_gradient(
     The surrogate parameters are held fixed; differentiation runs through
     the degree normalization. Returns the symmetrized (N, N) array
     ``(M + M^T)/2``, which has a zero diagonal. With ``return_info=True``
-    also returns a dict carrying the logits, margins, weights and objective
-    value at the evaluation point (one forward pass, reused by the attack
-    loop).
+    also returns a dict of what the attack loop reads at the evaluation
+    point, from the same forward pass: ``margins`` against ``labels``, the
+    cost-aware ``weights`` (to freeze them when it re-evaluates the
+    objective after a flip) and the ``objective`` value.
     """
     ahat = normalize_adjacency(g.csr)
     logits = forward_logits(params, ahat, g.features)
@@ -124,7 +125,6 @@ def attack_gradient(
         return grad
     total, _ = loss_value(logits, labels, mask, spec, weights)
     info = {
-        "logits": logits,
         "margins": margins(logits, labels),
         "weights": weights,
         "objective": total if spec.base == NLL else -total,

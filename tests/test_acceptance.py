@@ -172,7 +172,7 @@ def test_criterion_5_clean_cora_accuracy():
     g = load_dataset(CORA_DIR, split_fraction=0.10, split_seed=0)
     assert g.n_nodes == 2485 and g.n_edges == 5069, "expected the Cora LCC"
     assert g.n_classes == 7 and g.features.shape[1] == 1433
-    report = evaluate(g, g, VictimHyper(), seeds=range(10), dataset="cora", attack="none")
+    report = evaluate(g, g, VictimHyper(), seeds=range(10))
     _report("5 clean-cora-accuracy", report.mean >= 0.80,
             f"mean {report.mean:.4f} +- {report.ci95_halfwidth:.4f}")
     assert report.mean >= 0.80

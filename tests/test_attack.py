@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import graphpoison.attack as attack_module
 from graphpoison import (
     AttackConfig,
     AttackConstraints,
@@ -13,7 +14,9 @@ from graphpoison import (
     degree_likelihood_ratio,
     dice_attack,
     meta_attack,
+    pseudo_labels,
     sbm_graph,
+    train_surrogate,
 )
 
 from .conftest import tiny_graph
@@ -77,6 +80,8 @@ def test_meta_attack_budget_zero(medium_sbm):
     res = meta_attack(medium_sbm, _cfg(budget=0))
     assert res.flips == []
     assert count_flips(medium_sbm, res.poisoned) == 0
+    expected = pseudo_labels(train_surrogate(medium_sbm, FAST_SURROGATE), medium_sbm)
+    assert np.array_equal(res.pseudo_labels, expected)
 
 
 def test_meta_attack_budget_exceeds_pairs():
@@ -172,9 +177,36 @@ def test_meta_attack_pinned_flip_lists(medium_sbm, base, ca):
     assert res.flips == PINNED_META_FLIPS[(base, ca)]
 
 
-def test_retrain_every_controls_surrogate_refresh(medium_sbm):
-    r1 = meta_attack(medium_sbm, _cfg(budget=6, retrain_every=3))
-    assert len(r1.flips) == 6  # the schedule must not break the loop
+def _record_graphs(monkeypatch, name, graph_arg):
+    """Wrap ``graphpoison.attack.<name>``; the list collects the graph of each call."""
+    graphs = []
+    real = getattr(attack_module, name)
+
+    def wrapped(*args, **kwargs):
+        graphs.append(args[graph_arg])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attack_module, name, wrapped)
+    return graphs
+
+
+def test_retrain_every_controls_surrogate_refresh(medium_sbm, monkeypatch):
+    fits = _record_graphs(monkeypatch, "train_surrogate", 0)
+    labelings = _record_graphs(monkeypatch, "pseudo_labels", 1)
+    for refresh in (False, True):
+        fits.clear()
+        labelings.clear()
+        r1 = meta_attack(medium_sbm, _cfg(budget=6, retrain_every=3, refresh_pseudo_labels=refresh))
+        assert len(r1.flips) == 6  # the schedule must not break the loop
+        # fits at steps 0 and 3, on the clean graph and after three flips
+        assert [count_flips(medium_sbm, g) for g in fits] == [0, 3]
+        # pseudo-labels come from the clean graph, or from every fit when refreshed
+        assert [count_flips(medium_sbm, g) for g in labelings] == ([0, 3] if refresh else [0])
+
+        fits.clear()
+        labelings.clear()
+        meta_attack(medium_sbm, _cfg(budget=0, refresh_pseudo_labels=refresh))
+        assert len(fits) == len(labelings) == 1
 
 
 def _mechanism_fixture():

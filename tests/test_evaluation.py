@@ -23,13 +23,12 @@ def test_evaluate_basic_statistics(small_sbm):
     expected_ci = 1.96 * np.std(rep.per_seed_accuracy, ddof=1) / 2.0
     assert rep.ci95_halfwidth == pytest.approx(expected_ci)
     assert rep.flip_count == 0
-    assert not rep.degenerate_ci
 
 
 def test_evaluate_single_seed_degenerate(small_sbm):
     rep = evaluate(small_sbm, small_sbm, FAST_VICTIM, seeds=(7,))
+    assert len(rep.per_seed_accuracy) == 1
     assert rep.ci95_halfwidth == 0.0
-    assert rep.degenerate_ci
 
 
 def test_evaluate_equal_accuracies_zero_halfwidth():

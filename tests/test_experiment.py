@@ -217,7 +217,25 @@ def test_cli_attack_then_evaluate(dataset_dir, tmp_path):
     ])
     assert rc == EXIT_OK
     rep = json.loads(report_out.read_text())
+    assert set(rep) == {
+        "dataset", "attack", "loss", "budget", "flips",
+        "per_seed_accuracy", "mean", "ci95", "wall_clock_seconds", "config",
+    }
     assert rep["budget"] == len(blob["flips"])
+    assert rep["attack"] == "meta"  # a replayed flip list keeps the configured attack
+
+
+def test_cli_evaluate_labels_a_clean_graph_none(dataset_dir, tmp_path):
+    out = tmp_path / "eval.json"
+    rc = main([
+        "evaluate", "--dataset", dataset_dir, "--attack", "dice",
+        "--output", str(out), "--seeds", "0", "--victim-epochs", "5",
+    ])
+    assert rc == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["attack"] == "none"
+    assert rep["budget"] == 0 and rep["flips"] == []
+    assert rep["config"]["attack"] == "dice"
 
 
 def test_cli_scatter_csv(dataset_dir, tmp_path):
@@ -360,16 +378,36 @@ def test_cli_rejects_a_single_class_dataset(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_cli_evaluate_rejects_bad_flips_file(dataset_dir, tmp_path, capsys):
+def _evaluate_flips_file(dataset_dir, tmp_path, records):
+    """Run ``evaluate`` on a flips file holding ``records``; (exit code, report path)."""
     flips = tmp_path / "flips.json"
-    flips.write_text(json.dumps([{"i": -1, "j": 0, "op": "add"}]))
+    flips.write_text(json.dumps(records))
     out = tmp_path / "eval.json"
     rc = main([
         "evaluate", "--dataset", dataset_dir, "--flips-file", str(flips),
         "--output", str(out), "--seeds", "0", "--victim-epochs", "5",
     ])
+    return rc, out
+
+
+def test_cli_evaluate_rejects_bad_flips_file(dataset_dir, tmp_path, capsys):
+    rc, out = _evaluate_flips_file(dataset_dir, tmp_path, [{"i": -1, "j": 0, "op": "add"}])
     assert rc == EXIT_DATA
     assert "data error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# (26, 46) and (1, 26) are non-edges, so int() of each id would replay an "add"
+@pytest.mark.parametrize("record", [
+    {"i": 26.9, "j": 46, "op": "add"},
+    {"i": "26", "j": 46, "op": "add"},
+    {"i": 26, "j": True, "op": "add"},
+    {"i": 26, "j": 46, "op": 1},
+], ids=["float-id", "string-id", "bool-id", "int-op"])
+def test_cli_evaluate_rejects_mistyped_flip_records(dataset_dir, tmp_path, capsys, record):
+    rc, out = _evaluate_flips_file(dataset_dir, tmp_path, [record])
+    assert rc == EXIT_DATA
+    assert "data error: [load] flip 0 in " in capsys.readouterr().err
     assert not out.exists()
 
 
