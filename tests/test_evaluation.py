@@ -72,6 +72,23 @@ def _noisy_fixture():
     return sbm_graph((60, 60), p_in=0.1, p_out=0.02, feature_noise=1.5, seed=5)
 
 
+# Victim accuracies per seed at epochs=60, keyed by dropout. The victim is
+# deterministic given its seed, so any change to its training or scoring
+# arithmetic shows here. medium_sbm reads 1.0 for every seed, so the noisy
+# fixture is used: its accuracies sit below 1 and differ between seeds.
+PINNED_VICTIM_ACCURACIES = {
+    0.5: [0.8425925925925926, 0.8518518518518519, 0.8611111111111112],
+    0.0: [0.8611111111111112, 0.8796296296296297, 0.8703703703703703],
+}
+
+
+@pytest.mark.parametrize("dropout", sorted(PINNED_VICTIM_ACCURACIES))
+def test_evaluate_pinned_victim_accuracies(dropout):
+    g = _noisy_fixture()
+    rep = evaluate(g, g, VictimHyper(epochs=60, dropout=dropout), seeds=(0, 1, 2))
+    assert rep.per_seed_accuracy == PINNED_VICTIM_ACCURACIES[dropout]
+
+
 def test_scatter_covers_unlabeled_pool():
     g = _noisy_fixture()
     rows = margin_gradient_scatter(g, LossSpec("nll"))
