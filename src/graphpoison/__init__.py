@@ -32,7 +32,6 @@ from .models import (
     SurrogateHyper,
     SurrogateParams,
     VictimHyper,
-    VictimParams,
     forward_logits,
     margins,
     pseudo_labels,
@@ -57,7 +56,6 @@ __all__ = [
     "SurrogateHyper",
     "SurrogateParams",
     "VictimHyper",
-    "VictimParams",
     "apply_flips",
     "attack_gradient",
     "attack_objective",

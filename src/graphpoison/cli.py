@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 from .data import DatasetError
 from .evaluation import evaluate, margin_gradient_scatter
@@ -128,11 +129,13 @@ def _read_flips(path: str) -> list[tuple[int, int, str]]:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     cfg = _build_config(args)
+    start = time.perf_counter()
     clean = stage("load", load_graph, cfg)
     flips = stage("load", _read_flips, args.flips_file) if args.flips_file else []
     poisoned = stage("load", apply_flips, clean, flips)
     report = stage("evaluate", evaluate, clean, poisoned, cfg.victim_hyper(), cfg.seeds)
-    payload = report_payload(cfg, flips, len(flips), report=report)
+    seconds = time.perf_counter() - start
+    payload = report_payload(cfg, flips, len(flips), report, seconds)
     if not args.flips_file:
         payload["attack"] = "none"  # a clean graph; ``config`` still records the attack option
     out = resolve_output(cfg.output)

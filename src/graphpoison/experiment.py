@@ -257,9 +257,14 @@ def report_payload(
     flips,
     budget: int,
     report: EvalReport | None = None,
+    seconds: float | None = None,
     exhausted: bool | None = None,
 ) -> dict:
-    """The JSON report of a run; accuracy keys with ``report``, ``exhausted`` when given."""
+    """The JSON report of a run; accuracy keys with ``report``, the others when given.
+
+    ``seconds`` becomes ``wall_clock_seconds``: the calling command's own
+    load -> evaluate span, the same span in ``run`` and ``evaluate``.
+    """
     payload = {
         "dataset": os.path.basename(os.path.normpath(cfg.dataset)) or cfg.dataset,
         "attack": cfg.attack,
@@ -272,7 +277,8 @@ def report_payload(
         payload["per_seed_accuracy"] = report.per_seed_accuracy
         payload["mean"] = report.mean
         payload["ci95"] = report.ci95_halfwidth
-        payload["wall_clock_seconds"] = report.wall_clock_seconds
+    if seconds is not None:
+        payload["wall_clock_seconds"] = seconds
     if exhausted is not None:
         payload["exhausted"] = exhausted
     return payload
@@ -313,12 +319,12 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     result = stage("attack", run_attack, cfg, clean)
     budget = attack_budget(cfg, clean)
     report = stage("evaluate", evaluate, clean, result.poisoned, cfg.victim_hyper(), cfg.seeds)
-    report = dataclasses.replace(report, wall_clock_seconds=time.perf_counter() - start)
+    seconds = time.perf_counter() - start
 
     out_path = resolve_output(cfg.output)
 
     def _write() -> None:
-        write_json(out_path, report_payload(cfg, result.flips, budget, report=report))
+        write_json(out_path, report_payload(cfg, result.flips, budget, report, seconds))
         write_json(flips_path(out_path), flip_records(result.flips))
 
     stage("write", _write)

@@ -61,8 +61,8 @@ def test_poisoning_lowers_accuracy_across_seeds(medium_sbm):
     res = meta_attack(medium_sbm, AttackConfig(budget=budget, loss_spec=LossSpec("nll")))
     drops = 0
     for s in range(10):
-        clean_acc = train_victim(medium_sbm, VictimHyper(seed=s))[1]
-        pois_acc = train_victim(res.poisoned, VictimHyper(seed=s))[1]
+        clean_acc = train_victim(medium_sbm, VictimHyper(seed=s))
+        pois_acc = train_victim(res.poisoned, VictimHyper(seed=s))
         drops += pois_acc < clean_acc
     assert drops >= 8
 
