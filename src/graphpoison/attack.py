@@ -192,6 +192,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
                 break
             scores[i, j] = -np.inf
             scores[j, i] = -np.inf
+        del grad, scores  # free this step's N x N array before the next one is built
         if chosen is None:
             break
 

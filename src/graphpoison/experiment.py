@@ -225,13 +225,20 @@ def apply_flips(g: Graph, flips) -> Graph:
     Raises
     ------
     DatasetError
-        When a flip names a node outside the graph or a self-loop, when its
-        ``op`` disagrees with the current state of the pair ("add" on an
-        edge, "delete" on a non-edge), or when a pair repeats.
+        When an id is not an integer (a bool is no id; numpy integers are
+        fine) or ``op`` is not a string, when a flip names a node outside
+        the graph or a self-loop, when its ``op`` disagrees with the current
+        state of the pair ("add" on an edge, "delete" on a non-edge), or
+        when a pair repeats.
     """
     out = g
     seen = set()
     for k, (i, j, op) in enumerate(flips):
+        try:
+            for name, value, kind in (("i", i, "int"), ("j", j, "int"), ("op", op, "str")):
+                _check_type(name, value, kind)
+        except ValueError as e:
+            raise DatasetError(f"flip {k}: {e}") from None
         i, j = int(i), int(j)
         pair = (min(i, j), max(i, j))
         if pair in seen:

@@ -108,6 +108,24 @@ def test_config_dict_roundtrip():
     assert again == cfg
 
 
+def test_config_defaults_equal_library_defaults():
+    """ExperimentConfig restates the sub-configs' defaults as flat fields;
+    a default changed in one place only would make the CLI and the
+    library run different experiments."""
+    import inspect
+
+    from graphpoison import AttackConfig, CAWeightParams, VictimHyper, evaluate, load_dataset
+
+    cfg = ExperimentConfig(dataset="x")
+    assert cfg.attack_config(0) == AttackConfig()
+    assert cfg.victim_hyper() == VictimHyper()
+    assert ExperimentConfig(dataset="x", ca_enabled=True).loss_spec().ca_params == CAWeightParams()
+    load = inspect.signature(load_dataset).parameters
+    for name in ("format", "split_fraction", "split_seed"):
+        assert getattr(cfg, name) == load[name].default
+    assert cfg.seeds == tuple(inspect.signature(evaluate).parameters["seeds"].default)
+
+
 def test_output_dir_env_override(dataset_dir, tmp_path, monkeypatch):
     override = tmp_path / "elsewhere"
     monkeypatch.setenv("GRAPHPOISON_OUTPUT_DIR", str(override))
@@ -163,6 +181,25 @@ def test_apply_flips_rejects_repeated_pair():
         apply_flips(_path4(), [(0, 2, "add"), (2, 0, "delete")])
 
 
+@pytest.mark.parametrize("flip", [
+    (0.9, 2, "add"),
+    (0, 2.0, "add"),
+    (True, 3, "add"),
+    (np.bool_(True), 3, "add"),
+    ("0", 2, "add"),
+    (0, 2, 1),
+], ids=["float-id", "float-j", "bool-id", "numpy-bool-id", "string-id", "int-op"])
+def test_apply_flips_rejects_mistyped_flips(flip):
+    """A non-integer id is rejected, never truncated onto another pair."""
+    with pytest.raises(DatasetError, match=r"flip 0: (i|j|op) must be of type"):
+        apply_flips(_path4(), [flip])
+
+
+def test_apply_flips_accepts_numpy_integer_ids():
+    replayed = apply_flips(_path4(), [(np.int64(0), np.int32(2), "add")])
+    assert replayed.csr[0, 2] == 1.0
+
+
 def test_write_text_failure_keeps_previous_file(tmp_path):
     target = tmp_path / "report.json"
     write_text(str(target), "previous")
@@ -198,6 +235,15 @@ def test_cli_config_file_with_flag_override(dataset_dir, tmp_path):
     assert rc == EXIT_OK
     assert (tmp_path / "b.json").exists()
     assert not (tmp_path / "a.json").exists()
+
+
+def test_cli_seeds_flag_overrides_config_file(dataset_dir, tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"dataset": dataset_dir, "seeds": "5", "victim_epochs": 5}))
+    out = tmp_path / "report.json"
+    rc = main(["evaluate", "--config", str(cfg_file), "--seeds", "0,1", "--output", str(out)])
+    assert rc == EXIT_OK
+    assert json.loads(out.read_text())["config"]["seeds"] == [0, 1]
 
 
 def test_cli_attack_then_evaluate(dataset_dir, tmp_path):
@@ -317,6 +363,7 @@ def test_cli_runtime_failure_exit_code(tmp_path, capsys):
         {"degree_test": "false"},
         {"budget_fraction": True},
         {"seeds": [0.7]},
+        {"seeds": "0,1"},
         {"retrain_every": 1.5},
         {"attack_seed": 2.5},
         {"surrogate_epochs": 2.5},
@@ -328,7 +375,7 @@ def test_cli_runtime_failure_exit_code(tmp_path, capsys):
         "retrain-every", "alpha1", "hidden", "victim-epochs", "dropout", "split-seed",
         "surrogate-lr", "victim-weight-decay", "seeds",
         "config-ca-enabled-str", "config-degree-test-str", "config-budget-fraction-bool",
-        "config-seeds-float", "config-retrain-every-float", "config-attack-seed-float",
+        "config-seeds-float", "config-seeds-str", "config-retrain-every-float", "config-attack-seed-float",
         "config-surrogate-epochs-float", "config-hidden-float", "config-split-seed-float",
         "config-surrogate-lr-inf",
     ],
@@ -407,7 +454,7 @@ def test_cli_evaluate_rejects_bad_flips_file(dataset_dir, tmp_path, capsys):
 def test_cli_evaluate_rejects_mistyped_flip_records(dataset_dir, tmp_path, capsys, record):
     rc, out = _evaluate_flips_file(dataset_dir, tmp_path, [record])
     assert rc == EXIT_DATA
-    assert "data error: [load] flip 0 in " in capsys.readouterr().err
+    assert "data error: [load] flip 0: " in capsys.readouterr().err
     assert not out.exists()
 
 
