@@ -107,7 +107,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_flips(path: str) -> list[tuple[int, int, str]]:
+def _read_flips(path: str) -> list[tuple]:
     """The flips of a flips file or report; ``apply_flips`` checks their types."""
     try:
         with open(path) as fh:

@@ -44,7 +44,7 @@ def evaluate(
 
     Accuracy is measured on the unlabeled pool against ground-truth labels.
     ``clean`` supplies only the flip count; both graphs must share nodes
-    and labels. Not timed here: a command times its whole span.
+    and labels.
     """
     seeds = list(seeds)
     if not seeds:
