@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import attack_gradient, attack_objective
+from .gradients import CHUNK_ROWS, attack_factors, attack_objective, upper_blocks
 from .graph import Graph, count_flips, flip_edge
 from .losses import LossSpec
 from .models import SurrogateHyper, pseudo_labels, train_surrogate
@@ -24,6 +24,7 @@ Array = np.ndarray
 ADD = "add"
 DELETE = "delete"
 DICE_MAX_RETRIES = 200  # draws per DICE step before the step fails
+TOP_M = 32  # candidates a step's first scan keeps; each rescan keeps twice as many
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,37 @@ def _margin_summary(phi: Array, mask: Array) -> dict:
     }
 
 
+def _top_pairs(
+    us: Array, vs: Array, s: Array, csr, excluded: list, buffers: Array, m: int
+) -> list[tuple[float, int, int]]:
+    """The ``m`` best positive-score pairs i < j outside ``excluded``, as (score, i, j).
+
+    A score is the gradient in the one flip a pair admits (deleting an edge
+    negates it). Ordered by score, ties by the smaller row-major index.
+    """
+    n = s.size
+    ex = np.array(excluded, dtype=np.int64).reshape(-1, 2)
+    best, index = np.empty(0), np.empty(0, dtype=np.int64)
+    for rows, block in upper_blocks(us, vs, s, buffers):
+        r0, r1 = rows.start, rows.stop
+        block[csr[rows, r0:].nonzero()] *= -1.0
+        block[:, : r1 - r0][np.tri(r1 - r0, dtype=bool)] = -np.inf
+        mine = (ex[:, 0] >= r0) & (ex[:, 0] < r1)
+        block[ex[mine, 0] - r0, ex[mine, 1] - r0] = -np.inf
+        # later blocks hold larger indices, so they must beat the kept m-th score;
+        # within a block, the m-th largest row maximum bounds the cut-off below
+        floor = best[-1] if best.size == m else 0.0
+        low = np.sort(block.max(axis=1))[-m] if r1 - r0 >= m else floor
+        flat = block.ravel()
+        hits = np.flatnonzero(flat >= low if low > floor else flat > floor)
+        i, j = np.divmod(hits, n - r0)
+        best = np.concatenate([best, flat[hits]])
+        index = np.concatenate([index, (r0 + i) * n + r0 + j])
+        order = np.lexsort((index, -best))[:m]
+        best, index = best[order], index[order]
+    return [(float(v), int(k // n), int(k % n)) for v, k in zip(best, index)]
+
+
 def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     """Gradient-guided greedy poisoning under a flip budget.
 
@@ -152,9 +184,13 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     the first (re-deriving pseudo-labels only when
     ``cfg.refresh_pseudo_labels``), compute the attack gradient under
     ``cfg.loss_spec`` with weights from the current margins, and apply the
-    best-scoring constraint-allowed flip. Stops early, flagged ``exhausted``, when no allowed candidate
-    still has positive score. A pair is never flipped twice. Deterministic
-    given the config.
+    best-scoring constraint-allowed flip. Pairs are scored in row chunks and
+    the best ``TOP_M`` are checked in order; only when all are rejected is
+    the scan repeated without them, keeping twice as many. Stops early,
+    flagged ``exhausted``, when no allowed candidate still has positive
+    score. A pair is never flipped twice. Each trace entry counts the
+    candidates checked and the rejects by reason. Deterministic given the
+    config.
     """
     n = g.n_nodes
     if cfg.budget > n * (n - 1) // 2:
@@ -165,35 +201,31 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     params = train_surrogate(g, cfg.surrogate_hyper)
     pseudo = pseudo_labels(params, g)
     exhausted = False
+    buffers = np.empty((2, CHUNK_ROWS * n))  # once per run: freed every step, they stay in the heap
 
     for step in range(cfg.budget):
         if step and step % cfg.retrain_every == 0:
             params = train_surrogate(current, cfg.surrogate_hyper)
             if cfg.refresh_pseudo_labels:
                 pseudo = pseudo_labels(params, current)
-        grad, info = attack_gradient(current, params, cfg.loss_spec, pseudo, return_info=True)
-
-        scores = grad  # the feasible direction: removing an edge negates the gradient
-        scores[current.csr.nonzero()] *= -1.0  # the diagonal stays 0, never a positive score
-        for i, j, _ in flips:
-            scores[i, j] = scores[j, i] = -np.inf
-        chosen = None
-        while True:
-            flat = int(scores.argmax())
-            i, j = divmod(flat, n)
-            best = scores[i, j]
-            if not best > 0.0:
-                exhausted = True
-                break
-            if i > j:
-                i, j = j, i
-            if constraint_check(current, i, j, cfg, reference=g) is None:
-                chosen = (i, j, float(best))
-                break
-            scores[i, j] = -np.inf
-            scores[j, i] = -np.inf
-        del grad, scores  # free this step's N x N array before the next one is built
+        us, vs, s, info = attack_factors(current, params, cfg.loss_spec, pseudo)
+        excluded = [(i, j) for i, j, _ in flips]
+        rejects = dict.fromkeys(("singleton", "degree_test"), 0)
+        chosen, m = None, TOP_M
+        while chosen is None:
+            candidates = _top_pairs(us, vs, s, current.csr, excluded, buffers, m)
+            for score, i, j in candidates:
+                reason = constraint_check(current, i, j, cfg, reference=g)
+                if reason is None:
+                    chosen = (i, j, score)
+                    break
+                rejects[reason] += 1
+                excluded.append((i, j))
+            if len(candidates) < m:
+                break  # every positive-score pair was checked
+            m *= 2
         if chosen is None:
+            exhausted = True
             break
 
         i, j, score = chosen
@@ -211,6 +243,8 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
                 "objective_before": info["objective"],
                 "objective_after": objective_after,
                 "margins": _margin_summary(info["margins"], g.unlabeled_mask),
+                "candidates_checked": sum(rejects.values()) + 1,
+                "rejects": rejects,
             }
         )
 

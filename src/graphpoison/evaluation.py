@@ -43,15 +43,17 @@ def evaluate(
     """Retrain the victim on ``poisoned`` once per seed and summarize accuracy.
 
     Accuracy is measured on the unlabeled pool against ground-truth labels.
-    ``clean`` supplies only the flip count; both graphs must share nodes
-    and labels.
+    Every seed must be a nonnegative integer, not a bool; all are checked
+    before the first fit. ``clean`` supplies only the flip count; both
+    graphs must share nodes and labels.
     """
     seeds = list(seeds)
     if not seeds:
         raise ValueError("seeds must be nonempty")
     if clean.n_nodes != poisoned.n_nodes or not np.array_equal(clean.labels, poisoned.labels):
         raise ValueError("clean and poisoned graphs must share node set and labels")
-    accs = [train_victim(poisoned, replace(victim_hyper, seed=int(s))) for s in seeds]
+    hypers = [replace(victim_hyper, seed=s) for s in seeds]
+    accs = [train_victim(poisoned, hyper) for hyper in hypers]
     arr = np.asarray(accs)
     return EvalReport(
         per_seed_accuracy=accs,

@@ -10,9 +10,12 @@ with factors stored factor-major: ``u = [g_z, Ahat g_z]^T`` and
 
 with ``d`` the degrees of ``A + I`` and ``r``/``c`` the row/column sums of
 ``G * Ahat``. As ``Ahat`` is symmetric, ``r = sum_k u_k * Ahat v_k`` and
-``c = sum_k v_k * Ahat u_k``, so :func:`_pull_back` needs no N x N array:
-``attack_gradient`` builds only its output (plus one transposed copy to
-symmetrize it) and ``per_node_gradients`` none.
+``c = sum_k v_k * Ahat u_k``, so :func:`_pull_back` needs no N x N array.
+Nor does scoring: :func:`pair_scores` scores a block of pairs from the
+factors, and the attack loop scans the upper triangle in row chunks
+(:func:`upper_blocks`, O(CHUNK_ROWS * N) memory). ``attack_gradient``
+assembles the N x N array from the same blocks; ``per_node_gradients``
+builds none.
 The dense formula is kept as a test oracle (``tests/oracles.py``), beside
 ``finite_difference_gradient``.
 
@@ -32,6 +35,7 @@ from .losses import NLL, LossSpec, loss_value, resolve_weights
 from .models import SurrogateParams, forward_logits, margins, runner_up, softmax
 
 Array = np.ndarray
+CHUNK_ROWS = 256  # rows per score block: two blocks of CHUNK_ROWS x N doubles at a time
 
 
 def attack_objective(
@@ -85,22 +89,17 @@ def _pull_back(u: Array, v: Array, ahat_u: Array, ahat_v: Array, deg: Array) -> 
     return u * inv_sqrt, v * inv_sqrt, s
 
 
-def attack_gradient(
-    g: Graph,
-    params: SurrogateParams,
-    spec: LossSpec,
-    labels: Array,
-    return_info: bool = False,
-):
-    """Analytic gradient of the attack objective over the unlabeled nodes.
+def attack_factors(
+    g: Graph, params: SurrogateParams, spec: LossSpec, labels: Array
+) -> tuple[Array, Array, Array, dict]:
+    """Factors of the attack gradient over the unlabeled nodes, from one forward pass.
 
     The surrogate parameters are held fixed; differentiation runs through
-    the degree normalization. Returns the symmetrized (N, N) array
-    ``(M + M^T)/2``, which has a zero diagonal. With ``return_info=True``
-    also returns a dict of what the attack loop reads at the evaluation
-    point, from the same forward pass: ``margins`` against ``labels``, the
-    cost-aware ``weights`` (to freeze them when it re-evaluates the
-    objective after a flip) and the ``objective`` value.
+    the degree normalization. Returns ``us``, ``vs``, ``s`` (see
+    :func:`_pull_back`; :func:`pair_scores` turns them into scores) and a
+    dict of what the attack loop reads at the evaluation point: ``margins``
+    against ``labels``, the cost-aware ``weights`` (to freeze them when it
+    re-evaluates the objective after a flip) and the ``objective`` value.
     """
     ahat = normalize_adjacency(g.csr)
     logits = forward_logits(params, ahat, g.features)
@@ -117,19 +116,62 @@ def attack_gradient(
         np.vstack([logits.T, prop2.T]),  # logits = Ahat prop2
         g.degrees() + 1.0,
     )
-    grad = us.T @ vs - s[:, None]
-    np.fill_diagonal(grad, 0.0)
-    grad += grad.T
-    grad /= 2.0
-    if not return_info:
-        return grad
     total, _ = loss_value(logits, labels, mask, spec, weights)
     info = {
         "margins": margins(logits, labels),
         "weights": weights,
         "objective": total if spec.base == NLL else -total,
     }
-    return grad, info
+    return us, vs, s, info
+
+
+def pair_scores(us: Array, vs: Array, s: Array, rows: slice, cols: slice, out=None, work=None) -> Array:
+    """Symmetrized gradient of the pairs ``rows x cols`` (slices with start and stop).
+
+    Entry (i, j) is ``((us_i . vs_j - s_i) + (vs_i . us_j - s_j)) / 2``, 0 where
+    i == j. ``out``/``work``: optional C-contiguous buffers of the block's shape.
+    """
+    out = np.matmul(us[:, rows].T, vs[:, cols], out=out)
+    out -= s[rows, None]
+    work = np.matmul(vs[:, rows].T, us[:, cols], out=work)
+    work -= s[cols]
+    out += work
+    out /= 2.0
+    diag = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+    out[diag - rows.start, diag - cols.start] = 0.0
+    return out
+
+
+def upper_blocks(us: Array, vs: Array, s: Array, buffers: Array | None = None):
+    """Yield ``(rows, pair_scores(us, vs, s, rows, r0:N))`` for row chunks ``rows = r0:r1``.
+
+    A block is valid until the next is drawn: all live in ``buffers``, a
+    (2, CHUNK_ROWS * N) array, new if None. BLAS rounds an entry by the
+    shape of its product, so all score readers come through here.
+    """
+    n = s.size
+    buffers = np.empty((2, CHUNK_ROWS * n)) if buffers is None else buffers
+    for r0 in range(0, n, CHUNK_ROWS):
+        rows = slice(r0, min(r0 + CHUNK_ROWS, n))
+        shape = (rows.stop - r0, n - r0)
+        out, work = (b[: shape[0] * shape[1]].reshape(shape) for b in buffers)
+        yield rows, pair_scores(us, vs, s, rows, slice(r0, n), out, work)
+
+
+def attack_gradient(g: Graph, params: SurrogateParams, spec: LossSpec, labels: Array) -> Array:
+    """Analytic gradient of the attack objective over the unlabeled nodes.
+
+    The symmetrized (N, N) array ``(M + M^T)/2`` with a zero diagonal: the
+    upper triangle from :func:`upper_blocks`, mirrored.
+    """
+    us, vs, s, _ = attack_factors(g, params, spec, labels)
+    grad = np.empty((s.size, s.size))
+    for rows, block in upper_blocks(us, vs, s):
+        grad[rows.start :, rows] = block.T
+        grad[rows, rows.start :] = block
+        square, lower = grad[rows, rows], np.tril_indices(rows.stop - rows.start, -1)
+        square[lower] = square.T[lower]
+    return grad
 
 
 def per_node_gradients(

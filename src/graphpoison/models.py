@@ -8,6 +8,7 @@ dropout and Adam, retrained from scratch for evaluation.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +19,21 @@ from .graph import Graph, normalize_adjacency
 Array = np.ndarray
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """Reject a value that is not an integer (bools included) or is below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be nonnegative" if low == 0 else f"{name} must be >= {low}")
+
+
 def _check_training(lr: float, epochs: int, weight_decay: float, seed: int) -> None:
     if not lr > 0:
         raise ValueError("learning rate must be positive")
-    if epochs < 0:
-        raise ValueError("epochs must be nonnegative")
+    _check_int("epochs", epochs, 0)
     if weight_decay < 0:
         raise ValueError("weight_decay must be nonnegative")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
+    _check_int("seed", seed, 0)
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,7 @@ class VictimHyper:
 
     def __post_init__(self) -> None:
         _check_training(self.lr, self.epochs, self.weight_decay, self.seed)
-        if self.hidden < 1:
-            raise ValueError("hidden must be >= 1")
+        _check_int("hidden", self.hidden, 1)
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 

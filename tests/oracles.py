@@ -6,7 +6,17 @@ faster or more implicitly; tests compare the two.
 
 import numpy as np
 
-from graphpoison import Graph, LossSpec, SurrogateParams
+from graphpoison import (
+    AttackConfig,
+    Graph,
+    LossSpec,
+    SurrogateParams,
+    attack_gradient,
+    constraint_check,
+    flip_edge,
+    pseudo_labels,
+    train_surrogate,
+)
 from graphpoison.gradients import _logit_gradient
 from graphpoison.graph import normalize_adjacency
 from graphpoison.losses import resolve_weights
@@ -88,9 +98,46 @@ def score_flips(grad: np.ndarray, g: Graph) -> list[tuple[int, int, float]]:
     ``score = M[i, j] * (1 - 2 A[i, j])``: positive means the one flip the
     pair admits (add when absent, delete when present) increases the attack
     objective. Descending by score, ties by (i, j). Materializes all
-    N(N-1)/2 candidates; ``meta_attack`` takes an incremental argmax instead.
+    N(N-1)/2 candidates; ``meta_attack`` keeps only the best few per scan.
     """
     iu, ju = np.triu_indices(g.n_nodes, k=1)
     scores = grad[iu, ju] * (1.0 - 2.0 * g.adjacency[iu, ju])
     order = np.lexsort((ju, iu, -scores))
-    return [(int(iu[k]), int(ju[k]), float(scores[k])) for k in order]
+    return list(zip(iu[order].tolist(), ju[order].tolist(), scores[order].tolist()))
+
+
+def dense_greedy_attack(g: Graph, cfg: AttackConfig) -> tuple[list, list[float], list[dict], bool]:
+    """``meta_attack``'s greedy loop over the full N x N gradient.
+
+    Per step: the full ``attack_gradient``, every pair ranked by
+    :func:`score_flips`, and ``constraint_check`` in that order until one
+    passes. Returns the flips, their scores, each step's rejects by reason
+    and whether the loop ran out of allowed positive-score pairs.
+    """
+    params = train_surrogate(g, cfg.surrogate_hyper)
+    pseudo = pseudo_labels(params, g)
+    current, flips, scores, rejects = g, [], [], []
+    for step in range(cfg.budget):
+        if step and step % cfg.retrain_every == 0:
+            params = train_surrogate(current, cfg.surrogate_hyper)
+            if cfg.refresh_pseudo_labels:
+                pseudo = pseudo_labels(params, current)
+        grad = attack_gradient(current, params, cfg.loss_spec, pseudo)
+        done = {(i, j) for i, j, _ in flips}
+        counts = {"singleton": 0, "degree_test": 0}
+        for i, j, score in score_flips(grad, current):
+            if not score > 0.0:
+                return flips, scores, rejects, True
+            if (i, j) in done:
+                continue
+            reason = constraint_check(current, i, j, cfg, reference=g)
+            if reason is None:
+                break
+            counts[reason] += 1
+        else:
+            return flips, scores, rejects, True
+        flips.append((i, j, "delete" if current.csr[i, j] == 1.0 else "add"))
+        scores.append(score)
+        rejects.append(counts)
+        current = flip_edge(current, i, j)
+    return flips, scores, rejects, False

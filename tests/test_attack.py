@@ -18,11 +18,13 @@ from graphpoison import (
     sbm_graph,
     train_surrogate,
 )
+from graphpoison.gradients import CHUNK_ROWS
 
 from .conftest import tiny_graph
-from .oracles import score_flips
+from .oracles import dense_greedy_attack, score_flips
 
 FAST_SURROGATE = SurrogateHyper(epochs=60)
+CA = CAWeightParams(4.5, 1.0, 1.0, 1.0)
 
 
 def _cfg(**kw):
@@ -111,14 +113,16 @@ def test_meta_attack_deterministic(medium_sbm):
     assert np.array_equal(r1.poisoned.adjacency, r2.poisoned.adjacency)
 
 
-def test_meta_attack_holds_one_step_of_n_by_n_arrays():
-    """The traced peak stays near two N x N doubles: the gradient and one
-    temporary of the step being built. Holding the previous step's score
-    matrix while the next is built reads about 3.3 here."""
+def test_meta_attack_holds_two_chunks_of_scores():
+    """The traced peak stays near the two reused CHUNK_ROWS x N score
+    buffers (2.4 of them here, with the surrogate refit beside them), well
+    under one N x N array."""
     import tracemalloc
 
-    g = sbm_graph((100, 100, 100), p_in=0.05, p_out=0.005, seed=0)
+    g = sbm_graph((700, 700, 600), p_in=0.0075, p_out=0.00075, seed=0)
     n = g.n_nodes
+    bound = 3 * CHUNK_ROWS * n * 8
+    assert bound < 0.4 * n * n * 8
     tracemalloc.start()
     try:
         res = meta_attack(g, _cfg(budget=4))
@@ -126,7 +130,7 @@ def test_meta_attack_holds_one_step_of_n_by_n_arrays():
     finally:
         tracemalloc.stop()
     assert len(res.flips) == 4
-    assert peak <= 2.6 * n * n * 8
+    assert peak <= bound
 
 
 def test_meta_attack_trace_is_monotone_and_complete(medium_sbm):
@@ -136,6 +140,8 @@ def test_meta_attack_trace_is_monotone_and_complete(medium_sbm):
         assert tuple(entry["flip"][:2]) == flip[:2]
         assert entry["score"] > 0.0
         assert {"mean", "min", "max", "frac_negative"} <= set(entry["margins"])
+        assert entry["candidates_checked"] == 1 + sum(entry["rejects"].values())
+        assert entry["rejects"]["degree_test"] == 0  # the degree test is off by default
 
 
 def test_meta_attack_chosen_score_dominates_feasible(medium_sbm):
@@ -193,6 +199,73 @@ def test_meta_attack_pinned_flip_lists(medium_sbm, base, ca):
     spec = LossSpec(base, ca, CAWeightParams(4.5, 1.0, 1.0, 1.0) if ca else None)
     res = meta_attack(medium_sbm, _cfg(budget=8, loss_spec=spec))
     assert res.flips == PINNED_META_FLIPS[(base, ca)]
+
+
+@pytest.fixture(scope="module")
+def three_chunk_sbm():
+    g = sbm_graph((250, 250, 200), 0.03, 0.003, seed=0)
+    assert g.n_nodes > 2 * CHUNK_ROWS
+    return g
+
+
+def test_meta_attack_matches_dense_greedy_oracle(three_chunk_sbm):
+    """Flips, trace scores and exhaustion equal the dense loop's exactly, for
+    every loss; the degree test rejects enough pairs to force rescans."""
+    checked = []
+    for spec in (LossSpec("nll"), LossSpec("nll", True, CA), LossSpec("cw"), LossSpec("cw", True, CA)):
+        cfg = _cfg(
+            budget=5,
+            loss_spec=spec,
+            constraints=AttackConstraints(degree_test=True, degree_test_threshold=1e-4),
+        )
+        res = meta_attack(three_chunk_sbm, cfg)
+        flips, scores, rejects, exhausted = dense_greedy_attack(three_chunk_sbm, cfg)
+        assert res.flips == flips
+        assert [t["score"] for t in res.trace] == scores
+        assert [t["rejects"] for t in res.trace] == rejects
+        assert res.exhausted == exhausted
+        checked += [t["candidates_checked"] for t in res.trace]
+    assert max(checked) > attack_module.TOP_M
+
+
+def test_meta_attack_breaks_a_cross_chunk_tie_by_row_major_order(three_chunk_sbm, monkeypatch):
+    """Integer factors make every score exact. The existing edge (c, d) has
+    gradient -6, so deleting it scores 6; pairs (a, x) and (b, x) tie at 4
+    with a and b in different row chunks; a flat 1.0 background ties far
+    past the candidate cut-off in every chunk, and zero scores never flip."""
+    import graphpoison.gradients as gradients_module
+
+    g = three_chunk_sbm
+    n = g.n_nodes
+    a, b, x = CHUNK_ROWS - 56, CHUNK_ROWS + 44, n - 100
+    deg = g.degrees()
+    c, d = next((i, j) for i, j in zip(*g.csr.nonzero()) if 2 * CHUNK_ROWS < i < j and min(deg[i], deg[j]) > 1)
+    assert g.csr[a, x] == g.csr[b, x] == 0.0
+    rng = np.random.default_rng(0)
+    us, vs = np.zeros((3, n)), np.zeros((3, n))
+    us[1], vs[1] = rng.integers(0, 2, n), rng.integers(0, 2, n)  # background scores 0, 0.5 or 1
+    us[:, [a, b, c, d, x]] = vs[:, [a, b, c, d, x]] = 0.0
+    us[0, [a, b]], vs[0, x] = 1.0, 8.0
+    us[2, c], vs[2, d] = 1.0, -12.0
+    real = gradients_module.attack_factors
+
+    def crafted(*args):
+        *_, info = real(*args)
+        return us, vs, np.zeros(n), info
+
+    monkeypatch.setattr(gradients_module, "attack_factors", crafted)
+    monkeypatch.setattr(attack_module, "attack_factors", crafted)
+    cfg = _cfg(budget=10)
+    res = meta_attack(g, cfg)
+    assert res.flips[:3] == [(c, d, "delete"), (a, x, "add"), (b, x, "add")]
+    assert [t["score"] for t in res.trace] == [6.0, 4.0, 4.0] + [1.0] * 7
+    flips, scores, _, exhausted = dense_greedy_attack(g, cfg)
+    assert (res.flips, [t["score"] for t in res.trace], res.exhausted) == (flips, scores, exhausted)
+
+    us[1] = vs[1] = 0.0  # without the background only zero scores follow: the loop must stop
+    res = meta_attack(g, cfg)
+    assert res.flips == flips[:3]
+    assert res.exhausted
 
 
 def _record_graphs(monkeypatch, name, graph_arg):

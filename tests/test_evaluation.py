@@ -42,6 +42,18 @@ def test_evaluate_requires_seeds(small_sbm):
         evaluate(small_sbm, small_sbm, FAST_VICTIM, seeds=())
 
 
+@pytest.mark.parametrize("seeds", [[1.9], [0, True], [np.float64(2.0)]])
+def test_evaluate_rejects_non_integer_seeds(small_sbm, seeds, monkeypatch):
+    import graphpoison.evaluation as evaluation_module
+
+    fits = []
+    monkeypatch.setattr(evaluation_module, "train_victim", lambda g, hyper: fits.append(hyper) or 0.5)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        evaluate(small_sbm, small_sbm, FAST_VICTIM, seeds=seeds)
+    assert fits == []  # checked before the first fit
+    assert evaluate(small_sbm, small_sbm, FAST_VICTIM, seeds=[np.int64(3)]).per_seed_accuracy == [0.5]
+
+
 def test_evaluate_rejects_mismatched_graphs(small_sbm):
     other = sbm_graph((21, 21), 0.3, 0.03, seed=9)
     with pytest.raises(ValueError):

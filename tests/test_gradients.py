@@ -15,6 +15,7 @@ from graphpoison import (
     sbm_graph,
     train_surrogate,
 )
+from graphpoison.gradients import CHUNK_ROWS
 
 from .conftest import tiny_graph
 from .oracles import dense_attack_gradient, node_gradient
@@ -215,6 +216,7 @@ def test_gradient_memory_stays_within_a_few_n_by_n_arrays():
     params, labels = _trained(g, epochs=20)
     spec = LossSpec("nll", True, CA)
     square = n * n * 8
-    # the output itself is one N x N array; symmetrizing it needs one more
-    assert _traced_peak(attack_gradient, g, params, spec, labels) <= 2.5 * square
+    # the output itself is one N x N array; the two reused score blocks and
+    # the mirrored square of each chunk come to about 2.5 chunks of rows
+    assert _traced_peak(attack_gradient, g, params, spec, labels) <= square + 3 * CHUNK_ROWS * n * 8
     assert _traced_peak(per_node_gradients, g, params, spec, labels) <= 0.25 * square

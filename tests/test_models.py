@@ -130,6 +130,24 @@ def test_margins_sign_iff_strictly_misclassified():
     assert np.array_equal(phi < 0, strictly_wrong)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SurrogateHyper(seed=1.5),
+        lambda: SurrogateHyper(epochs=10.0),
+        lambda: SurrogateHyper(seed=-1),
+        lambda: VictimHyper(seed=True),
+        lambda: VictimHyper(epochs=False),
+        lambda: VictimHyper(hidden=16.0),
+        lambda: VictimHyper(hidden=0),
+    ],
+)
+def test_training_hypers_reject_non_integer_counts(make):
+    with pytest.raises(ValueError, match="seed|epochs|hidden"):
+        make()
+    assert SurrogateHyper(seed=np.int64(2), epochs=np.int32(3)).seed == 2
+
+
 def test_margins_need_two_classes():
     with pytest.raises(ValueError):
         margins(np.ones((3, 1)), np.zeros(3, dtype=int))
