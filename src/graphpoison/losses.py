@@ -11,6 +11,7 @@ constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class CAWeightParams:
     beta2: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.alpha1, self.beta1, self.alpha2, self.beta2))):
+            raise ValueError("alphas and betas must be finite")
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ValueError("alphas must be positive")
         if self.beta1 < 0 or self.beta2 < 0:
@@ -61,8 +64,8 @@ class LossSpec:
             raise ValueError("ca_enabled requires ca_params")
         if not self.ca_enabled and self.ca_params is not None:
             raise ValueError("ca_params given but ca_enabled is False")
-        if self.cw_kappa < 0:
-            raise ValueError("cw_kappa must be nonnegative")
+        if not (math.isfinite(self.cw_kappa) and self.cw_kappa >= 0):
+            raise ValueError("cw_kappa must be finite and nonnegative")
 
 
 def _check_mask(mask: Array) -> Array:

@@ -8,6 +8,7 @@ dropout and Adam, retrained from scratch for evaluation.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -17,6 +18,12 @@ import scipy.sparse as sp
 from .graph import Graph, normalize_adjacency
 
 Array = np.ndarray
+
+# Victim features with at most this share of nonzero entries are multiplied
+# as CSR: bag-of-words (~1%) and identity (1/N) features, not dense embeddings.
+SPARSE_FEATURE_DENSITY = 0.1
+# Doubles per block of the input dropout draw: small enough to stay in cache.
+DRAW_BLOCK = 1 << 17
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -28,11 +35,11 @@ def _check_int(name: str, value, low: int) -> None:
 
 
 def _check_training(lr: float, epochs: int, weight_decay: float, seed: int) -> None:
-    if not lr > 0:
-        raise ValueError("learning rate must be positive")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError("learning rate must be finite and positive")
     _check_int("epochs", epochs, 0)
-    if weight_decay < 0:
-        raise ValueError("weight_decay must be nonnegative")
+    if not (math.isfinite(weight_decay) and weight_decay >= 0):
+        raise ValueError("weight_decay must be finite and nonnegative")
     _check_int("seed", seed, 0)
 
 
@@ -102,11 +109,11 @@ def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> Surro
     scale = 1.0 / np.sqrt(d)
     W = rng.uniform(-scale, scale, size=(d, k))
 
-    # Ahat^2 X is fixed during training: the logistic-regression design matrix
+    # The labeled rows of Ahat^2 X are fixed during training: the
+    # logistic-regression design matrix
     ahat = normalize_adjacency(g.csr)
-    f2 = ahat @ (ahat @ g.features)
     idx = np.flatnonzero(g.labeled_mask)
-    f2_lab = f2[idx]
+    f2_lab = ahat[idx] @ (ahat @ g.features)
     y = g.labels[idx]
     onehot = np.eye(k)[y]
 
@@ -156,6 +163,27 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _dropout_factors(rng: np.random.Generator, shape: tuple, flat: Array, keep: float) -> Array:
+    """Factors ``(u < keep) / keep`` at the sorted flat indices ``flat``, where
+    ``u = rng.random(shape)``.
+
+    ``u`` is drawn a block of rows at a time into one buffer of about
+    ``DRAW_BLOCK`` doubles. The stream, and so every factor, is the same as
+    one full-shape draw's; only the entries at ``flat`` are read.
+    """
+    n, d = shape
+    rows = max(1, DRAW_BLOCK // d)
+    block = np.empty((rows, d))
+    kept = np.empty(flat.size)
+    starts = np.arange(0, n, rows)
+    bounds = np.append(np.searchsorted(flat, starts * d), flat.size)
+    for r0, a, b in zip(starts.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+        u = block[: min(rows, n - r0)]
+        rng.random(out=u)
+        kept[a:b] = u.ravel()[flat[a:b] - r0 * d] < keep
+    return kept / keep
+
+
 def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     """Train the two-layer GCN victim; return its accuracy on the unlabeled pool.
 
@@ -163,6 +191,13 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     to the input features and the hidden activations during training only.
     Accuracy is the eval-mode argmax of Ahat relu(Ahat X W1) W2 against
     ground truth. Deterministic given ``hyper.seed``.
+
+    Features whose share of nonzero entries is at most
+    ``SPARSE_FEATURE_DENSITY`` are multiplied as CSR, so an epoch costs
+    O(nnz(X) h) on the feature side. The input dropout mask is still drawn
+    over every entry, so both paths consume the same random stream, but it
+    is read only at the nonzeros. Only the labeled rows carry a loss
+    gradient, so the output layer is computed on those rows alone.
     """
     rng = np.random.default_rng(hyper.seed)
     d, k, h = g.features.shape[1], g.n_classes, hyper.hidden
@@ -170,10 +205,20 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     W2 = _glorot(rng, h, k)
 
     ahat_sp = normalize_adjacency(g.csr)
-    X = g.features
     idx = np.flatnonzero(g.labeled_mask)
+    a_lab = ahat_sp[idx]  # Ahat is symmetric, so a_lab.T is Ahat[:, idx]
+    a_lab_t = a_lab.T.tocsr()
     onehot = np.eye(k)[g.labels[idx]]
     keep = 1.0 - hyper.dropout
+
+    X = g.features
+    flat = np.flatnonzero(X)
+    sparse = flat.size <= SPARSE_FEATURE_DENSITY * X.size
+    if sparse:
+        X = sp.csr_matrix(X)  # data in row-major order, the order of flat
+    else:
+        flat = np.arange(X.size)
+    xd = X.copy() if sparse and hyper.dropout > 0.0 else X
 
     # Adam state
     m1 = np.zeros_like(W1); v1 = np.zeros_like(W1)
@@ -182,9 +227,11 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
 
     for t in range(1, hyper.epochs + 1):
         if hyper.dropout > 0.0:
-            xd = X * ((rng.random(X.shape) < keep) / keep)
-        else:
-            xd = X
+            factors = _dropout_factors(rng, X.shape, flat, keep)
+            if sparse:
+                np.multiply(X.data, factors, out=xd.data)
+            else:
+                xd = X * factors.reshape(X.shape)
         s1 = ahat_sp @ (xd @ W1)
         hidden = np.maximum(s1, 0.0)
         if hyper.dropout > 0.0:
@@ -192,14 +239,11 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
             hd = hidden * mask_h
         else:
             hd = hidden
-        ah = ahat_sp @ hd
-        logits = ah @ W2
+        ah_lab = a_lab @ hd
+        g_z = (softmax(ah_lab @ W2) - onehot) / len(idx)
 
-        g_z = np.zeros_like(logits)
-        g_z[idx] = (softmax(logits[idx]) - onehot) / len(idx)
-
-        g_w2 = ah.T @ g_z + hyper.weight_decay * W2
-        g_hd = ahat_sp @ (g_z @ W2.T)
+        g_w2 = ah_lab.T @ g_z + hyper.weight_decay * W2
+        g_hd = a_lab_t @ (g_z @ W2.T)
         g_hidden = g_hd * mask_h if hyper.dropout > 0.0 else g_hd
         g_s1 = g_hidden * (s1 > 0.0)
         g_w1 = xd.T @ (ahat_sp @ g_s1) + hyper.weight_decay * W1

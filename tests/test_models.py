@@ -1,13 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from graphpoison import (
+    CAWeightParams,
     Graph,
+    LossSpec,
     SurrogateHyper,
     SurrogateParams,
     VictimHyper,
     build_graph,
     forward_logits,
+    load_dataset,
     margins,
     normalize_adjacency,
     pseudo_labels,
@@ -15,7 +20,8 @@ from graphpoison import (
     train_surrogate,
     train_victim,
 )
-from .conftest import tiny_graph
+from graphpoison import models
+from .conftest import tiny_graph, write_plain_dataset
 from .oracles import surrogate_nll
 
 
@@ -148,6 +154,26 @@ def test_training_hypers_reject_non_integer_counts(make):
     assert SurrogateHyper(seed=np.int64(2), epochs=np.int32(3)).seed == 2
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: SurrogateHyper(lr=float("inf")),
+        lambda: SurrogateHyper(weight_decay=float("nan")),
+        lambda: VictimHyper(lr=float("nan")),
+        lambda: VictimHyper(weight_decay=float("inf")),
+        lambda: CAWeightParams(alpha1=float("inf")),
+        lambda: CAWeightParams(beta1=float("nan")),
+        lambda: CAWeightParams(alpha2=float("nan")),
+        lambda: CAWeightParams(beta2=float("inf")),
+        lambda: LossSpec("cw", cw_kappa=float("nan")),
+        lambda: LossSpec("cw", cw_kappa=float("inf")),
+    ],
+)
+def test_hyperparameters_reject_non_finite_values(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
+
+
 def test_margins_need_two_classes():
     with pytest.raises(ValueError):
         margins(np.ones((3, 1)), np.zeros(3, dtype=int))
@@ -184,3 +210,79 @@ def test_train_victim_permutation_invariant_accuracy():
     acc = train_victim(g, hyper)
     acc_p = train_victim(gp, hyper)
     assert np.isclose(acc, acc_p)
+
+
+def _bow_sbm(block=40, dim=300, seed=3) -> Graph:
+    """Three-block SBM with binary bag-of-words features, about 2.5% nonzero."""
+    g = sbm_graph((block,) * 3, p_in=0.12 * 40 / block, p_out=0.02 * 40 / block, seed=seed)
+    rng = np.random.default_rng(11)
+    topics = rng.random((3, dim)) < 0.1
+    probs = np.where(topics, 0.06, 0.02)
+    X = (rng.random((g.n_nodes, dim)) < probs[g.labels]).astype(float)
+    return Graph(g.csr, X, g.labels, g.labeled_mask, g.n_classes)
+
+
+def _identity_featured(tmp_path) -> Graph:
+    """A featureless dataset: ``load_dataset`` gives it N x N identity features."""
+    src = sbm_graph((40, 40, 40), p_in=0.12, p_out=0.02, seed=3)
+    return load_dataset(write_plain_dataset(src, tmp_path, features=False))
+
+
+def _victim_accuracies(g, dropout):
+    return [train_victim(g, VictimHyper(epochs=60, dropout=dropout, seed=s)) for s in range(3)]
+
+
+# Victim accuracies per seed at epochs=60, keyed by features and dropout,
+# recorded when every feature product was dense. Both feature matrices are
+# sparse enough to be multiplied as CSR, which must not change a prediction.
+PINNED_SPARSE_VICTIM_ACCURACIES = {
+    ("bag_of_words", 0.5): [0.8888888888888888, 0.8703703703703703, 0.8796296296296297],
+    ("bag_of_words", 0.0): [0.8888888888888888, 0.8796296296296297, 0.8796296296296297],
+    ("identity", 0.5): [0.6759259259259259, 0.6759259259259259, 0.6111111111111112],
+    ("identity", 0.0): [0.7870370370370371, 0.8055555555555556, 0.7777777777777778],
+}
+
+
+@pytest.mark.parametrize("features, dropout", sorted(PINNED_SPARSE_VICTIM_ACCURACIES))
+def test_train_victim_pinned_sparse_feature_accuracies(features, dropout, tmp_path):
+    g = _bow_sbm() if features == "bag_of_words" else _identity_featured(tmp_path)
+    assert np.count_nonzero(g.features) <= models.SPARSE_FEATURE_DENSITY * g.features.size
+    assert _victim_accuracies(g, dropout) == PINNED_SPARSE_VICTIM_ACCURACIES[features, dropout]
+
+
+@pytest.mark.parametrize("dropout", [0.5, 0.0])
+def test_train_victim_sparse_features_match_the_dense_path(dropout, monkeypatch):
+    g = _bow_sbm()
+    sparse = _victim_accuracies(g, dropout)
+    monkeypatch.setattr(models, "SPARSE_FEATURE_DENSITY", 0.0)
+    assert _victim_accuracies(g, dropout) == sparse
+
+
+@pytest.mark.parametrize("block", [1, 7 * 300, 1 << 17])
+def test_dropout_factors_read_one_full_shape_draw(block, monkeypatch):
+    # 1 row, 7 rows (120 is not a multiple) and all rows per block
+    monkeypatch.setattr(models, "DRAW_BLOCK", block)
+    X = _bow_sbm().features
+    flat = np.flatnonzero(X)
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    got = models._dropout_factors(rng, X.shape, flat, 0.7)
+    want = ((ref.random(X.shape) < 0.7) / 0.7).ravel()[flat]
+    assert np.array_equal(got, want)
+    assert rng.random() == ref.random()  # the stream goes on in step
+
+
+def test_train_victim_holds_no_feature_sized_array_on_sparse_features():
+    g = _bow_sbm(block=400, dim=1000, seed=0)
+    n, d = g.features.shape
+    assert n > 1000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        train_victim(g, VictimHyper(epochs=3, seed=0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # The dropout draw is made in blocks of DRAW_BLOCK doubles, and the CSR
+    # copies and dropout factors scale with nnz(X): one full-shape draw or
+    # dense dropped copy of X would alone be N*d doubles.
+    assert peak <= 0.75 * n * d * 8
