@@ -10,6 +10,7 @@ across classes) over the surrogate's pseudo-labels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .gradients import CHUNK_ROWS, attack_factors, attack_objective, upper_blocks
 from .graph import Graph, count_flips, flip_edge
 from .losses import LossSpec
-from .models import SurrogateHyper, pseudo_labels, train_surrogate
+from .models import SurrogateHyper, _check_int, pseudo_labels, train_surrogate
 
 Array = np.ndarray
 
@@ -40,6 +41,10 @@ class AttackConstraints:
     forbid_singletons: bool = True
     degree_test: bool = False
     degree_test_threshold: float = 0.004
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.degree_test_threshold):
+            raise ValueError("degree_test_threshold must be finite")
 
 
 @dataclass(frozen=True)
@@ -65,14 +70,11 @@ class AttackConfig:
     dice_add_prob: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.budget < 0:
-            raise ValueError("budget must be nonnegative")
-        if self.retrain_every < 1:
-            raise ValueError("retrain_every must be >= 1")
+        _check_int("budget", self.budget, 0)
+        _check_int("retrain_every", self.retrain_every, 1)
+        _check_int("seed", self.seed, 0)
         if not 0.0 <= self.dice_add_prob <= 1.0:
             raise ValueError("dice_add_prob must be in [0, 1]")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)

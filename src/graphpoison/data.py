@@ -20,6 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph, build_graph, largest_component
+from .models import _check_int
 
 EDGES_FILE = "edges.txt"
 LABELS_FILE = "labels.txt"
@@ -36,8 +37,7 @@ def check_split(fraction: float, seed: int) -> None:
     """Raise ValueError unless ``(fraction, seed)`` is a valid split request."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("split fraction must be in (0, 1)")
-    if seed < 0:
-        raise ValueError("split seed must be nonnegative")
+    _check_int("split seed", seed, 0)
 
 
 def seeded_split(n_nodes: int, fraction: float, seed: int) -> np.ndarray:
@@ -124,6 +124,7 @@ def load_dataset(
     """
     if format != PLAIN:
         raise DatasetError(f"unknown dataset format {format!r}")
+    check_split(split_fraction, split_seed)
     labels_path = os.path.join(dir_path, LABELS_FILE)
     labels = _read_labels(labels_path)
     n = labels.size

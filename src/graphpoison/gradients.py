@@ -24,9 +24,15 @@ the base loss for NLL, and its negation for the clamped-margin loss (which
 the attack drives down). Cost-aware weights are computed from the margins
 at the evaluation point and treated as constants, so the gradient of a
 weighted node term is exactly the weight times the unweighted gradient.
+That definition is written once, in :func:`_evaluate`: one forward pass
+yields the logits, the weights, the objective and ``d objective / d logits``,
+and every reader (``attack_objective``, ``attack_factors``,
+``per_node_gradients``, ``finite_difference_gradient``) takes them from it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,6 +42,27 @@ from .models import SurrogateParams, forward_logits, margins, runner_up, softmax
 
 Array = np.ndarray
 CHUNK_ROWS = 256  # rows per score block: two blocks of CHUNK_ROWS x N doubles at a time
+
+
+def _evaluate(
+    ahat, features: Array, params: SurrogateParams, labels: Array, mask: Array, spec: LossSpec, weights=None
+) -> tuple[Array, Array, float, Array]:
+    """``(logits, weights, objective, d objective / d logits)`` at ``ahat``; weights resolved if None."""
+    logits = forward_logits(params, ahat, features)
+    if weights is None:
+        weights = resolve_weights(logits, labels, spec)
+    total, _ = loss_value(logits, labels, mask, spec, weights)
+    rows = np.flatnonzero(mask)
+    g_z = np.zeros_like(logits)
+    if spec.base == NLL:
+        probs = softmax(logits[rows])
+        probs[np.arange(len(rows)), labels[rows]] -= 1.0
+        g_z[rows] = weights[rows, None] * probs
+        return logits, weights, total, g_z
+    active = rows[margins(logits[rows], labels[rows]) > -spec.cw_kappa]
+    g_z[active, labels[active]] = -weights[active]
+    g_z[active, runner_up(logits[active], labels[active])] = weights[active]
+    return logits, weights, -total, g_z  # the attack drives the clamped margin down
 
 
 def attack_objective(
@@ -53,26 +80,7 @@ def attack_objective(
     it is the negated weighted clamp sum. ``weights`` freezes the
     cost-aware schedule at externally computed values.
     """
-    logits = forward_logits(params, normalize_adjacency(adjacency), features)
-    total, _ = loss_value(logits, labels, mask, spec, weights)
-    return total if spec.base == NLL else -total
-
-
-def _logit_gradient(logits: Array, labels: Array, mask: Array, spec: LossSpec, weights: Array) -> Array:
-    """d objective / d logits, nonzero only on masked rows."""
-    rows = np.flatnonzero(mask)
-    g_z = np.zeros_like(logits)
-    if spec.base == NLL:
-        probs = softmax(logits[rows])
-        probs[np.arange(len(rows)), labels[rows]] -= 1.0
-        g_z[rows] = weights[rows, None] * probs
-    else:
-        phi = margins(logits, labels)
-        second = runner_up(logits, labels)
-        active = rows[phi[rows] > -spec.cw_kappa]
-        g_z[active, labels[active]] = -weights[active]
-        g_z[active, second[active]] = weights[active]
-    return g_z
+    return _evaluate(normalize_adjacency(adjacency), features, params, labels, mask, spec, weights)[2]
 
 
 def _pull_back(u: Array, v: Array, ahat_u: Array, ahat_v: Array, deg: Array) -> tuple[Array, Array, Array]:
@@ -102,11 +110,7 @@ def attack_factors(
     re-evaluates the objective after a flip) and the ``objective`` value.
     """
     ahat = normalize_adjacency(g.csr)
-    logits = forward_logits(params, ahat, g.features)
-    mask = g.unlabeled_mask
-
-    weights = resolve_weights(logits, labels, spec)
-    g_z = _logit_gradient(logits, labels, mask, spec, weights)
+    logits, weights, objective, g_z = _evaluate(ahat, g.features, params, labels, g.unlabeled_mask, spec)
     prop1 = g.features @ params.weight
     prop2, ahat_gz = ahat @ prop1, ahat @ g_z
     us, vs, s = _pull_back(
@@ -116,12 +120,7 @@ def attack_factors(
         np.vstack([logits.T, prop2.T]),  # logits = Ahat prop2
         g.degrees() + 1.0,
     )
-    total, _ = loss_value(logits, labels, mask, spec, weights)
-    info = {
-        "margins": margins(logits, labels),
-        "weights": weights,
-        "objective": total if spec.base == NLL else -total,
-    }
+    info = {"margins": margins(logits, labels), "weights": weights, "objective": objective}
     return us, vs, s, info
 
 
@@ -186,10 +185,7 @@ def per_node_gradients(
     ahat = normalize_adjacency(g.csr)
     prop1 = g.features @ params.weight
     prop2 = ahat @ prop1
-    logits = forward_logits(params, ahat, g.features)
-    weights = resolve_weights(logits, labels, spec)
-    full_mask = np.ones(g.n_nodes, dtype=bool)
-    g_z = _logit_gradient(logits, labels, full_mask, spec, weights)
+    g_z = _evaluate(ahat, g.features, params, labels, g.unlabeled_mask, spec)[3]
     deg = g.degrees() + 1.0
     n = g.n_nodes
 
@@ -224,11 +220,10 @@ def finite_difference_gradient(
     difference is divided by 4h to match ``attack_gradient``. Quadratic in
     h; meant for small graphs (N up to ~30).
     """
-    if h <= 0:
-        raise ValueError("step size h must be positive")
-    logits = forward_logits(params, normalize_adjacency(g.csr), g.features)
-    weights = resolve_weights(logits, labels, spec)
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError("step size h must be finite and positive")
     mask = g.unlabeled_mask
+    weights = _evaluate(normalize_adjacency(g.csr), g.features, params, labels, mask, spec)[1]
 
     n = g.n_nodes
     base = g.adjacency

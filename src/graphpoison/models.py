@@ -145,10 +145,7 @@ def margins(logits: Array, labels: Array) -> Array:
     if k < 2:
         raise ValueError("margins need at least two classes")
     rows = np.arange(n)
-    z_true = logits[rows, labels]
-    masked = logits.copy()
-    masked[rows, labels] = -np.inf
-    return z_true - masked.max(axis=1)
+    return logits[rows, labels] - logits[rows, runner_up(logits, labels)]
 
 
 def runner_up(logits: Array, labels: Array) -> Array:

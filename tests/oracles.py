@@ -17,9 +17,8 @@ from graphpoison import (
     pseudo_labels,
     train_surrogate,
 )
-from graphpoison.gradients import _logit_gradient
+from graphpoison.gradients import _evaluate
 from graphpoison.graph import normalize_adjacency
-from graphpoison.losses import resolve_weights
 from graphpoison.models import forward_logits, log_softmax
 
 
@@ -64,9 +63,8 @@ def _masked_gradient(g: Graph, params: SurrogateParams, spec: LossSpec, labels, 
 
     Weights come from the margins of the full logits, as in the library.
     """
-    logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
-    weights = resolve_weights(logits, labels, spec)
-    return dense_adjacency_gradient(_logit_gradient(logits, labels, mask, spec, weights), g, params)
+    g_z = _evaluate(normalize_adjacency(g.adjacency), g.features, params, labels, mask, spec)[3]
+    return dense_adjacency_gradient(g_z, g, params)
 
 
 def dense_attack_gradient(

@@ -404,3 +404,21 @@ def test_attack_config_validation():
         AttackConfig(retrain_every=0)
     with pytest.raises(ValueError):
         AttackConfig(dice_add_prob=1.5)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: AttackConfig(budget=7, retrain_every=1.5),
+        lambda: AttackConfig(budget=True),
+        lambda: AttackConfig(budget=2.5),
+        lambda: AttackConfig(seed=1.5),
+        lambda: AttackConstraints(degree_test=True, degree_test_threshold=float("nan")),
+        lambda: AttackConstraints(degree_test=True, degree_test_threshold=float("inf")),
+    ],
+    ids=["retrain-every-float", "budget-bool", "budget-float", "seed-float", "threshold-nan", "threshold-inf"],
+)
+def test_attack_config_rejects_non_integer_counts_and_non_finite_threshold(make):
+    with pytest.raises(ValueError, match="integer|finite"):
+        make()
+    assert AttackConfig(budget=np.int64(3), seed=np.int32(1)).budget == 3

@@ -1,0 +1,72 @@
+"""Guard for the benchmark's trace hooks.
+
+``perfbench/bench_trace.py`` times the library by wrapping functions under
+the names their callers look up. A refactor that renames or re-imports one
+of those names leaves its per-layer metric at 0 without failing anything,
+so this test loads the hook table (read-only, by path) and checks that it
+still resolves against the library.
+"""
+
+import importlib.util
+import os
+import sys
+
+import pytest
+
+import graphpoison.gradients as gradients_module
+from graphpoison import AttackConfig, SurrogateHyper, meta_attack, sbm_graph
+
+from .conftest import REPO_ROOT
+
+TRACE_PATH = os.path.join(REPO_ROOT, "perfbench", "bench_trace.py")
+
+# Hooks on names the library no longer has; the next change to the
+# benchmark re-targets them (ROADMAP, "Mend the benchmark").
+KNOWN_STALE = {
+    "graphpoison.graph.normalize_dense",
+    "graphpoison.gradients.normalize_dense",
+    "graphpoison.graph.NormalizedAdjacency.sparse",
+    "graphpoison.graph.Graph.with_adjacency",
+    "graphpoison.attack.attack_gradient",
+}
+
+
+@pytest.fixture(scope="module")
+def bench_trace():
+    if not os.path.exists(TRACE_PATH):
+        pytest.skip("perfbench/bench_trace.py is not in this checkout")
+    spec = importlib.util.spec_from_file_location("bench_trace_under_test", TRACE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_only_the_known_stale_hooks_fail_to_resolve(bench_trace):
+    tracer = bench_trace.Tracer()
+    with tracer.installed(bench_trace.STAGE_HOOKS + bench_trace.LAYER_HOOKS):
+        pass
+    assert set(tracer.missing) <= KNOWN_STALE
+
+
+def test_resolved_hooks_fire_in_an_attack_and_are_restored(bench_trace):
+    g = sbm_graph((20, 20), 0.2, 0.02, seed=1)
+    cfg = AttackConfig(budget=2, surrogate_hyper=SurrogateHyper(epochs=20))
+    original = gradients_module.loss_value
+    tracer = bench_trace.Tracer()
+    with tracer.installed(bench_trace.LAYER_HOOKS):
+        meta_attack(g, cfg)
+    assert gradients_module.loss_value is original
+    fired = {span.name for span in tracer.spans}
+    expected = {
+        "graph.normalize",
+        "models.surrogate",
+        "models.pseudo_label",
+        "losses.loss",
+        "gradients.objective",
+        "attack.constraint",
+    }
+    assert expected <= fired

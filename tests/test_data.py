@@ -77,6 +77,15 @@ def test_seeded_split_validates_fraction():
         seeded_split(10, 1.0, 0)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, -1])
+def test_seeded_split_validates_seed(tmp_path, seed):
+    with pytest.raises(ValueError, match="split seed"):
+        seeded_split(50, 0.1, seed)
+    # rejected before any file is read: the directory does not exist
+    with pytest.raises(ValueError, match="split seed"):
+        load_dataset(str(tmp_path / "missing"), split_seed=seed)
+
+
 def test_negative_label_rejected(tmp_path):
     d = tmp_path / "ds"
     os.makedirs(d)

@@ -15,7 +15,7 @@ from graphpoison import (
     sbm_graph,
     train_surrogate,
 )
-from graphpoison.gradients import CHUNK_ROWS
+from graphpoison.gradients import CHUNK_ROWS, attack_factors, attack_objective
 
 from .conftest import tiny_graph
 from .oracles import dense_attack_gradient, node_gradient
@@ -79,8 +79,20 @@ def test_fd_quadratic_convergence():
 def test_fd_rejects_nonpositive_step():
     g = tiny_graph()
     params, labels = _trained(g, epochs=5)
-    with pytest.raises(ValueError):
-        finite_difference_gradient(g, params, LossSpec("nll"), labels, h=0.0)
+    for h in (0.0, -1e-5, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            finite_difference_gradient(g, params, LossSpec("nll"), labels, h=h)
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=["nll", "cw", "ca-nll", "ca-cw"])
+def test_factors_report_the_objective_attack_objective_evaluates(spec):
+    # the attack loop compares info["objective"] with attack_objective after a
+    # flip: both must come from one evaluation, so they agree to the last bit
+    g = sbm_graph((15, 15, 15), 0.2, 0.02, seed=2)
+    params, labels = _trained(g)
+    _, _, _, info = attack_factors(g, params, spec, labels)
+    again = attack_objective(g.csr, g.features, params, labels, g.unlabeled_mask, spec, weights=info["weights"])
+    assert info["objective"] == again
 
 
 def test_ca_unit_weights_reduce_to_base_gradient():

@@ -174,6 +174,17 @@ def test_hyperparameters_reject_non_finite_values(make):
         make()
 
 
+def test_margins_read_the_runner_up_logit():
+    rng = np.random.default_rng(3)
+    logits = rng.integers(-2, 3, size=(60, 4)).astype(float) / 3.0  # many exact ties
+    labels = rng.integers(0, 4, size=60)
+    rows = np.arange(60)
+    expected = logits[rows, labels] - logits[rows, models.runner_up(logits, labels)]
+    phi = margins(logits, labels)
+    assert phi.tobytes() == expected.tobytes()
+    assert (phi == 0.0).any()
+
+
 def test_margins_need_two_classes():
     with pytest.raises(ValueError):
         margins(np.ones((3, 1)), np.zeros(3, dtype=int))
