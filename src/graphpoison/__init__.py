@@ -13,12 +13,7 @@ from .attack import (
 from .data import DatasetError, load_dataset, seeded_split
 from .evaluation import EvalReport, evaluate, margin_gradient_scatter
 from .experiment import ConfigError, ExperimentConfig, apply_flips, run_experiment
-from .gradients import (
-    attack_gradient,
-    attack_objective,
-    finite_difference_gradient,
-    per_node_gradients,
-)
+from .gradients import attack_objective, finite_difference_gradient, per_node_gradients
 from .graph import (
     Graph,
     build_graph,
@@ -57,7 +52,6 @@ __all__ = [
     "SurrogateParams",
     "VictimHyper",
     "apply_flips",
-    "attack_gradient",
     "attack_objective",
     "build_graph",
     "ca_weights",

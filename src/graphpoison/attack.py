@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradients import CHUNK_ROWS, attack_factors, attack_objective, upper_blocks
-from .graph import Graph, count_flips, flip_edge
+from .graph import Graph, _check_pair, count_flips, flip_edge
 from .losses import LossSpec
-from .models import SurrogateHyper, _check_int, pseudo_labels, train_surrogate
+from .models import SurrogateHyper, _check_bool, _check_int, pseudo_labels, train_surrogate
 
 Array = np.ndarray
 
@@ -43,6 +43,8 @@ class AttackConstraints:
     degree_test_threshold: float = 0.004
 
     def __post_init__(self) -> None:
+        _check_bool("forbid_singletons", self.forbid_singletons)
+        _check_bool("degree_test", self.degree_test)
         if not math.isfinite(self.degree_test_threshold):
             raise ValueError("degree_test_threshold must be finite")
 
@@ -73,6 +75,7 @@ class AttackConfig:
         _check_int("budget", self.budget, 0)
         _check_int("retrain_every", self.retrain_every, 1)
         _check_int("seed", self.seed, 0)
+        _check_bool("refresh_pseudo_labels", self.refresh_pseudo_labels)
         if not 0.0 <= self.dice_add_prob <= 1.0:
             raise ValueError("dice_add_prob must be in [0, 1]")
 
@@ -119,10 +122,10 @@ def constraint_check(
     Returns None when allowed, otherwise a reject reason ("singleton" or
     "degree_test"). ``reference`` is the graph whose degree distribution
     the test compares against (the clean graph inside the attack loop;
-    defaults to ``g``).
+    defaults to ``g``). Raises ValueError for a self-loop or an id outside
+    ``g``, as :func:`flip_edge` does.
     """
-    if i == j:
-        raise ValueError("self-loops cannot be flipped")
+    _check_pair(g, i, j)
     rules = cfg.constraints
     deleting = g.csr[i, j] == 1.0
     deg = g.degrees()

@@ -13,21 +13,21 @@ with ``d`` the degrees of ``A + I`` and ``r``/``c`` the row/column sums of
 ``c = sum_k v_k * Ahat u_k``, so :func:`_pull_back` needs no N x N array.
 Nor does scoring: :func:`pair_scores` scores a block of pairs from the
 factors, and the attack loop scans the upper triangle in row chunks
-(:func:`upper_blocks`, O(CHUNK_ROWS * N) memory). ``attack_gradient``
-assembles the N x N array from the same blocks; ``per_node_gradients``
-builds none.
-The dense formula is kept as a test oracle (``tests/oracles.py``), beside
-``finite_difference_gradient``.
+(:func:`upper_blocks`, O(CHUNK_ROWS * N) memory); ``per_node_gradients``
+builds no N x N array either. The dense N x N gradient, assembled from
+the same blocks, and the dense formula are test oracles
+(``tests/oracles.py``), beside ``finite_difference_gradient``.
 
 The attack maximizes a single scalar objective: the weighted masked sum of
 the base loss for NLL, and its negation for the clamped-margin loss (which
 the attack drives down). Cost-aware weights are computed from the margins
 at the evaluation point and treated as constants, so the gradient of a
 weighted node term is exactly the weight times the unweighted gradient.
-That definition is written once, in :func:`_evaluate`: one forward pass
-yields the logits, the weights, the objective and ``d objective / d logits``,
-and every reader (``attack_objective``, ``attack_factors``,
-``per_node_gradients``, ``finite_difference_gradient``) takes them from it.
+That definition is written once, in :func:`_evaluate`: from the logits of
+one forward pass it computes the margins once, and from them the weights,
+the objective and ``d objective / d logits``. Every reader
+(``attack_objective``, ``attack_factors``, ``per_node_gradients``,
+``finite_difference_gradient``) takes them from it.
 """
 
 from __future__ import annotations
@@ -45,12 +45,12 @@ CHUNK_ROWS = 256  # rows per score block: two blocks of CHUNK_ROWS x N doubles a
 
 
 def _evaluate(
-    ahat, features: Array, params: SurrogateParams, labels: Array, mask: Array, spec: LossSpec, weights=None
+    logits: Array, labels: Array, mask: Array, spec: LossSpec, weights=None
 ) -> tuple[Array, Array, float, Array]:
-    """``(logits, weights, objective, d objective / d logits)`` at ``ahat``; weights resolved if None."""
-    logits = forward_logits(params, ahat, features)
+    """``(margins, weights, objective, d objective / d logits)`` at ``logits``; weights resolved if None."""
+    phi = margins(logits, labels)
     if weights is None:
-        weights = resolve_weights(logits, labels, spec)
+        weights = resolve_weights(phi, spec)
     total, _ = loss_value(logits, labels, mask, spec, weights)
     rows = np.flatnonzero(mask)
     g_z = np.zeros_like(logits)
@@ -58,11 +58,11 @@ def _evaluate(
         probs = softmax(logits[rows])
         probs[np.arange(len(rows)), labels[rows]] -= 1.0
         g_z[rows] = weights[rows, None] * probs
-        return logits, weights, total, g_z
-    active = rows[margins(logits[rows], labels[rows]) > -spec.cw_kappa]
+        return phi, weights, total, g_z
+    active = rows[phi[rows] > -spec.cw_kappa]
     g_z[active, labels[active]] = -weights[active]
     g_z[active, runner_up(logits[active], labels[active])] = weights[active]
-    return logits, weights, -total, g_z  # the attack drives the clamped margin down
+    return phi, weights, -total, g_z  # the attack drives the clamped margin down
 
 
 def attack_objective(
@@ -80,7 +80,8 @@ def attack_objective(
     it is the negated weighted clamp sum. ``weights`` freezes the
     cost-aware schedule at externally computed values.
     """
-    return _evaluate(normalize_adjacency(adjacency), features, params, labels, mask, spec, weights)[2]
+    logits = forward_logits(params, normalize_adjacency(adjacency), features)
+    return _evaluate(logits, labels, mask, spec, weights)[2]
 
 
 def _pull_back(u: Array, v: Array, ahat_u: Array, ahat_v: Array, deg: Array) -> tuple[Array, Array, Array]:
@@ -110,17 +111,19 @@ def attack_factors(
     re-evaluates the objective after a flip) and the ``objective`` value.
     """
     ahat = normalize_adjacency(g.csr)
-    logits, weights, objective, g_z = _evaluate(ahat, g.features, params, labels, g.unlabeled_mask, spec)
     prop1 = g.features @ params.weight
-    prop2, ahat_gz = ahat @ prop1, ahat @ g_z
+    prop2 = ahat @ prop1
+    logits = ahat @ prop2
+    phi, weights, objective, g_z = _evaluate(logits, labels, g.unlabeled_mask, spec)
+    ahat_gz = ahat @ g_z
     us, vs, s = _pull_back(
         np.vstack([g_z.T, ahat_gz.T]),
         np.vstack([prop2.T, prop1.T]),
         np.vstack([ahat_gz.T, (ahat @ ahat_gz).T]),
-        np.vstack([logits.T, prop2.T]),  # logits = Ahat prop2
+        np.vstack([logits.T, prop2.T]),
         g.degrees() + 1.0,
     )
-    info = {"margins": margins(logits, labels), "weights": weights, "objective": objective}
+    info = {"margins": phi, "weights": weights, "objective": objective}
     return us, vs, s, info
 
 
@@ -141,36 +144,19 @@ def pair_scores(us: Array, vs: Array, s: Array, rows: slice, cols: slice, out=No
     return out
 
 
-def upper_blocks(us: Array, vs: Array, s: Array, buffers: Array | None = None):
+def upper_blocks(us: Array, vs: Array, s: Array, buffers: Array):
     """Yield ``(rows, pair_scores(us, vs, s, rows, r0:N))`` for row chunks ``rows = r0:r1``.
 
     A block is valid until the next is drawn: all live in ``buffers``, a
-    (2, CHUNK_ROWS * N) array, new if None. BLAS rounds an entry by the
-    shape of its product, so all score readers come through here.
+    (2, CHUNK_ROWS * N) array. BLAS rounds an entry by the shape of its
+    product, so all score readers come through here.
     """
     n = s.size
-    buffers = np.empty((2, CHUNK_ROWS * n)) if buffers is None else buffers
     for r0 in range(0, n, CHUNK_ROWS):
         rows = slice(r0, min(r0 + CHUNK_ROWS, n))
         shape = (rows.stop - r0, n - r0)
         out, work = (b[: shape[0] * shape[1]].reshape(shape) for b in buffers)
         yield rows, pair_scores(us, vs, s, rows, slice(r0, n), out, work)
-
-
-def attack_gradient(g: Graph, params: SurrogateParams, spec: LossSpec, labels: Array) -> Array:
-    """Analytic gradient of the attack objective over the unlabeled nodes.
-
-    The symmetrized (N, N) array ``(M + M^T)/2`` with a zero diagonal: the
-    upper triangle from :func:`upper_blocks`, mirrored.
-    """
-    us, vs, s, _ = attack_factors(g, params, spec, labels)
-    grad = np.empty((s.size, s.size))
-    for rows, block in upper_blocks(us, vs, s):
-        grad[rows.start :, rows] = block.T
-        grad[rows, rows.start :] = block
-        square, lower = grad[rows, rows], np.tril_indices(rows.stop - rows.start, -1)
-        square[lower] = square.T[lower]
-    return grad
 
 
 def per_node_gradients(
@@ -185,7 +171,7 @@ def per_node_gradients(
     ahat = normalize_adjacency(g.csr)
     prop1 = g.features @ params.weight
     prop2 = ahat @ prop1
-    g_z = _evaluate(ahat, g.features, params, labels, g.unlabeled_mask, spec)[3]
+    g_z = _evaluate(ahat @ prop2, labels, g.unlabeled_mask, spec)[3]
     deg = g.degrees() + 1.0
     n = g.n_nodes
 
@@ -211,22 +197,23 @@ def finite_difference_gradient(
     labels: Array,
     h: float = 1e-5,
 ) -> Array:
-    """Central-difference oracle for :func:`attack_gradient`.
+    """Central-difference oracle for the symmetrized attack gradient.
 
     Perturbs both mirrored entries of each unordered pair together by +-h
-    on the relaxed adjacency, renormalizes, and re-evaluates the objective
-    with the cost-aware weights frozen at the unperturbed point. The paired
-    step measures twice the per-entry symmetrized gradient, so the central
-    difference is divided by 4h to match ``attack_gradient``. Quadratic in
-    h; meant for small graphs (N up to ~30).
+    on a dense relaxed copy of the adjacency, renormalizes, and re-evaluates
+    the objective with the cost-aware weights frozen at the unperturbed
+    point. The paired step measures twice the per-entry symmetrized
+    gradient, so the central difference is divided by 4h to match
+    :func:`pair_scores` over all pairs. Quadratic in h; meant for small
+    graphs (N up to ~30).
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError("step size h must be finite and positive")
     mask = g.unlabeled_mask
-    weights = _evaluate(normalize_adjacency(g.csr), g.features, params, labels, mask, spec)[1]
+    weights = _evaluate(forward_logits(params, normalize_adjacency(g.csr), g.features), labels, mask, spec)[1]
 
     n = g.n_nodes
-    base = g.adjacency
+    base = g.csr.toarray()
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

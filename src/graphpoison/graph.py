@@ -186,6 +186,14 @@ def largest_connected_component(g: Graph) -> Graph:
     )
 
 
+def _check_pair(g: Graph, i: int, j: int) -> None:
+    """Raise ValueError unless {i, j} is a flippable pair of ``g``: two distinct ids in range."""
+    if i == j:
+        raise ValueError("cannot flip a self-loop")
+    if not (0 <= i < g.n_nodes and 0 <= j < g.n_nodes):
+        raise ValueError(f"pair ({i}, {j}) out of range for {g.n_nodes} nodes")
+
+
 def flip_edge(g: Graph, i: int, j: int) -> Graph:
     """Toggle the undirected edge {i, j}; returns a new Graph.
 
@@ -194,10 +202,7 @@ def flip_edge(g: Graph, i: int, j: int) -> Graph:
     mask and is not re-validated: toggling a mirrored off-diagonal pair of a
     canonical adjacency keeps it canonical, symmetric and zero-diagonal.
     """
-    if i == j:
-        raise ValueError("cannot flip a self-loop")
-    if not (0 <= i < g.n_nodes and 0 <= j < g.n_nodes):
-        raise ValueError(f"pair ({i}, {j}) out of range for {g.n_nodes} nodes")
+    _check_pair(g, i, j)
     step = 1.0 - 2.0 * g.csr[i, j]
     A = g.csr + sp.csr_matrix(([step, step], ([i, j], [j, i])), shape=g.csr.shape)
     A.eliminate_zeros()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import log_softmax, margins
+from .models import _check_bool, log_softmax, margins
 
 Array = np.ndarray
 
@@ -60,6 +60,7 @@ class LossSpec:
     def __post_init__(self) -> None:
         if self.base not in _BASES:
             raise ValueError(f"base must be one of {_BASES}, got {self.base!r}")
+        _check_bool("ca_enabled", self.ca_enabled)
         if self.ca_enabled and self.ca_params is None:
             raise ValueError("ca_enabled requires ca_params")
         if not self.ca_enabled and self.ca_params is not None:
@@ -106,12 +107,12 @@ def ca_weights(margin_values: Array, params: CAWeightParams) -> Array:
     return alpha * np.exp(-beta * phi * phi)
 
 
-def resolve_weights(logits: Array, labels: Array, spec: LossSpec) -> Array:
-    """Per-node stop-gradient weights for ``spec`` at the given logits."""
+def resolve_weights(margin_values: Array, spec: LossSpec) -> Array:
+    """Per-node stop-gradient weights for ``spec`` at the given margins."""
     if spec.ca_enabled:
         assert spec.ca_params is not None
-        return ca_weights(margins(logits, labels), spec.ca_params)
-    return np.ones(logits.shape[0])
+        return ca_weights(margin_values, spec.ca_params)
+    return np.ones(len(margin_values))
 
 
 def loss_value(
@@ -119,10 +120,10 @@ def loss_value(
 ) -> tuple[float, Array]:
     """Weighted base loss of ``spec``: per-node ``w(v) * loss(v)``, summed over ``mask``.
 
-    Weights come from :func:`resolve_weights` (the cost-aware schedule, or
-    ones). Passing precomputed ``weights`` freezes the stop-gradient weights
-    when a caller (the finite-difference oracle) re-evaluates the loss at
-    perturbed adjacencies.
+    Weights come from :func:`resolve_weights` at the margins of ``logits``
+    (the cost-aware schedule, or ones). Passing precomputed ``weights``
+    freezes the stop-gradient weights when a caller (the finite-difference
+    oracle) re-evaluates the loss at perturbed adjacencies.
     """
     mask = _check_mask(mask)
     if spec.base == NLL:
@@ -130,6 +131,6 @@ def loss_value(
     else:
         _, per_node = cw_loss(logits, labels, mask, spec.cw_kappa)
     if weights is None:
-        weights = resolve_weights(logits, labels, spec)
+        weights = resolve_weights(margins(logits, labels), spec)
     weighted = weights * per_node
     return float(weighted[mask].sum()), weighted

@@ -34,6 +34,12 @@ def _check_int(name: str, value, low: int) -> None:
         raise ValueError(f"{name} must be nonnegative" if low == 0 else f"{name} must be >= {low}")
 
 
+def _check_bool(name: str, value) -> None:
+    """Reject a switch that is not a bool (a numpy bool is one; 0, 1 and strings are not)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 def _check_training(lr: float, epochs: int, weight_decay: float, seed: int) -> None:
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError("learning rate must be finite and positive")

@@ -11,13 +11,12 @@ from graphpoison import (
     Graph,
     LossSpec,
     SurrogateParams,
-    attack_gradient,
     constraint_check,
     flip_edge,
     pseudo_labels,
     train_surrogate,
 )
-from graphpoison.gradients import _evaluate
+from graphpoison import gradients
 from graphpoison.graph import normalize_adjacency
 from graphpoison.models import forward_logits, log_softmax
 
@@ -36,6 +35,25 @@ def surrogate_nll(params: SurrogateParams, g: Graph) -> float:
     idx = np.flatnonzero(g.labeled_mask)
     logp = log_softmax(logits[idx])
     return float(-logp[np.arange(len(idx)), g.labels[idx]].mean())
+
+
+def attack_gradient(g: Graph, params: SurrogateParams, spec: LossSpec, labels: np.ndarray) -> np.ndarray:
+    """Analytic gradient of the attack objective over the unlabeled nodes, as an (N, N) array.
+
+    The symmetrized ``(M + M^T)/2`` with a zero diagonal: the upper triangle
+    from ``upper_blocks``, mirrored, so each entry equals the score
+    ``meta_attack`` reads for its pair bit for bit. ``attack_factors`` is
+    looked up on its module, where a test may replace it.
+    """
+    us, vs, s, _ = gradients.attack_factors(g, params, spec, labels)
+    n = s.size
+    grad = np.empty((n, n))
+    for rows, block in gradients.upper_blocks(us, vs, s, np.empty((2, gradients.CHUNK_ROWS * n))):
+        grad[rows.start :, rows] = block.T
+        grad[rows, rows.start :] = block
+        square, lower = grad[rows, rows], np.tril_indices(rows.stop - rows.start, -1)
+        square[lower] = square.T[lower]
+    return grad
 
 
 def dense_adjacency_gradient(g_z: np.ndarray, g: Graph, params: SurrogateParams) -> np.ndarray:
@@ -63,14 +81,15 @@ def _masked_gradient(g: Graph, params: SurrogateParams, spec: LossSpec, labels, 
 
     Weights come from the margins of the full logits, as in the library.
     """
-    g_z = _evaluate(normalize_adjacency(g.adjacency), g.features, params, labels, mask, spec)[3]
+    logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
+    g_z = gradients._evaluate(logits, labels, mask, spec)[3]
     return dense_adjacency_gradient(g_z, g, params)
 
 
 def dense_attack_gradient(
     g: Graph, params: SurrogateParams, spec: LossSpec, labels: np.ndarray
 ) -> np.ndarray:
-    """``attack_gradient`` by the dense formula: ``(M + M^T) / 2`` over the unlabeled nodes."""
+    """:func:`attack_gradient` by the dense formula: ``(M + M^T) / 2`` over the unlabeled nodes."""
     raw = _masked_gradient(g, params, spec, labels, g.unlabeled_mask)
     return (raw + raw.T) / 2.0
 
@@ -81,7 +100,7 @@ def node_gradient(
     """Raw (unsymmetrized) N x N gradient of one node's weighted objective term.
 
     Weights still come from the margins of the full logits, exactly as in
-    ``attack_gradient``; only the loss term is restricted to ``node``.
+    :func:`attack_gradient`; only the loss term is restricted to ``node``.
     ``per_node_gradients`` returns the Frobenius norms of these matrices
     without materializing them.
     """
@@ -107,7 +126,7 @@ def score_flips(grad: np.ndarray, g: Graph) -> list[tuple[int, int, float]]:
 def dense_greedy_attack(g: Graph, cfg: AttackConfig) -> tuple[list, list[float], list[dict], bool]:
     """``meta_attack``'s greedy loop over the full N x N gradient.
 
-    Per step: the full ``attack_gradient``, every pair ranked by
+    Per step: the full :func:`attack_gradient`, every pair ranked by
     :func:`score_flips`, and ``constraint_check`` in that order until one
     passes. Returns the flips, their scores, each step's rejects by reason
     and whether the loop ran out of allowed positive-score pairs.

@@ -19,7 +19,6 @@ from graphpoison import (
     LossSpec,
     SurrogateHyper,
     VictimHyper,
-    attack_gradient,
     count_flips,
     dice_attack,
     evaluate,
@@ -35,10 +34,10 @@ from graphpoison import (
 )
 from graphpoison.losses import resolve_weights
 from graphpoison.graph import normalize_adjacency
-from graphpoison.models import forward_logits
+from graphpoison.models import forward_logits, margins
 
 from .conftest import CORA_DIR, requires_cora, tiny_graph, write_plain_dataset
-from .oracles import node_gradient
+from .oracles import attack_gradient, node_gradient
 
 CORA_PARAMS = CAWeightParams(alpha1=4.5, beta1=1.0, alpha2=1.0, beta2=1.0)
 
@@ -106,7 +105,7 @@ def test_criterion_3_ca_scaling_identity():
     spec_ca = LossSpec("nll", True, CORA_PARAMS)
 
     logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
-    weights = resolve_weights(logits, labels, spec_ca)
+    weights = resolve_weights(margins(logits, labels), spec_ca)
     for v in np.flatnonzero(g.unlabeled_mask):
         base_mat = node_gradient(g, params, LossSpec("nll"), labels, v)
         ca_mat = node_gradient(g, params, spec_ca, labels, v)

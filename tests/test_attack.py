@@ -13,6 +13,7 @@ from graphpoison import (
     count_flips,
     degree_likelihood_ratio,
     dice_attack,
+    flip_edge,
     meta_attack,
     pseudo_labels,
     sbm_graph,
@@ -21,7 +22,7 @@ from graphpoison import (
 from graphpoison.gradients import CHUNK_ROWS
 
 from .conftest import tiny_graph
-from .oracles import dense_greedy_attack, score_flips
+from .oracles import attack_gradient, dense_greedy_attack, score_flips
 
 FAST_SURROGATE = SurrogateHyper(epochs=60)
 CA = CAWeightParams(4.5, 1.0, 1.0, 1.0)
@@ -145,7 +146,7 @@ def test_meta_attack_trace_is_monotone_and_complete(medium_sbm):
 
 
 def test_meta_attack_chosen_score_dominates_feasible(medium_sbm):
-    from graphpoison import attack_gradient, pseudo_labels, train_surrogate
+    from graphpoison import pseudo_labels, train_surrogate
 
     cfg = _cfg(budget=1)
     res = meta_attack(medium_sbm, cfg)
@@ -422,3 +423,36 @@ def test_attack_config_rejects_non_integer_counts_and_non_finite_threshold(make)
     with pytest.raises(ValueError, match="integer|finite"):
         make()
     assert AttackConfig(budget=np.int64(3), seed=np.int32(1)).budget == 3
+
+
+SWITCHES = [
+    lambda v: LossSpec("nll", v, CA if v else None),
+    lambda v: AttackConstraints(forbid_singletons=v),
+    lambda v: AttackConstraints(degree_test=v),
+    lambda v: AttackConfig(refresh_pseudo_labels=v),
+]
+SWITCH_IDS = ["ca-enabled", "forbid-singletons", "degree-test", "refresh-pseudo-labels"]
+
+
+@pytest.mark.parametrize("make", SWITCHES, ids=SWITCH_IDS)
+@pytest.mark.parametrize("value", ["false", "no", 0, 1])
+def test_switches_reject_values_that_are_not_bools(make, value):
+    # 'false' is truthy: taken as a switch it would turn the rule on
+    with pytest.raises(ValueError, match="must be a bool"):
+        make(value)
+
+
+@pytest.mark.parametrize("make", SWITCHES, ids=SWITCH_IDS)
+def test_switches_accept_python_and_numpy_bools(make):
+    for value in (True, False, np.bool_(True), np.bool_(False)):
+        make(value)
+
+
+@pytest.mark.parametrize("i, j", [(-1, 3), (3, -1), (20, 3), (3, 20), (5, 5)])
+def test_constraint_check_rejects_pairs_flip_edge_rejects(i, j):
+    # a negative id would otherwise index from the end: (-1, 3) checked pair (19, 3)
+    g = sbm_graph((10, 10), 0.3, 0.05, seed=1)
+    with pytest.raises(ValueError, match="out of range|self-loop"):
+        constraint_check(g, i, j, _cfg())
+    with pytest.raises(ValueError, match="out of range|self-loop"):
+        flip_edge(g, i, j)

@@ -111,7 +111,7 @@ def test_scatter_covers_unlabeled_pool():
 def test_scatter_ca_scales_base_by_weights():
     from graphpoison.losses import resolve_weights
     from graphpoison.graph import normalize_adjacency
-    from graphpoison.models import forward_logits, train_surrogate
+    from graphpoison.models import forward_logits, margins, train_surrogate
 
     g = _noisy_fixture()
     ca = LossSpec("nll", True, CAWeightParams(4.5, 1.0, 1.0, 1.0))
@@ -120,7 +120,7 @@ def test_scatter_ca_scales_base_by_weights():
 
     params = train_surrogate(g)
     logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
-    weights = resolve_weights(logits, g.labels, ca)
+    weights = resolve_weights(margins(logits, g.labels), ca)
     for v in base_rows:
         assert ca_rows[v] == pytest.approx(weights[v] * base_rows[v], rel=1e-9, abs=1e-12)
 

@@ -8,7 +8,6 @@ from graphpoison import (
     LossSpec,
     SurrogateHyper,
     SurrogateParams,
-    attack_gradient,
     finite_difference_gradient,
     per_node_gradients,
     pseudo_labels,
@@ -18,7 +17,7 @@ from graphpoison import (
 from graphpoison.gradients import CHUNK_ROWS, attack_factors, attack_objective
 
 from .conftest import tiny_graph
-from .oracles import dense_attack_gradient, node_gradient
+from .oracles import attack_gradient, dense_attack_gradient, node_gradient
 
 CA = CAWeightParams(4.5, 1.0, 1.0, 1.0)
 ALL_SPECS = [
@@ -95,6 +94,30 @@ def test_factors_report_the_objective_attack_objective_evaluates(spec):
     assert info["objective"] == again
 
 
+@pytest.mark.parametrize(
+    "spec, expected", zip(ALL_SPECS, [1, 2, 1, 2]), ids=["nll", "cw", "ca-nll", "ca-cw"]
+)
+def test_factors_compute_the_margins_once(spec, expected, monkeypatch):
+    # one evaluation shares its margins among the weights, the CW active set
+    # and info["margins"]; the CW loss computes its own
+    import graphpoison.gradients as gradients_module
+    import graphpoison.losses as losses_module
+    from graphpoison.models import margins
+
+    g = sbm_graph((15, 15, 15), 0.2, 0.02, seed=2)
+    params, labels = _trained(g)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return margins(*args)
+
+    for module in (gradients_module, losses_module):
+        monkeypatch.setattr(module, "margins", counted)
+    attack_factors(g, params, spec, labels)
+    assert len(calls) == expected
+
+
 def test_ca_unit_weights_reduce_to_base_gradient():
     g = tiny_graph(n=10, seed=7)
     params, labels = _trained(g)
@@ -129,13 +152,13 @@ def test_fast_norms_match_naive_node_gradients():
 def test_ca_scaling_identity_entrywise():
     from graphpoison.losses import resolve_weights
     from graphpoison.graph import normalize_adjacency
-    from graphpoison.models import forward_logits
+    from graphpoison.models import forward_logits, margins
 
     g = sbm_graph((15, 15), 0.3, 0.03, seed=6)
     params, labels = _trained(g)
     spec_ca = LossSpec("nll", True, CA)
     logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
-    weights = resolve_weights(logits, labels, spec_ca)
+    weights = resolve_weights(margins(logits, labels), spec_ca)
 
     for v in np.flatnonzero(g.unlabeled_mask)[:10]:
         base_mat = node_gradient(g, params, LossSpec("nll"), labels, v)
@@ -149,11 +172,11 @@ def test_per_node_norm_scales_with_weight():
     params, labels = _trained(g)
     from graphpoison.losses import resolve_weights
     from graphpoison.graph import normalize_adjacency
-    from graphpoison.models import forward_logits
+    from graphpoison.models import forward_logits, margins
 
     spec_ca = LossSpec("nll", True, CA)
     logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
-    weights = resolve_weights(logits, labels, spec_ca)
+    weights = resolve_weights(margins(logits, labels), spec_ca)
     base = dict(per_node_gradients(g, params, LossSpec("nll"), labels))
     ca = dict(per_node_gradients(g, params, spec_ca, labels))
     for v in base:
