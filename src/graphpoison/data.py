@@ -53,11 +53,19 @@ def seeded_split(n_nodes: int, fraction: float, seed: int) -> np.ndarray:
 
 
 def _read_labels(path: str) -> np.ndarray:
+    """Class per node; a blank line before the last label would renumber every later node."""
     try:
         with open(path) as fh:
-            labels = [int(line.strip()) for line in fh if line.strip()]
+            lines = [line.strip() for line in fh]
     except FileNotFoundError:
         raise DatasetError(f"missing labels file: {path}")
+    while lines and not lines[-1]:
+        lines.pop()  # trailing blank lines name no node
+    if "" in lines:
+        lineno = lines.index("") + 1
+        raise DatasetError(f"{path}:{lineno}: blank line before the last label (line number = node id)")
+    try:
+        labels = [int(line) for line in lines]
     except ValueError as e:
         raise DatasetError(f"bad label line in {path}: {e}")
     if not labels:

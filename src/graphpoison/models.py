@@ -22,8 +22,6 @@ Array = np.ndarray
 # Victim features with at most this share of nonzero entries are multiplied
 # as CSR: bag-of-words (~1%) and identity (1/N) features, not dense embeddings.
 SPARSE_FEATURE_DENSITY = 0.1
-# Doubles per block of the input dropout draw: small enough to stay in cache.
-DRAW_BLOCK = 1 << 17
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -166,27 +164,6 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _dropout_factors(rng: np.random.Generator, shape: tuple, flat: Array, keep: float) -> Array:
-    """Factors ``(u < keep) / keep`` at the sorted flat indices ``flat``, where
-    ``u = rng.random(shape)``.
-
-    ``u`` is drawn a block of rows at a time into one buffer of about
-    ``DRAW_BLOCK`` doubles. The stream, and so every factor, is the same as
-    one full-shape draw's; only the entries at ``flat`` are read.
-    """
-    n, d = shape
-    rows = max(1, DRAW_BLOCK // d)
-    block = np.empty((rows, d))
-    kept = np.empty(flat.size)
-    starts = np.arange(0, n, rows)
-    bounds = np.append(np.searchsorted(flat, starts * d), flat.size)
-    for r0, a, b in zip(starts.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-        u = block[: min(rows, n - r0)]
-        rng.random(out=u)
-        kept[a:b] = u.ravel()[flat[a:b] - r0 * d] < keep
-    return kept / keep
-
-
 def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     """Train the two-layer GCN victim; return its accuracy on the unlabeled pool.
 
@@ -197,10 +174,11 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
 
     Features whose share of nonzero entries is at most
     ``SPARSE_FEATURE_DENSITY`` are multiplied as CSR, so an epoch costs
-    O(nnz(X) h) on the feature side. The input dropout mask is still drawn
-    over every entry, so both paths consume the same random stream, but it
-    is read only at the nonzeros. Only the labeled rows carry a loss
-    gradient, so the output layer is computed on those rows alone.
+    O(nnz(X) h) on the feature side. The input dropout mask is drawn only
+    at the nonzeros, one uniform each in row-major order, on both paths
+    (a zero entry stays zero whatever its mask); then the N x h hidden mask
+    follows. Only the labeled rows carry a loss gradient, so the output
+    layer is computed on those rows alone.
     """
     rng = np.random.default_rng(hyper.seed)
     d, k, h = g.features.shape[1], g.n_classes, hyper.hidden
@@ -215,12 +193,12 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     keep = 1.0 - hyper.dropout
 
     X = g.features
-    flat = np.flatnonzero(X)
-    sparse = flat.size <= SPARSE_FEATURE_DENSITY * X.size
+    nnz = np.count_nonzero(X)
+    sparse = nnz <= SPARSE_FEATURE_DENSITY * X.size
     if sparse:
-        X = sp.csr_matrix(X)  # data in row-major order, the order of flat
-    else:
-        flat = np.arange(X.size)
+        X = sp.csr_matrix(X)  # data holds the nonzeros in row-major order
+    elif hyper.dropout > 0.0:
+        flat, scatter = np.flatnonzero(X), np.zeros(X.size)  # places the factors
     xd = X.copy() if sparse and hyper.dropout > 0.0 else X
 
     # Adam state
@@ -230,11 +208,12 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
 
     for t in range(1, hyper.epochs + 1):
         if hyper.dropout > 0.0:
-            factors = _dropout_factors(rng, X.shape, flat, keep)
+            factors = (rng.random(nnz) < keep) / keep
             if sparse:
                 np.multiply(X.data, factors, out=xd.data)
             else:
-                xd = X * factors.reshape(X.shape)
+                scatter[flat] = factors
+                xd = X * scatter.reshape(X.shape)
         s1 = ahat_sp @ (xd @ W1)
         hidden = np.maximum(s1, 0.0)
         if hyper.dropout > 0.0:

@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import graphpoison.gradients as gradients_module
-from graphpoison import AttackConfig, SurrogateHyper, meta_attack, sbm_graph
+from graphpoison import AttackConfig, SurrogateHyper, VictimHyper, evaluate, meta_attack, sbm_graph
 
 from .conftest import REPO_ROOT
 
@@ -70,3 +70,12 @@ def test_resolved_hooks_fire_in_an_attack_and_are_restored(bench_trace):
         "attack.constraint",
     }
     assert expected <= fired
+
+
+def test_the_victim_hook_times_every_fit(bench_trace):
+    # models.victim_s_per_fit reads 0 if a victim refactor bypasses the hook
+    g = sbm_graph((20, 20), 0.2, 0.02, seed=1)
+    tracer = bench_trace.Tracer()
+    with tracer.installed(bench_trace.LAYER_HOOKS):
+        evaluate(g, g, VictimHyper(epochs=5), seeds=(0, 1, 2))
+    assert [span.name for span in tracer.spans].count("models.victim") == 3

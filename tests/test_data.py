@@ -95,6 +95,36 @@ def test_negative_label_rejected(tmp_path):
         load_dataset(str(d))
 
 
+def test_blank_label_line_before_the_last_label_rejected(tmp_path):
+    # skipping the blank line would load 4 nodes labelled [0, 1, 0, 1]
+    d = tmp_path / "ds"
+    os.makedirs(d)
+    (d / "edges.txt").write_text("0 1\n1 2\n2 3\n")
+    (d / "labels.txt").write_text("0\n\n1\n0\n1\n")
+    with pytest.raises(DatasetError, match=r"labels.txt:2: blank line before the last label"):
+        load_dataset(str(d))
+
+
+def test_blank_label_line_exits_with_the_data_code(tmp_path, capsys):
+    from graphpoison.cli import EXIT_DATA, main
+
+    d = tmp_path / "ds"
+    os.makedirs(d)
+    (d / "edges.txt").write_text("0 1\n")
+    (d / "labels.txt").write_text("0\n  \n1\n")
+    assert main(["run", "--dataset", str(d), "--output", str(tmp_path / "r.json")]) == EXIT_DATA
+    assert "labels.txt:2: blank line" in capsys.readouterr().err
+
+
+def test_trailing_blank_label_lines_allowed(tmp_path):
+    d = tmp_path / "ds"
+    os.makedirs(d)
+    (d / "edges.txt").write_text("0 1\n1 2\n")
+    (d / "labels.txt").write_text("0\n1\n0\n\n  \n")
+    g = load_dataset(str(d), split_fraction=0.34)
+    assert g.labels.tolist() == [0, 1, 0]
+
+
 def test_fewer_than_two_classes_rejected(tmp_path):
     # the file holds two classes, but the only 1 is on node 3, outside the LCC
     d = tmp_path / "ds"

@@ -243,13 +243,15 @@ def _victim_accuracies(g, dropout):
     return [train_victim(g, VictimHyper(epochs=60, dropout=dropout, seed=s)) for s in range(3)]
 
 
-# Victim accuracies per seed at epochs=60, keyed by features and dropout,
-# recorded when every feature product was dense. Both feature matrices are
-# sparse enough to be multiplied as CSR, which must not change a prediction.
+# Victim accuracies per seed at epochs=60, keyed by features and dropout.
+# The dropout-0.0 entries were recorded when every feature product was
+# dense: both feature matrices are sparse enough to be multiplied as CSR,
+# which must not change a prediction. The dropout-0.5 entries were recorded
+# when the input dropout mask became one draw per nonzero feature entry.
 PINNED_SPARSE_VICTIM_ACCURACIES = {
-    ("bag_of_words", 0.5): [0.8888888888888888, 0.8703703703703703, 0.8796296296296297],
+    ("bag_of_words", 0.5): [0.8703703703703703, 0.8981481481481481, 0.8703703703703703],
     ("bag_of_words", 0.0): [0.8888888888888888, 0.8796296296296297, 0.8796296296296297],
-    ("identity", 0.5): [0.6759259259259259, 0.6759259259259259, 0.6111111111111112],
+    ("identity", 0.5): [0.6851851851851852, 0.6666666666666666, 0.6018518518518519],
     ("identity", 0.0): [0.7870370370370371, 0.8055555555555556, 0.7777777777777778],
 }
 
@@ -261,25 +263,57 @@ def test_train_victim_pinned_sparse_feature_accuracies(features, dropout, tmp_pa
     assert _victim_accuracies(g, dropout) == PINNED_SPARSE_VICTIM_ACCURACIES[features, dropout]
 
 
+def _half_zero_sbm() -> Graph:
+    """The BoW SBM's graph with 20-dim Gaussian features, about half of them zero."""
+    g = _bow_sbm()
+    rng = np.random.default_rng(5)
+    X = np.eye(3, 20)[g.labels] + rng.normal(size=(g.n_nodes, 20))
+    X[rng.random(X.shape) < 0.5] = 0.0
+    return Graph(g.csr, X, g.labels, g.labeled_mask, g.n_classes)
+
+
 @pytest.mark.parametrize("dropout", [0.5, 0.0])
 def test_train_victim_sparse_features_match_the_dense_path(dropout, monkeypatch):
+    # both paths draw the input mask at the nonzeros only, in row-major order
+    for g in (_bow_sbm(), _half_zero_sbm()):
+        monkeypatch.setattr(models, "SPARSE_FEATURE_DENSITY", 1.0)
+        sparse = _victim_accuracies(g, dropout)
+        monkeypatch.setattr(models, "SPARSE_FEATURE_DENSITY", 0.0)
+        assert _victim_accuracies(g, dropout) == sparse
+
+
+class _RecordingRng:
+    """Forwards every call to a Generator and records each draw's name and shape."""
+
+    def __init__(self, rng, draws):
+        self._rng, self._draws = rng, draws
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def record(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self._draws.append((name, np.shape(out)))
+            return out
+
+        return record
+
+
+@pytest.mark.parametrize("density", [1.0, 0.0])  # the CSR path, then the dense one
+def test_train_victim_draws_the_input_mask_at_the_nonzeros(density, monkeypatch):
     g = _bow_sbm()
-    sparse = _victim_accuracies(g, dropout)
-    monkeypatch.setattr(models, "SPARSE_FEATURE_DENSITY", 0.0)
-    assert _victim_accuracies(g, dropout) == sparse
-
-
-@pytest.mark.parametrize("block", [1, 7 * 300, 1 << 17])
-def test_dropout_factors_read_one_full_shape_draw(block, monkeypatch):
-    # 1 row, 7 rows (120 is not a multiple) and all rows per block
-    monkeypatch.setattr(models, "DRAW_BLOCK", block)
-    X = _bow_sbm().features
-    flat = np.flatnonzero(X)
-    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
-    got = models._dropout_factors(rng, X.shape, flat, 0.7)
-    want = ((ref.random(X.shape) < 0.7) / 0.7).ravel()[flat]
-    assert np.array_equal(got, want)
-    assert rng.random() == ref.random()  # the stream goes on in step
+    (n, d), k, h = g.features.shape, g.n_classes, 16
+    nnz = np.count_nonzero(g.features)
+    hyper = VictimHyper(hidden=h, epochs=2, seed=2)
+    monkeypatch.setattr(models, "SPARSE_FEATURE_DENSITY", density)
+    want = train_victim(g, hyper)
+    draws = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _RecordingRng(default_rng(seed), draws))
+    assert train_victim(g, hyper) == want
+    glorot = [("uniform", (d, h)), ("uniform", (h, k))]
+    epoch = [("random", (nnz,)), ("random", (n, h))]
+    assert draws == glorot + 2 * epoch
 
 
 def test_train_victim_holds_no_feature_sized_array_on_sparse_features():
@@ -293,7 +327,7 @@ def test_train_victim_holds_no_feature_sized_array_on_sparse_features():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    # The dropout draw is made in blocks of DRAW_BLOCK doubles, and the CSR
-    # copies and dropout factors scale with nnz(X): one full-shape draw or
-    # dense dropped copy of X would alone be N*d doubles.
+    # The input dropout draw, the CSR copies and the dropout factors scale
+    # with nnz(X): one full-shape draw or dense dropped copy of X would
+    # alone be N*d doubles.
     assert peak <= 0.75 * n * d * 8
