@@ -2,7 +2,8 @@
 
 The attacker's surrogate is the linearized two-layer GCN
 ``softmax(Ahat^2 X W)`` trained by full-batch gradient descent on the
-labeled nodes; the victim is a standard two-layer GCN with a ReLU,
+labeled nodes, run in the min(d, L) dimensional span of its labeled design
+(one reduced QR per fit); the victim is a standard two-layer GCN with a ReLU,
 dropout and Adam, retrained from scratch for evaluation.
 """
 
@@ -13,6 +14,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from .graph import Graph, normalize_adjacency
@@ -107,25 +109,38 @@ def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> Surro
     Full-batch gradient descent on the mean negative log-likelihood with an
     L2 penalty; deterministic given ``hyper.seed``. With ``epochs=0`` the
     returned weights equal the seeded initialization.
+
+    The iterates are those of gradient descent on ``W``, computed in the
+    r = min(d, L) dimensional span of the labeled design ``F = Ahat[lab]
+    Ahat X`` (L x d). With the reduced QR ``F^T = Q R``, every gradient
+    ``F^T (softmax - Y) / L`` lies in span(Q), so ``W_t = c_t W_0 + Q A_t``
+    with ``c_t = (1 - lr wd)^t``: the part of ``W_0`` outside span(Q) never
+    reaches the logits and only decays. The loop updates ``M_t = Q^T W_t``
+    from the logits ``R^T M_t``. An epoch costs O(L r K) instead of
+    O(L d K), plus one O(d L r) QR per fit.
     """
     d, k = g.features.shape[1], g.n_classes
     rng = np.random.default_rng(hyper.seed)
     scale = 1.0 / np.sqrt(d)
-    W = rng.uniform(-scale, scale, size=(d, k))
+    W0 = rng.uniform(-scale, scale, size=(d, k))
 
     # The labeled rows of Ahat^2 X are fixed during training: the
-    # logistic-regression design matrix
+    # logistic-regression design matrix, from the sparse 2-hop rows
     ahat = normalize_adjacency(g.csr)
     idx = np.flatnonzero(g.labeled_mask)
-    f2_lab = ahat[idx] @ (ahat @ g.features)
-    y = g.labels[idx]
-    onehot = np.eye(k)[y]
+    f_lab = (ahat[idx] @ ahat) @ g.features
+    q, r = scipy.linalg.qr(f_lab.T, mode="economic", check_finite=False)
+    r_t = np.ascontiguousarray(r.T)  # logits are R^T M
+    onehot = np.eye(k)[g.labels[idx]]
 
+    decay = 1.0 - hyper.lr * hyper.weight_decay
+    M0 = q.T @ W0
+    M = M0
     for _ in range(hyper.epochs):
-        probs = softmax(f2_lab @ W)
-        grad = f2_lab.T @ (probs - onehot) / len(idx) + hyper.weight_decay * W
-        W = W - hyper.lr * grad
-    return SurrogateParams(W)
+        probs = softmax(r_t @ M)
+        M = decay * M - hyper.lr * (r @ (probs - onehot)) / len(idx)
+    c = decay**hyper.epochs
+    return SurrogateParams(c * W0 + q @ (M - c * M0))
 
 
 def pseudo_labels(params: SurrogateParams, g: Graph) -> Array:

@@ -10,6 +10,7 @@ from graphpoison import (
     AttackConfig,
     Graph,
     LossSpec,
+    SurrogateHyper,
     SurrogateParams,
     constraint_check,
     flip_edge,
@@ -18,7 +19,7 @@ from graphpoison import (
 )
 from graphpoison import gradients
 from graphpoison.graph import normalize_adjacency
-from graphpoison.models import forward_logits, log_softmax
+from graphpoison.models import forward_logits, log_softmax, softmax
 
 
 def normalize_dense(adjacency) -> np.ndarray:
@@ -27,6 +28,28 @@ def normalize_dense(adjacency) -> np.ndarray:
     tilde = A + np.eye(A.shape[0])
     inv_sqrt = 1.0 / np.sqrt(tilde.sum(axis=1))
     return tilde * np.outer(inv_sqrt, inv_sqrt)
+
+
+def train_surrogate_primal(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> SurrogateParams:
+    """``train_surrogate`` by gradient descent on the full d x K weights.
+
+    Same seeded initialization, learning rate, L2 penalty and epoch count;
+    each epoch costs O(L d K) on the L x d labeled design.
+    """
+    d, k = g.features.shape[1], g.n_classes
+    rng = np.random.default_rng(hyper.seed)
+    scale = 1.0 / np.sqrt(d)
+    W = rng.uniform(-scale, scale, size=(d, k))
+
+    ahat = normalize_adjacency(g.csr)
+    idx = np.flatnonzero(g.labeled_mask)
+    f2_lab = ahat[idx] @ (ahat @ g.features)
+    onehot = np.eye(k)[g.labels[idx]]
+    for _ in range(hyper.epochs):
+        probs = softmax(f2_lab @ W)
+        grad = f2_lab.T @ (probs - onehot) / len(idx) + hyper.weight_decay * W
+        W = W - hyper.lr * grad
+    return SurrogateParams(W)
 
 
 def surrogate_nll(params: SurrogateParams, g: Graph) -> float:

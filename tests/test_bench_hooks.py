@@ -14,7 +14,15 @@ import sys
 import pytest
 
 import graphpoison.gradients as gradients_module
-from graphpoison import AttackConfig, SurrogateHyper, VictimHyper, evaluate, meta_attack, sbm_graph
+from graphpoison import (
+    AttackConfig,
+    SurrogateHyper,
+    VictimHyper,
+    dice_attack,
+    evaluate,
+    meta_attack,
+    sbm_graph,
+)
 
 from .conftest import REPO_ROOT
 
@@ -79,3 +87,18 @@ def test_the_victim_hook_times_every_fit(bench_trace):
     with tracer.installed(bench_trace.LAYER_HOOKS):
         evaluate(g, g, VictimHyper(epochs=5), seeds=(0, 1, 2))
     assert [span.name for span in tracer.spans].count("models.victim") == 3
+
+
+@pytest.mark.parametrize("retrain_every", [1, 2, 5])
+def test_the_surrogate_hook_times_every_fit(bench_trace, retrain_every):
+    # models.surrogate_s is the refit share of s_per_flip: one fit per DICE
+    # run, and one plus one per retrain_every-th greedy step after the first
+    g = sbm_graph((20, 20), 0.2, 0.02, seed=1)
+    budget = 5
+    cfg = AttackConfig(budget=budget, retrain_every=retrain_every, surrogate_hyper=SurrogateHyper(epochs=5))
+    for attack, fits in ((dice_attack, 1), (meta_attack, 1 + (budget - 1) // retrain_every)):
+        tracer = bench_trace.Tracer()
+        with tracer.installed(bench_trace.LAYER_HOOKS):
+            result = attack(g, cfg)
+        assert len(result.flips) == budget
+        assert [span.name for span in tracer.spans].count("models.surrogate") == fits

@@ -22,7 +22,7 @@ from graphpoison import (
 )
 from graphpoison import models
 from .conftest import tiny_graph, write_plain_dataset
-from .oracles import surrogate_nll
+from .oracles import surrogate_nll, train_surrogate_primal
 
 
 def _toy_separable():
@@ -92,7 +92,52 @@ def test_train_surrogate_zero_epochs_is_init():
     assert np.array_equal(p0.weight, p1.weight)
     rng = np.random.default_rng(9)
     expected = rng.uniform(-1 / np.sqrt(3), 1 / np.sqrt(3), size=(3, 2))
-    assert np.allclose(p0.weight, expected)
+    assert np.array_equal(p0.weight, expected)
+
+
+def _design_case(kind: str) -> Graph:
+    """A graph whose labeled design Ahat[lab] Ahat X has the named shape."""
+    g = sbm_graph((20, 20, 20), 0.2, 0.02, labeled_fraction=0.3, seed=5)
+    n, n_lab = g.n_nodes, int(g.labeled_mask.sum())
+    rng = np.random.default_rng(11)
+    if kind == "bag_of_words":  # d > L, about 5% nonzero
+        feats = (rng.random((n, 120)) < 0.05).astype(np.float64)
+        assert feats.shape[1] > n_lab
+    elif kind == "gaussian":  # d < L
+        feats = rng.normal(size=(n, 4))
+        assert feats.shape[1] < n_lab
+    elif kind == "identity":  # d = N
+        feats = np.eye(n)
+    else:  # labeled twins 0 and 1: adjacent, same other neighbours
+        A = g.csr.toarray()
+        A[1] = A[0]
+        A[:, 1] = A[:, 0]
+        A[0, 1] = A[1, 0] = 1.0
+        A[0, 0] = A[1, 1] = 0.0
+        mask = g.labeled_mask.copy()
+        mask[:2] = True
+        labels = g.labels.copy()
+        labels[1] = labels[0]
+        feats = rng.normal(size=(n, 60))
+        g = Graph(A, feats, labels, mask, g.n_classes)
+        ahat = normalize_adjacency(g.csr)
+        design = (ahat[mask] @ ahat) @ feats
+        assert np.array_equal(design[0], design[1])
+        assert np.linalg.matrix_rank(design) < min(design.shape)
+        return g
+    return Graph(g.csr, feats, g.labels, g.labeled_mask, g.n_classes)
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 50])
+@pytest.mark.parametrize("kind", ["bag_of_words", "gaussian", "identity", "rank_deficient"])
+def test_train_surrogate_matches_primal_gradient_descent(kind, epochs):
+    g = _design_case(kind)
+    hyper = SurrogateHyper(lr=0.2, epochs=epochs, weight_decay=0.01, seed=3)
+    got = train_surrogate(g, hyper).weight
+    want = train_surrogate_primal(g, hyper).weight
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    if epochs == 0:  # the seeded initialization itself
+        assert np.array_equal(got, want)
 
 
 def test_train_surrogate_loss_nonincreasing(small_sbm):
