@@ -179,21 +179,39 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> Array:
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def _receptive(rows: sp.csr_matrix) -> tuple[Array, sp.csr_matrix]:
+    """The sorted nonzero columns of ``rows``, and ``rows`` restricted to them.
+
+    Each row keeps its entries in the same order, so a product with the
+    restricted matrix sums the same terms in the same order.
+    """
+    cols = np.unique(rows.indices)
+    restricted = sp.csr_matrix(
+        (rows.data, np.searchsorted(cols, rows.indices), rows.indptr), shape=(rows.shape[0], cols.size)
+    )
+    return cols, restricted
+
+
 def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     """Train the two-layer GCN victim; return its accuracy on the unlabeled pool.
 
     Adam on the labeled-node NLL with L2 on both layers; dropout is applied
     to the input features and the hidden activations during training only.
-    Accuracy is the eval-mode argmax of Ahat relu(Ahat X W1) W2 against
-    ground truth. Deterministic given ``hyper.seed``.
+    Accuracy is the eval-mode argmax of Ahat relu(Ahat X W1) W2 over the
+    whole graph against ground truth. Deterministic given ``hyper.seed``.
 
-    Features whose share of nonzero entries is at most
-    ``SPARSE_FEATURE_DENSITY`` are multiplied as CSR, so an epoch costs
-    O(nnz(X) h) on the feature side. The input dropout mask is drawn only
-    at the nonzeros, one uniform each in row-major order, on both paths
-    (a zero entry stays zero whatever its mask); then the N x h hidden mask
-    follows. Only the labeled rows carry a loss gradient, so the output
-    layer is computed on those rows alone.
+    The loss reads only the 2-hop receptive field of the labeled nodes:
+    the hidden rows ``N1``, the columns of ``Ahat[lab]``, and the feature
+    rows ``N2``, the columns of ``Ahat[N1]``. Training runs on
+    ``Ahat[lab, N1]``, ``Ahat[N1, N2]`` and ``X[N2]`` alone, so an epoch
+    costs O(nnz(X[N2]) h + nnz(Ahat[N1]) h), plus nnz(X[N2]) + |N1| h
+    dropout uniforms. Features whose share of nonzero entries is at most
+    ``SPARSE_FEATURE_DENSITY`` are multiplied as CSR, in training and in
+    the eval-mode forward. The input dropout mask is drawn only at the
+    nonzeros of ``X[N2]``, one uniform each in row-major order, on both
+    paths (a zero entry stays zero whatever its mask); then the |N1| x h
+    hidden mask follows. No other unit reaches the loss, so each live unit
+    keeps the same dropout law.
     """
     rng = np.random.default_rng(hyper.seed)
     d, k, h = g.features.shape[1], g.n_classes, hyper.hidden
@@ -202,19 +220,22 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
 
     ahat_sp = normalize_adjacency(g.csr)
     idx = np.flatnonzero(g.labeled_mask)
-    a_lab = ahat_sp[idx]  # Ahat is symmetric, so a_lab.T is Ahat[:, idx]
-    a_lab_t = a_lab.T.tocsr()
+    n1, a_lab = _receptive(ahat_sp[idx])  # Ahat[lab, N1]
+    n2, a_12 = _receptive(ahat_sp[n1])  # Ahat[N1, N2]
+    a_lab_t = a_lab.T.tocsr()  # Ahat is symmetric: Ahat[N1, lab]
+    a_12_t = a_12.T.tocsr()
     onehot = np.eye(k)[g.labels[idx]]
     keep = 1.0 - hyper.dropout
 
     X = g.features
-    nnz = np.count_nonzero(X)
-    sparse = nnz <= SPARSE_FEATURE_DENSITY * X.size
+    sparse = np.count_nonzero(X) <= SPARSE_FEATURE_DENSITY * X.size
     if sparse:
         X = sp.csr_matrix(X)  # data holds the nonzeros in row-major order
-    elif hyper.dropout > 0.0:
-        flat, scatter = np.flatnonzero(X), np.zeros(X.size)  # places the factors
-    xd = X.copy() if sparse and hyper.dropout > 0.0 else X
+    x2 = X[n2]
+    nnz = x2.nnz if sparse else np.count_nonzero(x2)
+    if not sparse and hyper.dropout > 0.0:
+        flat, scatter = np.flatnonzero(x2), np.zeros(x2.size)  # places the factors
+    xd = x2.copy() if sparse and hyper.dropout > 0.0 else x2
 
     # Adam state
     m1 = np.zeros_like(W1); v1 = np.zeros_like(W1)
@@ -225,11 +246,11 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
         if hyper.dropout > 0.0:
             factors = (rng.random(nnz) < keep) / keep
             if sparse:
-                np.multiply(X.data, factors, out=xd.data)
+                np.multiply(x2.data, factors, out=xd.data)
             else:
                 scatter[flat] = factors
-                xd = X * scatter.reshape(X.shape)
-        s1 = ahat_sp @ (xd @ W1)
+                xd = x2 * scatter.reshape(x2.shape)
+        s1 = a_12 @ (xd @ W1)
         hidden = np.maximum(s1, 0.0)
         if hyper.dropout > 0.0:
             mask_h = (rng.random(hidden.shape) < keep) / keep
@@ -243,7 +264,7 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
         g_hd = a_lab_t @ (g_z @ W2.T)
         g_hidden = g_hd * mask_h if hyper.dropout > 0.0 else g_hd
         g_s1 = g_hidden * (s1 > 0.0)
-        g_w1 = xd.T @ (ahat_sp @ g_s1) + hyper.weight_decay * W1
+        g_w1 = xd.T @ (a_12_t @ g_s1) + hyper.weight_decay * W1
 
         for W, gw, m, v in ((W1, g_w1, m1, v1), (W2, g_w2, m2, v2)):
             m *= b1; m += (1 - b1) * gw

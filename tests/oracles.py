@@ -12,6 +12,7 @@ from graphpoison import (
     LossSpec,
     SurrogateHyper,
     SurrogateParams,
+    VictimHyper,
     constraint_check,
     flip_edge,
     pseudo_labels,
@@ -19,7 +20,7 @@ from graphpoison import (
 )
 from graphpoison import gradients
 from graphpoison.graph import normalize_adjacency
-from graphpoison.models import forward_logits, log_softmax, softmax
+from graphpoison.models import _glorot, forward_logits, log_softmax, softmax
 
 
 def normalize_dense(adjacency) -> np.ndarray:
@@ -50,6 +51,56 @@ def train_surrogate_primal(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -
         grad = f2_lab.T @ (probs - onehot) / len(idx) + hyper.weight_decay * W
         W = W - hyper.lr * grad
     return SurrogateParams(W)
+
+
+def train_victim_full(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
+    """``train_victim`` with every epoch run over all N rows of the graph.
+
+    Same seeded initialization, Adam steps and dropout stream: each epoch
+    draws one uniform per nonzero of ``X[N2]`` and an |N1| x h block, as the
+    library does, and scatters them into full-shape masks that hold ones at
+    every other entry. ``N1`` are the columns of ``Ahat[lab]`` and ``N2``
+    the columns of ``Ahat[N1]``; no unit outside them reaches the loss.
+    """
+    rng = np.random.default_rng(hyper.seed)
+    X = g.features
+    (n, d), k, h = X.shape, g.n_classes, hyper.hidden
+    W1 = _glorot(rng, d, h)
+    W2 = _glorot(rng, h, k)
+
+    ahat = normalize_adjacency(g.csr)
+    idx = np.flatnonzero(g.labeled_mask)
+    a_lab = ahat[idx]
+    n1 = np.unique(a_lab.indices)
+    n2 = np.unique(ahat[n1].indices)
+    live = np.zeros(X.shape, dtype=bool)
+    live[n2] = X[n2] != 0.0
+    live = np.flatnonzero(live)  # row-major, as the CSR data of X[N2]
+    onehot = np.eye(k)[g.labels[idx]]
+    keep = 1.0 - hyper.dropout
+    mask_x, mask_h = np.ones(X.size), np.ones((n, h))
+
+    m1, v1, m2, v2 = (np.zeros_like(W) for W in (W1, W1, W2, W2))
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, hyper.epochs + 1):
+        if hyper.dropout > 0.0:
+            mask_x[live] = (rng.random(live.size) < keep) / keep
+            mask_h[n1] = (rng.random((n1.size, h)) < keep) / keep
+        xd = X * mask_x.reshape(X.shape)
+        s1 = ahat @ (xd @ W1)
+        ah_lab = a_lab @ (np.maximum(s1, 0.0) * mask_h)
+        g_z = (softmax(ah_lab @ W2) - onehot) / len(idx)
+        g_w2 = ah_lab.T @ g_z + hyper.weight_decay * W2
+        g_s1 = (a_lab.T @ (g_z @ W2.T)) * mask_h * (s1 > 0.0)
+        g_w1 = xd.T @ (ahat @ g_s1) + hyper.weight_decay * W1
+        for W, gw, m, v in ((W1, g_w1, m1, v1), (W2, g_w2, m2, v2)):
+            m *= b1; m += (1 - b1) * gw
+            v *= b2; v += (1 - b2) * gw * gw
+            W -= hyper.lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+
+    logits = ahat @ (np.maximum(ahat @ (X @ W1), 0.0) @ W2)
+    unl = g.unlabeled_mask
+    return float((logits[unl].argmax(axis=1) == g.labels[unl]).mean())
 
 
 def surrogate_nll(params: SurrogateParams, g: Graph) -> float:

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphpoison import (
     CAWeightParams,
@@ -22,7 +23,7 @@ from graphpoison import (
 )
 from graphpoison import models
 from .conftest import tiny_graph, write_plain_dataset
-from .oracles import surrogate_nll, train_surrogate_primal
+from .oracles import surrogate_nll, train_surrogate_primal, train_victim_full
 
 
 def _toy_separable():
@@ -292,11 +293,12 @@ def _victim_accuracies(g, dropout):
 # The dropout-0.0 entries were recorded when every feature product was
 # dense: both feature matrices are sparse enough to be multiplied as CSR,
 # which must not change a prediction. The dropout-0.5 entries were recorded
-# when the input dropout mask became one draw per nonzero feature entry.
+# when the dropout masks became draws at the units that reach the loss only:
+# the nonzero entries of the 2-hop feature rows and the 1-hop hidden rows.
 PINNED_SPARSE_VICTIM_ACCURACIES = {
-    ("bag_of_words", 0.5): [0.8703703703703703, 0.8981481481481481, 0.8703703703703703],
+    ("bag_of_words", 0.5): [0.8888888888888888, 0.8888888888888888, 0.8796296296296297],
     ("bag_of_words", 0.0): [0.8888888888888888, 0.8796296296296297, 0.8796296296296297],
-    ("identity", 0.5): [0.6851851851851852, 0.6666666666666666, 0.6018518518518519],
+    ("identity", 0.5): [0.7222222222222222, 0.6759259259259259, 0.6203703703703703],
     ("identity", 0.0): [0.7870370370370371, 0.8055555555555556, 0.7777777777777778],
 }
 
@@ -327,6 +329,45 @@ def test_train_victim_sparse_features_match_the_dense_path(dropout, monkeypatch)
         assert _victim_accuracies(g, dropout) == sparse
 
 
+def _with_outlying_components(g: Graph) -> Graph:
+    """``g`` plus a 4-node path without a labeled node and an isolated labeled node."""
+    path = sp.diags([np.ones(3), np.ones(3)], [-1, 1], shape=(4, 4))
+    A = sp.block_diag((g.csr, path, sp.csr_matrix((1, 1))))
+    X = np.vstack([g.features, np.random.default_rng(7).normal(size=(5, g.features.shape[1]))])
+    labels = np.concatenate([g.labels, [0, 1, 1, 2, 0]])
+    mask = np.concatenate([g.labeled_mask, [False] * 4 + [True]])
+    return Graph(A, X, labels, mask, g.n_classes)
+
+
+def _with_features(kind: str):
+    def make() -> Graph:
+        g = _bow_sbm()
+        n = g.n_nodes
+        X = np.eye(n) if kind == "identity" else np.random.default_rng(5).normal(size=(n, 20))
+        return Graph(g.csr, X, g.labels, g.labeled_mask, g.n_classes)
+
+    return make
+
+
+VICTIM_ORACLE_CASES = {
+    "bag_of_words": _bow_sbm,
+    "gaussian": _with_features("gaussian"),
+    "half_zero": _half_zero_sbm,
+    "identity": _with_features("identity"),
+    "outlying_components": lambda: _with_outlying_components(_half_zero_sbm()),
+}
+
+
+@pytest.mark.parametrize("dropout", [0.5, 0.0])
+@pytest.mark.parametrize("kind", sorted(VICTIM_ORACLE_CASES))
+def test_train_victim_matches_the_full_graph_oracle(kind, dropout):
+    # training on the 2-hop receptive field of the labeled nodes reads the
+    # same loss, gradients and live dropout units as the full-graph loop
+    g = VICTIM_ORACLE_CASES[kind]()
+    want = [train_victim_full(g, VictimHyper(epochs=60, dropout=dropout, seed=s)) for s in range(3)]
+    assert _victim_accuracies(g, dropout) == want
+
+
 class _RecordingRng:
     """Forwards every call to a Generator and records each draw's name and shape."""
 
@@ -347,8 +388,11 @@ class _RecordingRng:
 @pytest.mark.parametrize("density", [1.0, 0.0])  # the CSR path, then the dense one
 def test_train_victim_draws_the_input_mask_at_the_nonzeros(density, monkeypatch):
     g = _bow_sbm()
-    (n, d), k, h = g.features.shape, g.n_classes, 16
-    nnz = np.count_nonzero(g.features)
+    d, k, h = g.features.shape[1], g.n_classes, 16
+    ahat = normalize_adjacency(g.csr)
+    n1 = np.unique(ahat[g.labeled_mask].indices)  # hidden rows the loss reads
+    n2 = np.unique(ahat[n1].indices)  # feature rows those read
+    assert n1.size < n2.size < g.n_nodes
     hyper = VictimHyper(hidden=h, epochs=2, seed=2)
     monkeypatch.setattr(models, "SPARSE_FEATURE_DENSITY", density)
     want = train_victim(g, hyper)
@@ -357,7 +401,7 @@ def test_train_victim_draws_the_input_mask_at_the_nonzeros(density, monkeypatch)
     monkeypatch.setattr(np.random, "default_rng", lambda seed: _RecordingRng(default_rng(seed), draws))
     assert train_victim(g, hyper) == want
     glorot = [("uniform", (d, h)), ("uniform", (h, k))]
-    epoch = [("random", (nnz,)), ("random", (n, h))]
+    epoch = [("random", (np.count_nonzero(g.features[n2]),)), ("random", (n1.size, h))]
     assert draws == glorot + 2 * epoch
 
 
