@@ -15,7 +15,7 @@ from graphpoison import (
     sbm_graph,
     train_surrogate,
 )
-from graphpoison.gradients import attack_factors, pair_scores
+from graphpoison.gradients import attack_factors, pair_scores, score_factors
 
 TOLERANCE = 1e-4
 
@@ -27,9 +27,9 @@ every = slice(0, g.n_nodes)
 
 
 def analytic_gradient(spec: LossSpec) -> np.ndarray:
-    """All N x N pair scores from the rank-2K factors of one evaluation."""
+    """All N x N pair scores by one rank-(4K+2) product of the stacked factors of one evaluation."""
     us, vs, s, _ = attack_factors(g, params, spec, labels)
-    return pair_scores(us, vs, s, every, every)
+    return pair_scores(*score_factors(us, vs, s), every, every)
 
 
 print(f"{g.n_nodes}-node graph, checking every loss variant at h=1e-5:\n")

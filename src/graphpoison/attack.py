@@ -151,31 +151,38 @@ def _margin_summary(phi: Array, mask: Array) -> dict:
 
 
 def _top_pairs(
-    us: Array, vs: Array, s: Array, csr, excluded: list, buffers: Array, m: int
+    us: Array, vs: Array, s: Array, csr, excluded: list, buffer: Array, m: int
 ) -> list[tuple[float, int, int]]:
     """The ``m`` best positive-score pairs i < j outside ``excluded``, as (score, i, j).
 
     A score is the gradient in the one flip a pair admits (deleting an edge
     negates it). Ordered by score, ties by the smaller row-major index.
+    Each block is read in full once, for its row maxima; hits are read only
+    from the hot rows, whose maximum reaches the block's cut-off.
     """
     n = s.size
     ex = np.array(excluded, dtype=np.int64).reshape(-1, 2)
+    iu, ju = csr.nonzero()  # row-major
+    upper = iu < ju
+    iu, ju = iu[upper], ju[upper]
     best, index = np.empty(0), np.empty(0, dtype=np.int64)
-    for rows, block in upper_blocks(us, vs, s, buffers):
+    for rows, block in upper_blocks(us, vs, s, buffer):
         r0, r1 = rows.start, rows.stop
-        block[csr[rows, r0:].nonzero()] *= -1.0
+        edges = slice(*np.searchsorted(iu, [r0, r1]))
+        block[iu[edges] - r0, ju[edges] - r0] *= -1.0
         block[:, : r1 - r0][np.tri(r1 - r0, dtype=bool)] = -np.inf
         mine = (ex[:, 0] >= r0) & (ex[:, 0] < r1)
         block[ex[mine, 0] - r0, ex[mine, 1] - r0] = -np.inf
         # later blocks hold larger indices, so they must beat the kept m-th score;
         # within a block, the m-th largest row maximum bounds the cut-off below
+        row_max = block.max(axis=1)
         floor = best[-1] if best.size == m else 0.0
-        low = np.sort(block.max(axis=1))[-m] if r1 - r0 >= m else floor
-        flat = block.ravel()
-        hits = np.flatnonzero(flat >= low if low > floor else flat > floor)
-        i, j = np.divmod(hits, n - r0)
-        best = np.concatenate([best, flat[hits]])
-        index = np.concatenate([index, (r0 + i) * n + r0 + j])
+        low = np.sort(row_max)[-m] if r1 - r0 >= m else floor
+        cut = low if low > floor else np.nextafter(floor, np.inf)
+        hot = np.flatnonzero(row_max >= cut)  # the only rows that can hold a hit
+        i, j = np.nonzero(block[hot] >= cut)
+        best = np.concatenate([best, block[hot[i], j]])
+        index = np.concatenate([index, (r0 + hot[i]) * n + r0 + j])
         order = np.lexsort((index, -best))[:m]
         best, index = best[order], index[order]
     return [(float(v), int(k // n), int(k % n)) for v, k in zip(best, index)]
@@ -206,7 +213,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     params = train_surrogate(g, cfg.surrogate_hyper)
     pseudo = pseudo_labels(params, g)
     exhausted = False
-    buffers = np.empty((2, CHUNK_ROWS * n))  # once per run: freed every step, they stay in the heap
+    buffer = np.empty(CHUNK_ROWS * n)  # once per run: freed every step, it would stay in the heap
 
     for step in range(cfg.budget):
         if step and step % cfg.retrain_every == 0:
@@ -218,7 +225,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
         rejects = dict.fromkeys(("singleton", "degree_test"), 0)
         chosen, m = None, TOP_M
         while chosen is None:
-            candidates = _top_pairs(us, vs, s, current.csr, excluded, buffers, m)
+            candidates = _top_pairs(us, vs, s, current.csr, excluded, buffer, m)
             for score, i, j in candidates:
                 reason = constraint_check(current, i, j, cfg, reference=g)
                 if reason is None:

@@ -5,8 +5,9 @@ A dataset directory holds:
     edges.txt      one undirected edge per line, "i j" (whitespace separated)
     labels.txt     one integer class per line; line number = node id
     features.csv   optional; row v = comma-separated finite feature values of
-                   node v (absent file -> identity features, the
-                   featureless-graph convention)
+                   node v, no blank or "#" line before the last row (absent
+                   file -> identity features, the featureless-graph
+                   convention)
 
 Loading applies largest-connected-component extraction and a seeded
 labeled/unlabeled split. Self-loop lines and duplicate edges are dropped.
@@ -100,12 +101,32 @@ def _read_edges(path: str, n_nodes: int) -> np.ndarray:
     return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
+def _feature_rows(fh, path: str):
+    """Yield the lines of ``fh``, rejecting a blank or "#" line before the last row.
+
+    np.loadtxt would skip such a line and so renumber every later node.
+    """
+    blank = 0
+    for lineno, line in enumerate(fh, start=1):
+        if line.isspace():
+            blank = blank or lineno  # legal only if no row follows
+        elif blank or line.startswith("#"):
+            raise DatasetError(
+                f"{path}:{blank or lineno}: blank or comment line before the last feature row (row = node id)"
+            )
+        else:
+            yield line
+
+
 def _read_features(path: str, n_nodes: int) -> np.ndarray | None:
     """Feature matrix, or None when the file is absent (featureless graph)."""
     if not os.path.exists(path):
         return None
     try:
-        feats = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+        with open(path) as fh:
+            feats = np.loadtxt(_feature_rows(fh, path), delimiter=",", ndmin=2, dtype=np.float64)
+    except DatasetError:
+        raise
     except ValueError as e:
         raise DatasetError(f"bad features file {path}: {e}")
     if feats.shape[0] != n_nodes:

@@ -11,12 +11,15 @@ with factors stored factor-major: ``u = [g_z, Ahat g_z]^T`` and
 with ``d`` the degrees of ``A + I`` and ``r``/``c`` the row/column sums of
 ``G * Ahat``. As ``Ahat`` is symmetric, ``r = sum_k u_k * Ahat v_k`` and
 ``c = sum_k v_k * Ahat u_k``, so :func:`_pull_back` needs no N x N array.
-Nor does scoring: :func:`pair_scores` scores a block of pairs from the
-factors, and the attack loop scans the upper triangle in row chunks
-(:func:`upper_blocks`, O(CHUNK_ROWS * N) memory); ``per_node_gradients``
+Nor does scoring. :func:`score_factors` stacks ``us``, ``vs`` and ``s``
+into two (4K+2) x N factors whose product is the symmetrized gradient, so
+:func:`pair_scores` scores a block of pairs by one rank-(4K+2) product.
+The attack loop scans the upper triangle in row chunks through one
+CHUNK_ROWS x N buffer (:func:`upper_blocks`); ``per_node_gradients``
 builds no N x N array either. The dense N x N gradient, assembled from
-the same blocks, and the dense formula are test oracles
-(``tests/oracles.py``), beside ``finite_difference_gradient``.
+the same blocks, the two-product form of the scores and the dense formula
+are test oracles (``tests/oracles.py``), beside
+``finite_difference_gradient``.
 
 The attack maximizes a single scalar objective: the weighted masked sum of
 the base loss for NLL, and its negation for the clamped-margin loss (which
@@ -41,7 +44,7 @@ from .losses import NLL, LossSpec, loss_value, resolve_weights
 from .models import SurrogateParams, forward_logits, margins, runner_up, softmax
 
 Array = np.ndarray
-CHUNK_ROWS = 256  # rows per score block: two blocks of CHUNK_ROWS x N doubles at a time
+CHUNK_ROWS = 256  # rows per score block: one block of CHUNK_ROWS x N doubles at a time
 
 
 def _evaluate(
@@ -105,10 +108,11 @@ def attack_factors(
 
     The surrogate parameters are held fixed; differentiation runs through
     the degree normalization. Returns ``us``, ``vs``, ``s`` (see
-    :func:`_pull_back`; :func:`pair_scores` turns them into scores) and a
-    dict of what the attack loop reads at the evaluation point: ``margins``
-    against ``labels``, the cost-aware ``weights`` (to freeze them when it
-    re-evaluates the objective after a flip) and the ``objective`` value.
+    :func:`_pull_back`; :func:`score_factors` stacks them for
+    :func:`pair_scores`) and a dict of what the attack loop reads at the
+    evaluation point: ``margins`` against ``labels``, the cost-aware
+    ``weights`` (to freeze them when it re-evaluates the objective after a
+    flip) and the ``objective`` value.
     """
     ahat = normalize_adjacency(g.csr)
     prop1 = g.features @ params.weight
@@ -127,36 +131,43 @@ def attack_factors(
     return us, vs, s, info
 
 
-def pair_scores(us: Array, vs: Array, s: Array, rows: slice, cols: slice, out=None, work=None) -> Array:
+def score_factors(us: Array, vs: Array, s: Array) -> tuple[Array, Array]:
+    """``(left, right)``, each (4K+2) x N: ``left = [us; vs; s; 1] / 2``, ``right = [vs; us; -1; -s]``.
+
+    ``left[:, i] . right[:, j] = (us_i . vs_j + vs_i . us_j - s_i - s_j) / 2``,
+    the symmetrized gradient of pair (i, j) off the diagonal. Halving is exact.
+    """
+    one = np.ones_like(s)
+    left = np.vstack([us, vs, s, one])
+    left /= 2.0
+    return left, np.vstack([vs, us, -one, -s])
+
+
+def pair_scores(left: Array, right: Array, rows: slice, cols: slice, out=None) -> Array:
     """Symmetrized gradient of the pairs ``rows x cols`` (slices with start and stop).
 
-    Entry (i, j) is ``((us_i . vs_j - s_i) + (vs_i . us_j - s_j)) / 2``, 0 where
-    i == j. ``out``/``work``: optional C-contiguous buffers of the block's shape.
+    One rank-(4K+2) product of the :func:`score_factors`, 0 where i == j.
+    ``out``: optional C-contiguous buffer of the block's shape.
     """
-    out = np.matmul(us[:, rows].T, vs[:, cols], out=out)
-    out -= s[rows, None]
-    work = np.matmul(vs[:, rows].T, us[:, cols], out=work)
-    work -= s[cols]
-    out += work
-    out /= 2.0
+    out = np.matmul(left[:, rows].T, right[:, cols], out=out)
     diag = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
     out[diag - rows.start, diag - cols.start] = 0.0
     return out
 
 
-def upper_blocks(us: Array, vs: Array, s: Array, buffers: Array):
-    """Yield ``(rows, pair_scores(us, vs, s, rows, r0:N))`` for row chunks ``rows = r0:r1``.
+def upper_blocks(us: Array, vs: Array, s: Array, buffer: Array):
+    """Yield ``(rows, pair_scores(..., rows, r0:N))`` for row chunks ``rows = r0:r1``.
 
-    A block is valid until the next is drawn: all live in ``buffers``, a
-    (2, CHUNK_ROWS * N) array. BLAS rounds an entry by the shape of its
-    product, so all score readers come through here.
+    The factors are stacked once. Each block is a view of ``buffer``, a
+    CHUNK_ROWS * N array, valid until the next is drawn. BLAS rounds an
+    entry by the shape of its product, so all score readers come through here.
     """
     n = s.size
+    left, right = score_factors(us, vs, s)
     for r0 in range(0, n, CHUNK_ROWS):
         rows = slice(r0, min(r0 + CHUNK_ROWS, n))
-        shape = (rows.stop - r0, n - r0)
-        out, work = (b[: shape[0] * shape[1]].reshape(shape) for b in buffers)
-        yield rows, pair_scores(us, vs, s, rows, slice(r0, n), out, work)
+        out = buffer[: (rows.stop - r0) * (n - r0)].reshape(rows.stop - r0, n - r0)
+        yield rows, pair_scores(left, right, rows, slice(r0, n), out)
 
 
 def per_node_gradients(

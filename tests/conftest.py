@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from graphpoison import Graph, sbm_graph
+from graphpoison.gradients import CHUNK_ROWS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_ROOT = os.environ.get("GRAPHPOISON_DATA", os.path.join(REPO_ROOT, "data"))
@@ -46,6 +47,14 @@ def small_sbm() -> Graph:
 @pytest.fixture
 def medium_sbm() -> Graph:
     return sbm_graph((50, 50), p_in=0.2, p_out=0.01, seed=0)
+
+
+@pytest.fixture(scope="module")
+def three_chunk_sbm() -> Graph:
+    """Three row chunks of pair scores: the last chunk is partial."""
+    g = sbm_graph((250, 250, 200), 0.03, 0.003, seed=0)
+    assert g.n_nodes > 2 * CHUNK_ROWS
+    return g
 
 
 def write_plain_dataset(g: Graph, dir_path, features: bool = True) -> str:

@@ -119,15 +119,52 @@ def attack_gradient(g: Graph, params: SurrogateParams, spec: LossSpec, labels: n
     ``meta_attack`` reads for its pair bit for bit. ``attack_factors`` is
     looked up on its module, where a test may replace it.
     """
-    us, vs, s, _ = gradients.attack_factors(g, params, spec, labels)
+    return assembled_scores(*gradients.attack_factors(g, params, spec, labels)[:3])
+
+
+def assembled_scores(us: np.ndarray, vs: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The (N, N) symmetric matrix of all pair scores, mirrored from ``upper_blocks``."""
     n = s.size
     grad = np.empty((n, n))
-    for rows, block in gradients.upper_blocks(us, vs, s, np.empty((2, gradients.CHUNK_ROWS * n))):
+    for rows, block in gradients.upper_blocks(us, vs, s, np.empty(gradients.CHUNK_ROWS * n)):
         grad[rows.start :, rows] = block.T
         grad[rows, rows.start :] = block
         square, lower = grad[rows, rows], np.tril_indices(rows.stop - rows.start, -1)
         square[lower] = square.T[lower]
     return grad
+
+
+def pair_scores_two_products(
+    us: np.ndarray, vs: np.ndarray, s: np.ndarray, rows: slice, cols: slice
+) -> np.ndarray:
+    """``gradients.pair_scores`` from the unstacked factors, by two rank-2K products.
+
+    Entry (i, j) is ``((us_i . vs_j - s_i) + (vs_i . us_j - s_j)) / 2``, 0 where
+    i == j: the symmetrized ``(M + M^T) / 2`` of ``M = us^T vs - s 1^T``.
+    """
+    out = us[:, rows].T @ vs[:, cols] - s[rows, None]
+    out += vs[:, rows].T @ us[:, cols] - s[cols]
+    out /= 2.0
+    diag = np.arange(max(rows.start, cols.start), min(rows.stop, cols.stop))
+    out[diag - rows.start, diag - cols.start] = 0.0
+    return out
+
+
+def dense_top_pairs(grad: np.ndarray, g: Graph, excluded, m: int) -> list[tuple[float, int, int]]:
+    """``attack._top_pairs`` by a dense sort of the N x N symmetrized gradient ``grad``.
+
+    Edges are negated, the lower triangle and ``excluded`` masked; the
+    positive scores are ordered by (-score, row-major index) and cut at ``m``.
+    """
+    n = g.n_nodes
+    scores = grad * (1.0 - 2.0 * g.adjacency)
+    scores[np.tril_indices(n)] = -np.inf
+    for i, j in excluded:
+        scores[i, j] = -np.inf
+    flat = scores.ravel()
+    hits = np.flatnonzero(flat > 0.0)
+    order = np.lexsort((hits, -flat[hits]))[:m]
+    return [(float(flat[k]), int(k // n), int(k % n)) for k in hits[order]]
 
 
 def dense_adjacency_gradient(g_z: np.ndarray, g: Graph, params: SurrogateParams) -> np.ndarray:

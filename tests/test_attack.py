@@ -19,10 +19,10 @@ from graphpoison import (
     sbm_graph,
     train_surrogate,
 )
-from graphpoison.gradients import CHUNK_ROWS
+from graphpoison.gradients import CHUNK_ROWS, attack_factors
 
 from .conftest import tiny_graph
-from .oracles import attack_gradient, dense_greedy_attack, score_flips
+from .oracles import assembled_scores, attack_gradient, dense_greedy_attack, dense_top_pairs, score_flips
 
 FAST_SURROGATE = SurrogateHyper(epochs=60)
 CA = CAWeightParams(4.5, 1.0, 1.0, 1.0)
@@ -115,15 +115,15 @@ def test_meta_attack_deterministic(medium_sbm):
 
 
 def test_meta_attack_holds_two_chunks_of_scores():
-    """The traced peak stays near the two reused CHUNK_ROWS x N score
-    buffers (2.4 of them here, with the surrogate refit beside them), well
-    under one N x N array."""
+    """The traced peak stays near the one reused CHUNK_ROWS x N score
+    buffer (1.4 chunks here, with the hot rows' candidates and the surrogate
+    refit beside it), well under one N x N array."""
     import tracemalloc
 
     g = sbm_graph((700, 700, 600), p_in=0.0075, p_out=0.00075, seed=0)
     n = g.n_nodes
-    bound = 3 * CHUNK_ROWS * n * 8
-    assert bound < 0.4 * n * n * 8
+    bound = 2 * CHUNK_ROWS * n * 8
+    assert bound < 0.3 * n * n * 8
     tracemalloc.start()
     try:
         res = meta_attack(g, _cfg(budget=4))
@@ -202,13 +202,6 @@ def test_meta_attack_pinned_flip_lists(medium_sbm, base, ca):
     assert res.flips == PINNED_META_FLIPS[(base, ca)]
 
 
-@pytest.fixture(scope="module")
-def three_chunk_sbm():
-    g = sbm_graph((250, 250, 200), 0.03, 0.003, seed=0)
-    assert g.n_nodes > 2 * CHUNK_ROWS
-    return g
-
-
 def test_meta_attack_matches_dense_greedy_oracle(three_chunk_sbm):
     """Flips, trace scores and exhaustion equal the dense loop's exactly, for
     every loss; the degree test rejects enough pairs to force rescans."""
@@ -229,14 +222,13 @@ def test_meta_attack_matches_dense_greedy_oracle(three_chunk_sbm):
     assert max(checked) > attack_module.TOP_M
 
 
-def test_meta_attack_breaks_a_cross_chunk_tie_by_row_major_order(three_chunk_sbm, monkeypatch):
-    """Integer factors make every score exact. The existing edge (c, d) has
-    gradient -6, so deleting it scores 6; pairs (a, x) and (b, x) tie at 4
-    with a and b in different row chunks; a flat 1.0 background ties far
-    past the candidate cut-off in every chunk, and zero scores never flip."""
-    import graphpoison.gradients as gradients_module
+def _tie_factors(g):
+    """Integer factors (s = 0) for the cross-chunk tie: ``(us, vs, (a, b, c, d, x))``.
 
-    g = three_chunk_sbm
+    The edge (c, d) scores 6 to delete, the non-edges (a, x) and (b, x) tie
+    at 4 with a and b in different row chunks, and the other pairs score 0,
+    0.5 or 1 (negated on edges).
+    """
     n = g.n_nodes
     a, b, x = CHUNK_ROWS - 56, CHUNK_ROWS + 44, n - 100
     deg = g.degrees()
@@ -248,6 +240,19 @@ def test_meta_attack_breaks_a_cross_chunk_tie_by_row_major_order(three_chunk_sbm
     us[:, [a, b, c, d, x]] = vs[:, [a, b, c, d, x]] = 0.0
     us[0, [a, b]], vs[0, x] = 1.0, 8.0
     us[2, c], vs[2, d] = 1.0, -12.0
+    return us, vs, (a, b, c, d, x)
+
+
+def test_meta_attack_breaks_a_cross_chunk_tie_by_row_major_order(three_chunk_sbm, monkeypatch):
+    """Integer factors make every score exact. The existing edge (c, d) has
+    gradient -6, so deleting it scores 6; pairs (a, x) and (b, x) tie at 4
+    with a and b in different row chunks; a flat 1.0 background ties far
+    past the candidate cut-off in every chunk, and zero scores never flip."""
+    import graphpoison.gradients as gradients_module
+
+    g = three_chunk_sbm
+    n = g.n_nodes
+    us, vs, (a, b, c, d, x) = _tie_factors(g)
     real = gradients_module.attack_factors
 
     def crafted(*args):
@@ -267,6 +272,40 @@ def test_meta_attack_breaks_a_cross_chunk_tie_by_row_major_order(three_chunk_sbm
     res = meta_attack(g, cfg)
     assert res.flips == flips[:3]
     assert res.exhausted
+
+
+@pytest.mark.parametrize("m", [1, 32, 300])
+def test_top_pairs_equal_a_dense_sort(three_chunk_sbm, m):
+    """``_top_pairs`` reads candidates only from rows whose maximum reaches
+    its cut-off; it returns exactly the dense ranking's first m pairs, ties
+    at the cut included, with and without excluded pairs."""
+    g = three_chunk_sbm
+    n = g.n_nodes
+    params = train_surrogate(g, FAST_SURROGATE)
+    labels = pseudo_labels(params, g)
+    us, vs, _ = _tie_factors(g)
+    buffer = np.empty(CHUNK_ROWS * n)
+    for factors in (attack_factors(g, params, LossSpec("cw", True, CA), labels)[:3], (us, vs, np.zeros(n))):
+        grad = assembled_scores(*factors)
+        ranked = dense_top_pairs(grad, g, [], m + 2)
+        assert len(ranked) == m + 2
+        excluded = [ranked[k][1:] for k in (0, m // 2, m - 1)]
+        for ex in ([], excluded):
+            expected = dense_top_pairs(grad, g, ex, m)
+            assert len(expected) == m
+            assert attack_module._top_pairs(*factors, g.csr, ex, buffer, m) == expected
+
+
+def test_top_pairs_can_return_every_positive_pair(three_chunk_sbm):
+    """With m past the count of positive pairs no cut-off applies: every
+    edge and non-edge of every row comes back, in the dense order."""
+    g = three_chunk_sbm
+    params = train_surrogate(g, FAST_SURROGATE)
+    factors = attack_factors(g, params, LossSpec("nll", True, CA), pseudo_labels(params, g))[:3]
+    expected = dense_top_pairs(assembled_scores(*factors), g, [], g.n_nodes**2)
+    assert any(g.csr[i, j] for _, i, j in expected)
+    found = attack_module._top_pairs(*factors, g.csr, [], np.empty(CHUNK_ROWS * g.n_nodes), len(expected) + 1)
+    assert found == expected
 
 
 def _record_graphs(monkeypatch, name, graph_arg):

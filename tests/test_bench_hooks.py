@@ -7,7 +7,9 @@ so this test loads the hook table (read-only, by path) and checks that it
 still resolves against the library.
 """
 
+import importlib
 import importlib.util
+import inspect
 import os
 import sys
 
@@ -102,3 +104,13 @@ def test_the_surrogate_hook_times_every_fit(bench_trace, retrain_every):
             result = attack(g, cfg)
         assert len(result.flips) == budget
         assert [span.name for span in tracer.spans].count("models.surrogate") == fits
+
+
+@pytest.mark.parametrize("path", ["graphpoison.gradients.pair_scores", "graphpoison.attack._top_pairs"])
+def test_the_score_scan_hook_targets_are_plain_functions(path):
+    # the gradient layer's timing is to wrap these two names (ROADMAP item 1);
+    # a wrapper around a generator function would time only the generator's creation
+    module, name = path.rsplit(".", 1)
+    target = getattr(importlib.import_module(module), name)
+    assert inspect.isfunction(target)
+    assert not inspect.isgeneratorfunction(target)

@@ -125,6 +125,49 @@ def test_trailing_blank_label_lines_allowed(tmp_path):
     assert g.labels.tolist() == [0, 1, 0]
 
 
+@pytest.mark.parametrize(
+    "text, lineno",
+    [
+        ("1,0\n\n0,1\n1,1\n0,0\n", 2),  # skipping it would load the four rows as nodes 0-3
+        ("1,0\n0,1\n# note\n1,1\n0,0\n", 3),
+        ("\n1,0\n0,1\n1,1\n0,0\n", 1),
+        ("1,0\r\n0,1\r\n\r\n1,1\r\n0,0\r\n", 3),
+        ("1,0\n  \n0,1\n1,1\n", 2),
+        ("1,0\n0,1\n1,1\n0,0\n# end\n", 5),
+    ],
+)
+def test_blank_or_comment_feature_line_rejected(tmp_path, text, lineno):
+    d = tmp_path / "ds"
+    os.makedirs(d)
+    (d / "edges.txt").write_text("0 1\n1 2\n2 3\n")
+    (d / "labels.txt").write_text("0\n1\n0\n1\n")
+    (d / "features.csv").write_bytes(text.encode())
+    with pytest.raises(DatasetError, match=rf"features.csv:{lineno}: blank or comment line"):
+        load_dataset(str(d))
+
+
+def test_blank_feature_line_exits_with_the_data_code(tmp_path, capsys):
+    from graphpoison.cli import EXIT_DATA, main
+
+    d = tmp_path / "ds"
+    os.makedirs(d)
+    (d / "edges.txt").write_text("0 1\n")
+    (d / "labels.txt").write_text("0\n1\n")
+    (d / "features.csv").write_text("1,0\n\n0,1\n")
+    assert main(["run", "--dataset", str(d), "--output", str(tmp_path / "r.json")]) == EXIT_DATA
+    assert "features.csv:2: blank or comment line" in capsys.readouterr().err
+
+
+def test_trailing_blank_feature_lines_allowed(tmp_path):
+    d = tmp_path / "ds"
+    os.makedirs(d)
+    (d / "edges.txt").write_text("0 1\n1 2\n")
+    (d / "labels.txt").write_text("0\n1\n0\n")
+    (d / "features.csv").write_text("1,0\n0,1\n1,1\n\n  \n")
+    g = load_dataset(str(d), split_fraction=0.34)
+    assert g.features.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+
+
 def test_fewer_than_two_classes_rejected(tmp_path):
     # the file holds two classes, but the only 1 is on node 3, outside the LCC
     d = tmp_path / "ds"
