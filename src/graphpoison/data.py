@@ -1,21 +1,25 @@
 """Dataset ingestion from plain text files.
 
-A dataset directory holds:
+A dataset directory holds three tables, one row per line:
 
-    edges.txt      one undirected edge per line, "i j" (whitespace separated)
-    labels.txt     one integer class per line; line number = node id
+    edges.txt      one undirected edge per row, "i j" (whitespace separated)
+    labels.txt     one integer class per row; row v = node v
     features.csv   optional; row v = comma-separated finite feature values of
-                   node v, no blank or "#" line before the last row (absent
-                   file -> identity features, the featureless-graph
-                   convention)
+                   node v (absent file -> identity features, the
+                   featureless-graph convention)
+
+All three files follow one rule: row k is line k + 1. A blank or "#" line
+before the last row, or a value that does not parse, raises
+``DatasetError`` naming ``path:LINE``; trailing blank lines are allowed.
 
 Loading applies largest-connected-component extraction and a seeded
-labeled/unlabeled split. Self-loop lines and duplicate edges are dropped.
+labeled/unlabeled split. Self-loop rows and duplicate edges are dropped.
 """
 
 from __future__ import annotations
 
 import os
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,8 +30,6 @@ from .models import _check_int
 EDGES_FILE = "edges.txt"
 LABELS_FILE = "labels.txt"
 FEATURES_FILE = "features.csv"
-
-PLAIN = "plain"
 
 
 class DatasetError(ValueError):
@@ -53,96 +55,55 @@ def seeded_split(n_nodes: int, fraction: float, seed: int) -> np.ndarray:
     return mask
 
 
-def _read_labels(path: str) -> np.ndarray:
-    """Class per node; a blank line before the last label would renumber every later node."""
-    try:
-        with open(path) as fh:
-            lines = [line.strip() for line in fh]
-    except FileNotFoundError:
-        raise DatasetError(f"missing labels file: {path}")
-    while lines and not lines[-1]:
-        lines.pop()  # trailing blank lines name no node
-    if "" in lines:
-        lineno = lines.index("") + 1
-        raise DatasetError(f"{path}:{lineno}: blank line before the last label (line number = node id)")
-    try:
-        labels = [int(line) for line in lines]
-    except ValueError as e:
-        raise DatasetError(f"bad label line in {path}: {e}")
-    if not labels:
-        raise DatasetError(f"labels file is empty: {path}")
-    out = np.asarray(labels, dtype=np.int64)
-    if out.min() < 0:
-        raise DatasetError(f"negative class index in {path}")
-    return out
+def _rows(fh, path: str, last: list[int]):
+    """Yield the lines of ``fh``, setting ``last[0]`` to the number of each.
 
-
-def _read_edges(path: str, n_nodes: int) -> np.ndarray:
-    """(E, 2) array of the file's node pairs, self-loop lines dropped."""
-    pairs = []
-    try:
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                parts = line.split()
-                if not parts:
-                    continue
-                if len(parts) != 2:
-                    raise DatasetError(f"{path}:{lineno}: expected 'i j', got {line.strip()!r}")
-                try:
-                    i, j = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise DatasetError(f"{path}:{lineno}: non-integer node id")
-                if not (0 <= i < n_nodes and 0 <= j < n_nodes):
-                    raise DatasetError(f"{path}:{lineno}: node id out of range for {n_nodes} nodes")
-                if i != j:
-                    pairs.append((i, j))
-    except FileNotFoundError:
-        raise DatasetError(f"missing edges file: {path}")
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-
-
-def _feature_rows(fh, path: str):
-    """Yield the lines of ``fh``, rejecting a blank or "#" line before the last row.
-
-    np.loadtxt would skip such a line and so renumber every later node.
+    A blank or "#" line before the last row raises DatasetError: np.loadtxt
+    would skip it and so renumber every later row. So does a file without
+    rows, on which np.loadtxt would only warn.
     """
     blank = 0
     for lineno, line in enumerate(fh, start=1):
         if line.isspace():
             blank = blank or lineno  # legal only if no row follows
         elif blank or line.startswith("#"):
-            raise DatasetError(
-                f"{path}:{blank or lineno}: blank or comment line before the last feature row (row = node id)"
-            )
+            raise DatasetError(f"{path}:{blank or lineno}: blank or comment line before the last row")
         else:
+            last[0] = lineno
             yield line
+    if not last[0]:
+        raise DatasetError(f"{path}: no rows")
 
 
-def _read_features(path: str, n_nodes: int) -> np.ndarray | None:
-    """Feature matrix, or None when the file is absent (featureless graph)."""
-    if not os.path.exists(path):
-        return None
+def _read_table(path: str, dtype, delimiter: str | None = None) -> np.ndarray:
+    """The file's rows as a 2-D array (row k from line k + 1), or DatasetError.
+
+    Two numpy behaviours must hold, and the rejected-line tests check both:
+    np.loadtxt pulls one line at a time from ``_rows``, so it fails on the
+    last line yielded, and its message ends in " at row ...".
+    """
+    last = [0]
     try:
-        with open(path) as fh:
-            feats = np.loadtxt(_feature_rows(fh, path), delimiter=",", ndmin=2, dtype=np.float64)
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)  # else some numpy releases cast "1.5" to 1
+            return np.loadtxt(_rows(fh, path, last), dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
+    except FileNotFoundError:
+        raise DatasetError(f"missing dataset file: {path}")
     except DatasetError:
         raise
     except ValueError as e:
-        raise DatasetError(f"bad features file {path}: {e}")
-    if feats.shape[0] != n_nodes:
-        raise DatasetError(f"features have {feats.shape[0]} rows but labels define {n_nodes} nodes")
-    bad_rows = np.flatnonzero(~np.isfinite(feats).all(axis=1))
-    if bad_rows.size:
-        raise DatasetError(f"non-finite feature value (NaN or inf) in {path}, row {bad_rows[0]}")
-    return feats
+        reason = str(e).split(" at row ")[0]  # numpy counts its rows from 0 or from 1, by error kind
+        raise DatasetError(f"{path}:{last[0]}: {reason}")
 
 
-def load_dataset(
-    dir_path: str,
-    format: str = PLAIN,
-    split_fraction: float = 0.10,
-    split_seed: int = 0,
-) -> Graph:
+def _check_rows(path: str, ok: np.ndarray, problem: str) -> None:
+    """Raise DatasetError naming the line of the first row where ``ok`` is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise DatasetError(f"{path}:{bad[0] + 1}: {problem}")
+
+
+def load_dataset(dir_path: str, split_fraction: float = 0.10, split_seed: int = 0) -> Graph:
     """Load a dataset directory into a Graph (LCC-reduced, seeded split).
 
     The node count is defined by the labels file. LCC reduction happens
@@ -151,14 +112,28 @@ def load_dataset(
     reduced size. A component with fewer than two distinct labels is
     rejected: no margin, attack or accuracy means anything on it.
     """
-    if format != PLAIN:
-        raise DatasetError(f"unknown dataset format {format!r}")
     check_split(split_fraction, split_seed)
     labels_path = os.path.join(dir_path, LABELS_FILE)
-    labels = _read_labels(labels_path)
+    labels = _read_table(labels_path, np.int64)
+    if labels.shape[1] != 1:
+        raise DatasetError(f"{labels_path}:1: expected one class per line")
+    labels = labels[:, 0]
     n = labels.size
-    pairs = _read_edges(os.path.join(dir_path, EDGES_FILE), n)
-    feats = _read_features(os.path.join(dir_path, FEATURES_FILE), n)
+    _check_rows(labels_path, labels >= 0, "negative class index")
+
+    edges_path = os.path.join(dir_path, EDGES_FILE)
+    pairs = _read_table(edges_path, np.int64)
+    if pairs.shape[1] != 2:
+        raise DatasetError(f"{edges_path}:1: expected 'i j', got {pairs.shape[1]} values")
+    _check_rows(edges_path, ((pairs >= 0) & (pairs < n)).all(axis=1), f"node id out of range for {n} nodes")
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+
+    feats_path = os.path.join(dir_path, FEATURES_FILE)
+    feats = _read_table(feats_path, np.float64, ",") if os.path.exists(feats_path) else None
+    if feats is not None:
+        if feats.shape[0] != n:
+            raise DatasetError(f"{feats_path} has {feats.shape[0]} rows but labels define {n} nodes")
+        _check_rows(feats_path, np.isfinite(feats).all(axis=1), "non-finite feature value (NaN or inf)")
 
     keep = largest_component(sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n)))
     new_id = np.full(n, -1)

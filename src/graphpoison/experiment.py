@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attack import ADD, DELETE, AttackConfig, AttackConstraints, AttackResult, dice_attack, meta_attack
-from .data import PLAIN, DatasetError, check_split, load_dataset
+from .data import DatasetError, check_split, load_dataset
 from .evaluation import EvalReport, evaluate
 from .graph import Graph, flip_edge
 from .losses import CAWeightParams, LossSpec
@@ -61,7 +61,6 @@ class ExperimentConfig:
     """
 
     dataset: str = ""
-    format: str = "plain"
     split_fraction: float = 0.10
     split_seed: int = 0
     attack: str = META
@@ -105,8 +104,6 @@ class ExperimentConfig:
                 raise ValueError("budget_fraction must be in [0, 1]")
             if self.attack not in (META, DICE):
                 raise ValueError(f"attack must be '{META}' or '{DICE}'")
-            if self.format != PLAIN:
-                raise ValueError(f"format must be '{PLAIN}'")
             check_split(self.split_fraction, self.split_seed)
             ca_params = CAWeightParams(self.alpha1, self.beta1, self.alpha2, self.beta2)
             attack = AttackConfig(
@@ -202,9 +199,7 @@ def flips_path(report_path: str) -> str:
 
 def load_graph(cfg: ExperimentConfig) -> Graph:
     """The dataset of ``cfg``, LCC-reduced and split."""
-    return load_dataset(
-        cfg.dataset, cfg.format, split_fraction=cfg.split_fraction, split_seed=cfg.split_seed
-    )
+    return load_dataset(cfg.dataset, split_fraction=cfg.split_fraction, split_seed=cfg.split_seed)
 
 
 def attack_budget(cfg: ExperimentConfig, g: Graph) -> int:
@@ -331,7 +326,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     out_path = resolve_output(cfg.output)
 
     def _write() -> None:
-        write_json(out_path, report_payload(cfg, result.flips, budget, report, seconds))
+        write_json(out_path, report_payload(cfg, result.flips, budget, report, seconds, result.exhausted))
         write_json(flips_path(out_path), flip_records(result.flips))
 
     stage("write", _write)

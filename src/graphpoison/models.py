@@ -233,9 +233,10 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
         X = sp.csr_matrix(X)  # data holds the nonzeros in row-major order
     x2 = X[n2]
     nnz = x2.nnz if sparse else np.count_nonzero(x2)
-    if not sparse and hyper.dropout > 0.0:
+    if sparse:
+        xd = x2.copy()
+    else:
         flat, scatter = np.flatnonzero(x2), np.zeros(x2.size)  # places the factors
-    xd = x2.copy() if sparse and hyper.dropout > 0.0 else x2
 
     # Adam state
     m1 = np.zeros_like(W1); v1 = np.zeros_like(W1)
@@ -243,26 +244,22 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     for t in range(1, hyper.epochs + 1):
-        if hyper.dropout > 0.0:
-            factors = (rng.random(nnz) < keep) / keep
-            if sparse:
-                np.multiply(x2.data, factors, out=xd.data)
-            else:
-                scatter[flat] = factors
-                xd = x2 * scatter.reshape(x2.shape)
+        factors = (rng.random(nnz) < keep) / keep
+        if sparse:
+            np.multiply(x2.data, factors, out=xd.data)
+        else:
+            scatter[flat] = factors
+            xd = x2 * scatter.reshape(x2.shape)
         s1 = a_12 @ (xd @ W1)
         hidden = np.maximum(s1, 0.0)
-        if hyper.dropout > 0.0:
-            mask_h = (rng.random(hidden.shape) < keep) / keep
-            hd = hidden * mask_h
-        else:
-            hd = hidden
+        mask_h = (rng.random(hidden.shape) < keep) / keep
+        hd = hidden * mask_h
         ah_lab = a_lab @ hd
         g_z = (softmax(ah_lab @ W2) - onehot) / len(idx)
 
         g_w2 = ah_lab.T @ g_z + hyper.weight_decay * W2
         g_hd = a_lab_t @ (g_z @ W2.T)
-        g_hidden = g_hd * mask_h if hyper.dropout > 0.0 else g_hd
+        g_hidden = g_hd * mask_h
         g_s1 = g_hidden * (s1 > 0.0)
         g_w1 = xd.T @ (a_12_t @ g_s1) + hyper.weight_decay * W1
 

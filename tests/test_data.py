@@ -9,6 +9,18 @@ from .conftest import CORA_DIR, DATA_ROOT, requires_cora, write_plain_dataset
 
 POLBLOGS_DIR = os.path.join(DATA_ROOT, "polblogs")
 
+# A 4-node path with two classes and 2-dim features.
+PATH_FILES = {"edges.txt": "0 1\n1 2\n2 3\n", "labels.txt": "0\n1\n0\n1\n", "features.csv": "1,0\n0,1\n1,1\n0,0\n"}
+
+
+def _path_dataset(tmp_path, file, text):
+    """PATH_FILES written to a directory, with ``file`` holding ``text`` (bytes as given)."""
+    d = tmp_path / "ds"
+    os.makedirs(d)
+    for name, body in dict(PATH_FILES, **{file: text}).items():
+        (d / name).write_bytes(body.encode())
+    return str(d)
+
 
 def test_roundtrip_with_features(tmp_path, small_sbm):
     # small_sbm is connected, so LCC extraction keeps every node in order
@@ -101,7 +113,7 @@ def test_blank_label_line_before_the_last_label_rejected(tmp_path):
     os.makedirs(d)
     (d / "edges.txt").write_text("0 1\n1 2\n2 3\n")
     (d / "labels.txt").write_text("0\n\n1\n0\n1\n")
-    with pytest.raises(DatasetError, match=r"labels.txt:2: blank line before the last label"):
+    with pytest.raises(DatasetError, match=r"labels.txt:2: blank or comment line before the last row"):
         load_dataset(str(d))
 
 
@@ -113,16 +125,15 @@ def test_blank_label_line_exits_with_the_data_code(tmp_path, capsys):
     (d / "edges.txt").write_text("0 1\n")
     (d / "labels.txt").write_text("0\n  \n1\n")
     assert main(["run", "--dataset", str(d), "--output", str(tmp_path / "r.json")]) == EXIT_DATA
-    assert "labels.txt:2: blank line" in capsys.readouterr().err
+    assert "labels.txt:2: blank or comment line" in capsys.readouterr().err
 
 
-def test_trailing_blank_label_lines_allowed(tmp_path):
-    d = tmp_path / "ds"
-    os.makedirs(d)
-    (d / "edges.txt").write_text("0 1\n1 2\n")
-    (d / "labels.txt").write_text("0\n1\n0\n\n  \n")
-    g = load_dataset(str(d), split_fraction=0.34)
-    assert g.labels.tolist() == [0, 1, 0]
+@pytest.mark.parametrize("file", sorted(PATH_FILES))
+def test_trailing_blank_lines_allowed(tmp_path, file):
+    g = load_dataset(_path_dataset(tmp_path, file, PATH_FILES[file] + "\n  \r\n\n"))
+    assert g.n_edges == 3
+    assert g.labels.tolist() == [0, 1, 0, 1]
+    assert g.features.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]
 
 
 @pytest.mark.parametrize(
@@ -146,6 +157,62 @@ def test_blank_or_comment_feature_line_rejected(tmp_path, text, lineno):
         load_dataset(str(d))
 
 
+@pytest.mark.parametrize(
+    "file, text, lineno",
+    [
+        ("labels.txt", "0\n1\n# note\n0\n1\n", 3),
+        ("labels.txt", "\n0\n1\n0\n1\n", 1),
+        ("labels.txt", "0\r\n1\r\n\r\n0\r\n1\r\n", 3),
+        ("labels.txt", "0\n1\n0\n1\n# end\n", 5),
+        ("edges.txt", "0 1\n\n1 2\n2 3\n", 2),
+        ("edges.txt", "# i j\n0 1\n1 2\n2 3\n", 1),
+        ("edges.txt", "\n0 1\n1 2\n2 3\n", 1),
+        ("edges.txt", "0 1\r\n1 2\r\n\r\n2 3\r\n", 3),
+        ("edges.txt", "0 1\n1 2\n2 3\n# end\n", 4),
+    ],
+)
+def test_blank_or_comment_line_rejected(tmp_path, file, text, lineno):
+    """The features.csv rule, in the other two files: row k is line k + 1."""
+    with pytest.raises(DatasetError, match=rf"{file}:{lineno}: blank or comment line before the last row"):
+        load_dataset(_path_dataset(tmp_path, file, text))
+
+
+@pytest.mark.parametrize(
+    "file, text, lineno, reason",
+    [
+        # np.loadtxt's own comments would drop "# x"
+        ("features.csv", "1,0\n0,1\n1,1 # x\n0,0\n", 3, "could not convert string '1 # x' to float64"),
+        ("features.csv", "1,0\n0,1\nnan,1\n0,0\n", 3, "non-finite feature value (NaN or inf)"),
+        ("features.csv", "1,0\n0,1\n1,1,1\n0,0\n", 3, "the number of columns changed from 2 to 3"),
+        ("edges.txt", "0 1\n1 2\n2 9\n", 3, "node id out of range for 4 nodes"),
+        ("edges.txt", "0 1\n1 x\n2 3\n", 2, "could not convert string 'x' to int64"),
+        ("edges.txt", "0 1\n1 2 3\n2 3\n", 2, "the number of columns changed from 2 to 3"),
+        ("edges.txt", "0 1\n1 2.7\n2 3\n", 2, "could not convert string '2.7' to int64"),
+        ("labels.txt", "0\n99999999999999999999\n0\n1\n", 2, "could not convert string '99999999999999999999'"),
+        ("labels.txt", "0\n1\n-1\n1\n", 3, "negative class index"),
+        ("labels.txt", "0\n1\n0\n1.5\n", 4, "could not convert string '1.5' to int64"),
+    ],
+)
+# The CLI runs under Python's default filters, not the suite's "error": the
+# reader must reject an int that parses only as a float on its own.
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_rejected_line_exits_with_the_data_code_and_is_named(tmp_path, capsys, file, text, lineno, reason):
+    from graphpoison.cli import EXIT_DATA, main
+
+    d = _path_dataset(tmp_path, file, text)
+    assert main(["run", "--dataset", d, "--output", str(tmp_path / "r.json")]) == EXIT_DATA
+    msg = capsys.readouterr().err.strip().splitlines()[-1]
+    assert msg.startswith(f"data error: [load] {os.path.join(d, file)}:{lineno}: {reason}")
+    assert " at row " not in msg  # only the line number locates the row
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("file", sorted(PATH_FILES))
+def test_file_without_rows_rejected(tmp_path, file):
+    with pytest.raises(DatasetError, match=rf"{file}: no rows"):
+        load_dataset(_path_dataset(tmp_path, file, "\n \n"))
+
+
 def test_blank_feature_line_exits_with_the_data_code(tmp_path, capsys):
     from graphpoison.cli import EXIT_DATA, main
 
@@ -156,16 +223,6 @@ def test_blank_feature_line_exits_with_the_data_code(tmp_path, capsys):
     (d / "features.csv").write_text("1,0\n\n0,1\n")
     assert main(["run", "--dataset", str(d), "--output", str(tmp_path / "r.json")]) == EXIT_DATA
     assert "features.csv:2: blank or comment line" in capsys.readouterr().err
-
-
-def test_trailing_blank_feature_lines_allowed(tmp_path):
-    d = tmp_path / "ds"
-    os.makedirs(d)
-    (d / "edges.txt").write_text("0 1\n1 2\n")
-    (d / "labels.txt").write_text("0\n1\n0\n")
-    (d / "features.csv").write_text("1,0\n0,1\n1,1\n\n  \n")
-    g = load_dataset(str(d), split_fraction=0.34)
-    assert g.features.tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 
 
 def test_fewer_than_two_classes_rejected(tmp_path):
@@ -228,13 +285,8 @@ def test_non_finite_features_rejected(tmp_path, small_sbm, bad):
     rows = (tmp_path / "ds" / "features.csv").read_text().splitlines()
     rows[3] = ",".join([bad] + rows[3].split(",")[1:])
     (tmp_path / "ds" / "features.csv").write_text("\n".join(rows) + "\n")
-    with pytest.raises(DatasetError, match=r"non-finite .*features\.csv, row 3"):
+    with pytest.raises(DatasetError, match=r"features\.csv:4: non-finite"):
         load_dataset(d)
-
-
-def test_unknown_format(tmp_path):
-    with pytest.raises(DatasetError, match="format"):
-        load_dataset(str(tmp_path), format="npz")
 
 
 @requires_cora

@@ -41,13 +41,23 @@ def test_run_experiment_writes_schema(dataset_dir, tmp_path):
     blob = json.loads((tmp_path / "report.json").read_text())
     assert set(blob) == {
         "dataset", "attack", "loss", "budget", "flips",
-        "per_seed_accuracy", "mean", "ci95", "wall_clock_seconds", "config",
+        "per_seed_accuracy", "mean", "ci95", "wall_clock_seconds", "exhausted", "config",
     }
     assert blob["mean"] == pytest.approx(report.mean)
     assert len(blob["flips"]) <= blob["budget"]
+    assert blob["exhausted"] is False
     assert blob["config"]["dataset"] == dataset_dir
     flips_blob = json.loads((tmp_path / "report.flips.json").read_text())
     assert flips_blob == blob["flips"]
+
+
+def test_run_reports_an_exhausted_attack(dataset_dir, tmp_path):
+    # a negative degree-test threshold rejects every candidate flip
+    cfg = _cfg(dataset_dir, tmp_path, degree_test=True, degree_test_threshold=-1.0)
+    run_experiment(cfg)
+    blob = json.loads((tmp_path / "report.json").read_text())
+    assert blob["exhausted"] is True
+    assert len(blob["flips"]) < blob["budget"]
 
 
 def test_budget_zero_equals_clean_eval(dataset_dir, tmp_path):
@@ -121,7 +131,7 @@ def test_config_defaults_equal_library_defaults():
     assert cfg.victim_hyper() == VictimHyper()
     assert ExperimentConfig(dataset="x", ca_enabled=True).loss_spec().ca_params == CAWeightParams()
     load = inspect.signature(load_dataset).parameters
-    for name in ("format", "split_fraction", "split_seed"):
+    for name in ("split_fraction", "split_seed"):
         assert getattr(cfg, name) == load[name].default
     assert cfg.seeds == tuple(inspect.signature(evaluate).parameters["seeds"].default)
 
@@ -407,7 +417,7 @@ def test_cli_rejects_non_finite_features(dataset_dir, tmp_path, capsys, command)
     rc = main([command, "--dataset", dataset_dir, "--output", str(out), "--seeds", "0", "--victim-epochs", "5"])
     assert rc == EXIT_DATA
     err = capsys.readouterr().err
-    assert err.startswith("data error: [load] non-finite") and "features.csv" in err
+    assert err.startswith("data error: [load] ") and "features.csv:1: non-finite" in err
     assert not out.exists()
 
 
@@ -501,7 +511,6 @@ def _choice(*valid):
 
 
 CONFIG_FIELDS = {
-    "format": _choice("plain"),
     "split_fraction": _floats(0.2, 0.5, 0.0, 1.0, -0.1),
     "split_seed": _ints(0, 5, -1),
     "attack": _choice("meta", "dice"),
