@@ -24,7 +24,7 @@ Array = np.ndarray
 
 ADD = "add"
 DELETE = "delete"
-DICE_MAX_RETRIES = 200  # draws per DICE step before the step fails
+DICE_MAX_RETRIES = 200  # draws per DICE step before the attack stops, exhausted
 TOP_M = 32  # candidates a step's first scan keeps; each rescan keeps twice as many
 
 
@@ -271,9 +271,10 @@ def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     gradient attack). Each step flips a seeded coin for the operation, draws
     a uniform candidate of that kind, and retries -- recoining -- when the
     draw is infeasible or constraint-rejected, up to ``DICE_MAX_RETRIES``
-    attempts per step. No pair is flipped twice: an added pair is a
-    cross-class edge from then on, and a deleted pair leaves the
-    within-class edge list that deletions draw from.
+    attempts per step. A step whose attempts all fail ends the attack,
+    flagged ``exhausted``, as ``meta_attack`` stops. No pair is flipped
+    twice: an added pair is a cross-class edge from then on, and a deleted
+    pair leaves the within-class edge list that deletions draw from.
     """
     params = train_surrogate(g, cfg.surrogate_hyper)
     pseudo = pseudo_labels(params, g)
@@ -312,9 +313,7 @@ def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
             trace.append({"iteration": step, "flip": [i, j, op]})
             break
         else:
-            raise RuntimeError(
-                f"DICE found no feasible flip within {DICE_MAX_RETRIES} retries at step {step}"
-            )
+            break  # no allowed flip within DICE_MAX_RETRIES draws
 
     assert count_flips(g, current) == len(flips)
-    return AttackResult(flips, current, trace, pseudo, exhausted=False)
+    return AttackResult(flips, current, trace, pseudo, exhausted=len(flips) < cfg.budget)

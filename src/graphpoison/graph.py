@@ -3,9 +3,10 @@
 ``Graph`` stores its adjacency once, as a read-only canonical CSR matrix
 (``Graph.csr``); the dense ``Graph.adjacency`` is a copy for outside readers.
 A graph is validated once, at the boundary: ``Graph(...)``, ``build_graph``
-(the one edge-list -> adjacency routine) and ``load_dataset`` check every
-field. ``flip_edge`` then derives new values from a valid graph without
-re-validating them; it is the only code that changes an adjacency entry.
+(the one edge-list -> adjacency routine, serving both ``load_dataset`` and
+``sbm_graph``) and ``load_dataset`` check every field. ``flip_edge`` then
+derives new values from a valid graph without re-validating them; it is
+the only code that changes an adjacency entry.
 ``largest_component`` is the one connectivity routine, and
 ``normalize_adjacency`` builds the surrogate's propagation matrix
 ``Ahat = D^{-1/2} (A + I) D^{-1/2}`` in CSR form.

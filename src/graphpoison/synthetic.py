@@ -1,12 +1,29 @@
-"""Seeded synthetic graphs for tests and demos."""
+"""Seeded synthetic graphs for tests, demos and the benchmark.
+
+``sbm_graph`` draws its edge coins in ``_COIN_ROWS``-row blocks of one stream
+(consecutive ``rng.random((rows, N))`` calls read exactly the stream of one
+``rng.random((N, N))``) and hands the upper-triangle hits to ``build_graph``:
+the graph of one N x N draw, in O(_COIN_ROWS * N) memory.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, largest_connected_component
+from .graph import Graph, build_graph, largest_component, largest_connected_component
 
 Array = np.ndarray
+_COIN_ROWS = 256  # adjacency rows per coin block
+
+
+def _stratified_mask(labels: Array, fraction: float, rng: np.random.Generator) -> Array:
+    """A ``fraction`` sample of each class present in ``labels``, at least one node each."""
+    mask = np.zeros(labels.size, dtype=bool)
+    for b in np.unique(labels):
+        members = np.flatnonzero(labels == b)
+        take = max(1, int(np.floor(fraction * members.size)))
+        mask[rng.choice(members, size=take, replace=False)] = True
+    return mask
 
 
 def sbm_graph(
@@ -24,26 +41,28 @@ def sbm_graph(
     ``feature_noise`` times standard Gaussian noise, so classification has
     to lean on structure. The labeled set is a stratified
     ``labeled_fraction`` sample per block (at least one per block). With
-    ``connected=True`` the result is restricted to its largest component.
+    ``connected=True`` the result is restricted to its largest component;
+    if that component holds only labeled or only unlabeled nodes, the
+    labeled set is drawn again, from the component's nodes.
     """
     rng = np.random.default_rng(seed)
     sizes = list(block_sizes)
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)
 
-    probs = np.where(labels[:, None] == labels[None, :], p_in, p_out)
-    upper = np.triu(rng.random((n, n)) < probs, k=1)
-    adj = (upper | upper.T).astype(np.float64)
+    edges = []
+    for start in range(0, n, _COIN_ROWS):
+        same = labels[start : start + _COIN_ROWS, None] == labels
+        i, j = np.nonzero(rng.random(same.shape) < np.where(same, p_in, p_out))
+        edges.append(np.stack([i + start, j], axis=1)[j > i + start])
 
     features = np.eye(len(sizes))[labels] + feature_noise * rng.normal(size=(n, len(sizes)))
-
-    mask = np.zeros(n, dtype=bool)
-    for b in range(len(sizes)):
-        members = np.flatnonzero(labels == b)
-        take = max(1, int(np.floor(labeled_fraction * members.size)))
-        mask[rng.choice(members, size=take, replace=False)] = True
-
-    g = Graph(adj, features, labels, mask, n_classes=len(sizes))
-    if connected:
-        g = largest_connected_component(g)
-    return g
+    mask = _stratified_mask(labels, labeled_fraction, rng)
+    g = build_graph(np.concatenate(edges), features, labels, mask, n_classes=len(sizes))
+    if not connected:
+        return g
+    keep = largest_component(g.csr)
+    if mask[keep].all() or not mask[keep].any():
+        mask[keep] = _stratified_mask(labels[keep], labeled_fraction, rng)
+        g = Graph(g.csr, features, labels, mask, len(sizes))
+    return largest_connected_component(g)

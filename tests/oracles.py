@@ -15,6 +15,7 @@ from graphpoison import (
     VictimHyper,
     constraint_check,
     flip_edge,
+    largest_connected_component,
     pseudo_labels,
     train_surrogate,
 )
@@ -269,3 +270,41 @@ def dense_greedy_attack(g: Graph, cfg: AttackConfig) -> tuple[list, list[float],
         rejects.append(counts)
         current = flip_edge(current, i, j)
     return flips, scores, rejects, False
+
+
+def sbm_graph_dense(
+    block_sizes=(50, 50),
+    p_in: float = 0.2,
+    p_out: float = 0.01,
+    feature_noise: float = 1.0,
+    labeled_fraction: float = 0.1,
+    seed: int = 0,
+    connected: bool = True,
+) -> Graph:
+    """``sbm_graph`` from one N x N coin draw, an N x N probability array and a dense adjacency.
+
+    Same generator stream: the coins, then the features, then the stratified
+    mask. It draws the mask only once, so where the largest component holds
+    a single side of it, ``Graph`` raises.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = list(block_sizes)
+    n = sum(sizes)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+
+    probs = np.where(labels[:, None] == labels[None, :], p_in, p_out)
+    upper = np.triu(rng.random((n, n)) < probs, k=1)
+    adj = (upper | upper.T).astype(np.float64)
+
+    features = np.eye(len(sizes))[labels] + feature_noise * rng.normal(size=(n, len(sizes)))
+
+    mask = np.zeros(n, dtype=bool)
+    for b in range(len(sizes)):
+        members = np.flatnonzero(labels == b)
+        take = max(1, int(np.floor(labeled_fraction * members.size)))
+        mask[rng.choice(members, size=take, replace=False)] = True
+
+    g = Graph(adj, features, labels, mask, n_classes=len(sizes))
+    if connected:
+        g = largest_connected_component(g)
+    return g

@@ -428,13 +428,23 @@ def test_dice_pinned_flip_list(medium_sbm):
     ]
 
 
-def test_dice_retry_exhaustion_raises():
-    # a 2-labeled triangle with all-same pseudo-labels cannot add cross-class
-    # edges, and deleting is blocked by the singleton rule after one edge
+def test_dice_retry_exhaustion_stops_exhausted():
+    # with all-same pseudo-labels there is no cross-class pair to add
     g = build_graph([(0, 1)], np.eye(3, 2), [0, 0, 0], [True, True, False], n_classes=2)
-    cfg = _cfg(budget=2, dice_add_prob=1.0)
-    with pytest.raises(RuntimeError, match="retries"):
-        dice_attack(g, cfg)
+    res = dice_attack(g, _cfg(budget=2, dice_add_prob=1.0))
+    assert res.exhausted and res.flips == [] and res.trace == []
+    assert count_flips(g, res.poisoned) == 0
+
+    # deleting from a 4-cycle: after the first deletion only the opposite
+    # edge keeps both endpoints above degree 1, and after it the singleton
+    # rule blocks the two edges left
+    cycle = build_graph([(0, 1), (1, 2), (2, 3), (0, 3)], np.eye(4, 2), [0] * 4, [True] * 3 + [False], 2)
+    res = dice_attack(cycle, _cfg(budget=3, dice_add_prob=0.0))
+    assert res.exhausted and len(res.flips) == 2 and len(res.trace) == 2
+    assert {op for _, _, op in res.flips} == {"delete"}
+    (i, j, _), (k, m, _) = res.flips
+    assert {i, j, k, m} == {0, 1, 2, 3}  # opposite edges
+    assert count_flips(cycle, res.poisoned) == 2 and res.poisoned.n_edges == 2
 
 
 def test_attack_config_validation():

@@ -60,3 +60,20 @@ def test_every_workload_loads_as_generated(bench_inputs, tmp_path):
 
         cfg = bench_inputs.experiment_config(w, d, info["edges"], str(tmp_path / f"{name}.json"))
         assert attack_budget(cfg, g) == w.flips, name
+
+
+# ``generate(WORKLOADS[name], 1, ...)["sha256"]`` at full size, recorded with
+# numpy 2.4: a change that moves a seeded benchmark input fails here, not
+# only as a new benchmark fingerprint.
+SEED_1_DIGESTS = {
+    "meta-cora": "69cf3af336c5de92450855b4f2ce46e27696b835f13a2ee4592cb15dff442b83",
+    "meta-large": "02e1fa8020facc0523b8b390ad301125d8fdf8b770f3caaa0e49d19540cdaf59",
+    "dice-eval": "345b693bc0098f8f7de9a727af303a93052ce093520a1efe2a56e1d7a8199554",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_1_DIGESTS))
+def test_full_size_seed_1_inputs_are_pinned(bench_inputs, tmp_path, name):
+    assert bench_inputs.WORKLOADS.keys() == SEED_1_DIGESTS.keys()
+    info = bench_inputs.generate(bench_inputs.WORKLOADS[name], 1, str(tmp_path))
+    assert info["sha256"] == SEED_1_DIGESTS[name]

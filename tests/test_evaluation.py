@@ -103,6 +103,16 @@ def test_evaluate_pinned_victim_accuracies(dropout):
     assert rep.per_seed_accuracy == PINNED_VICTIM_ACCURACIES[dropout]
 
 
+def test_pinned_victim_accuracies_tell_the_seeds_apart():
+    # The noisy fixture reads the same dropout-0.5 accuracy for all three
+    # seeds, so its pin would pass a victim that ignored ``hyper.seed``;
+    # on this dense-feature graph the three seeds read apart.
+    g = sbm_graph((40, 40, 40), 0.15, 0.04, feature_noise=2.0, seed=5)
+    rep = evaluate(g, g, VictimHyper(epochs=60, dropout=0.5), seeds=(0, 1, 2))
+    assert rep.per_seed_accuracy == [0.5277777777777778, 0.5370370370370371, 0.5462962962962963]
+    assert len(set(rep.per_seed_accuracy)) == 3
+
+
 def test_scatter_covers_unlabeled_pool():
     g = _noisy_fixture()
     rows = margin_gradient_scatter(g, LossSpec("nll"))

@@ -317,18 +317,12 @@ def test_cli_exit_codes(dataset_dir, tmp_path, capsys):
     capsys.readouterr()
 
     # every subcommand names the stage that failed
-    stuck = tmp_path / "stuck"  # one edge, two nodes: DICE finds no feasible flip
-    os.makedirs(stuck)
-    (stuck / "edges.txt").write_text("0 1\n")
-    (stuck / "labels.txt").write_text("0\n1\n")
     taken = tmp_path / "taken"  # a non-empty directory where the report should go
     os.makedirs(taken / "inside")
     out = str(tmp_path / "out.json")
     fast = ["--seeds", "0", "--surrogate-epochs", "5", "--victim-epochs", "5"]
     cases = [
         (["run", "--dataset", str(tmp_path / "nope"), "--output", out], EXIT_DATA, "data error: [load] "),
-        (["attack", "--dataset", str(stuck), "--attack", "dice", "--budget-fraction", "1.0",
-          "--split-fraction", "0.34", "--output", out], EXIT_RUNTIME, "error: [attack] DICE"),
         (["evaluate", "--dataset", dataset_dir, "--output", str(taken)], EXIT_RUNTIME, "error: [write] "),
         (["scatter", "--dataset", str(tmp_path / "nope"), "--output", out], EXIT_DATA, "data error: [load] "),
     ]
@@ -337,23 +331,38 @@ def test_cli_exit_codes(dataset_dir, tmp_path, capsys):
         assert capsys.readouterr().err.startswith(message), argv
     assert not os.path.exists(out)
 
+    # an attack that finds no allowed flip is not a failure: it stops, exhausted
+    stuck = _stuck_dataset(tmp_path)
+    argv = ["attack", "--dataset", str(stuck), "--attack", "dice", "--budget-fraction", "1.0",
+            "--split-fraction", "0.34", "--output", out]
+    assert main(argv + fast) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    with open(out) as fh:
+        blob = json.load(fh)
+    assert blob["exhausted"] is True and blob["flips"] == []
 
-def test_cli_runtime_failure_exit_code(tmp_path, capsys):
-    from graphpoison.cli import EXIT_RUNTIME
 
+def _stuck_dataset(tmp_path):
     # a single edge leaves DICE no feasible flip: there is no non-edge to
     # add, and deleting the edge isolates both endpoints
     d = tmp_path / "stuck"
     os.makedirs(d)
     (d / "edges.txt").write_text("0 1\n")
     (d / "labels.txt").write_text("0\n1\n")
+    return d
+
+
+def test_cli_run_reports_an_exhausted_dice_attack(tmp_path, capsys):
+    out = tmp_path / "r.json"
     rc = main([
-        "run", "--dataset", str(d), "--attack", "dice", "--budget-fraction", "1.0",
+        "run", "--dataset", str(_stuck_dataset(tmp_path)), "--attack", "dice", "--budget-fraction", "1.0",
         "--split-fraction", "0.34", "--seeds", "0", "--victim-epochs", "20",
-        "--surrogate-epochs", "20", "--output", str(tmp_path / "r.json"),
+        "--surrogate-epochs", "20", "--output", str(out),
     ])
-    assert rc == EXIT_RUNTIME
-    assert "[attack]" in capsys.readouterr().err
+    assert rc == EXIT_OK
+    assert capsys.readouterr().err == ""
+    blob = json.loads(out.read_text())
+    assert blob["exhausted"] is True and blob["flips"] == [] and blob["budget"] == 1
 
 
 @pytest.mark.parametrize(
@@ -525,7 +534,7 @@ CONFIG_FIELDS = {
     "retrain_every": _ints(1, 3, 0, -1),
     "forbid_singletons": _bools(),
     "degree_test": _bools(),
-    "degree_test_threshold": _floats(0.05, 1.0),
+    "degree_test_threshold": _floats(0.0, 1.0),
     "refresh_pseudo_labels": _bools(),
     "dice_add_prob": _floats(0.0, 1.0, -0.1, 1.1),
     "surrogate_lr": _floats(0.01, 1.0, 0.0, -0.1),
@@ -555,13 +564,7 @@ def tiny_dataset(tmp_path_factory):
 ))
 def test_every_config_is_rejected_or_runs_to_a_finite_report(tiny_dataset, drawn):
     dataset, output = tiny_dataset
-    # The default degree-test threshold (0.004) rejects every flip of this
-    # 20-node graph, and DICE then fails by design (exit 4, not a config
-    # error), so the threshold here starts at 0.05, which rejects none.
-    data = dict(
-        dataset=dataset, output=output, surrogate_epochs=5, victim_epochs=5, seeds=[0],
-        budget_fraction=0.1, degree_test_threshold=0.05,
-    )
+    data = dict(dataset=dataset, output=output, surrogate_epochs=5, victim_epochs=5, seeds=[0], budget_fraction=0.1)
     data.update({name: value for name, (value, _) in drawn.items()})
     if not all(valid for _, valid in drawn.values()):
         with pytest.raises(ConfigError):

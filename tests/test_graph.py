@@ -277,7 +277,7 @@ def test_count_flips_counts_distinct_pairs():
 
 
 def test_graph_operations_never_hold_a_dense_adjacency():
-    # a ring plus chords; sbm_graph would draw an N x N coin matrix
+    # a ring plus chords from an edge list; sbm_graph's 256-row coin blocks alone would fill the bound
     n = 5_000
     ring = [(v, (v + 1) % n) for v in range(n)]
     chords = [(v, v + n // 2) for v in range(0, n // 2, 7)]

@@ -1,0 +1,84 @@
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from graphpoison import Graph, sbm_graph
+from graphpoison.graph import largest_component
+from graphpoison.synthetic import _COIN_ROWS
+
+from .oracles import sbm_graph_dense
+
+EMPTY_SIDE = "labeled_mask needs at least one labeled and one unlabeled node"
+
+# (block_sizes, p_in, p_out, labeled_fraction): N below, at and just above
+# one coin block, several coin blocks, a single class, no edges across
+# classes, and a sparse graph whose largest component often keeps only one
+# side of the mask the whole graph drew (6 of the 50 seeds)
+SHAPES = [
+    ((100, 100), 0.05, 0.01, 0.1),
+    ((_COIN_ROWS // 2, _COIN_ROWS // 2), 0.05, 0.01, 0.1),
+    ((_COIN_ROWS // 2 + 1, _COIN_ROWS // 2), 0.05, 0.01, 0.1),
+    ((250, 250, 150), 0.02, 0.002, 0.1),
+    ((200,), 0.02, 0.0, 0.1),
+    ((60, 60), 0.1, 0.0, 0.1),
+    ((30, 30), 0.05, 0.01, 0.05),
+]
+
+
+def _assert_same_graph(got: Graph, want: Graph) -> None:
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.csr, name), getattr(want.csr, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in ("features", "labels", "labeled_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.n_classes == want.n_classes
+
+
+def _assert_valid_split(g: Graph) -> None:
+    assert g.labeled_mask.any() and g.unlabeled_mask.any()
+    for c in np.unique(g.labels):  # the split stays stratified over the classes present
+        assert g.labeled_mask[g.labels == c].any()
+
+
+@pytest.mark.parametrize("connected", [True, False])
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: f"{sum(s[0])}-nodes-{len(s[0])}-classes-p_out-{s[2]}")
+def test_sbm_graph_matches_the_dense_oracle(shape, connected):
+    sizes, p_in, p_out, fraction = shape
+    for seed in range(50):
+        got = sbm_graph(sizes, p_in, p_out, labeled_fraction=fraction, seed=seed, connected=connected)
+        try:
+            want = sbm_graph_dense(sizes, p_in, p_out, labeled_fraction=fraction, seed=seed, connected=connected)
+        except ValueError as e:  # the largest component kept one side of the mask
+            assert connected and str(e) == EMPTY_SIDE, seed
+            _assert_valid_split(got)
+            continue
+        _assert_same_graph(got, want)
+
+
+def test_sbm_graph_redraws_a_mask_the_largest_component_cut_to_one_side():
+    args = ((15, 15), 0.3, 0.05)
+    with pytest.raises(ValueError, match=EMPTY_SIDE):
+        sbm_graph_dense(*args, seed=1146)
+    g = sbm_graph(*args, seed=1146)
+    _assert_valid_split(g)
+    # the same coins and features as the whole graph, restricted to its largest component
+    whole = sbm_graph(*args, seed=1146, connected=False)
+    keep = largest_component(whole.csr)
+    assert keep.size == g.n_nodes < whole.n_nodes
+    assert np.array_equal(g.features, whole.features[keep]) and np.array_equal(g.labels, whole.labels[keep])
+    assert (g.csr != whole.csr[keep][:, keep]).nnz == 0
+    assert not whole.labeled_mask[keep].any()  # the first draw labeled no node of the component
+
+
+def test_sbm_graph_memory_grows_with_n_not_n_squared():
+    # meta-large's input: N = 5040, whose N x N coins alone take 194 MiB
+    tracemalloc.start()
+    try:
+        g = sbm_graph((720,) * 7, 0.0045, 0.00019, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.n_nodes > 4_000
+    assert peak <= 64 * 2**20
