@@ -90,7 +90,10 @@ class VictimHyper:
 
 
 def log_softmax(z: Array) -> Array:
-    shifted = z - z.max(axis=1, keepdims=True)
+    # The row max read class-major: a reduction over the long axis, where
+    # numpy's axis-1 max over a few classes runs one short loop per row. A
+    # max reads its entries in any order to the same value.
+    shifted = z - np.ascontiguousarray(z.T).max(axis=0)[:, None]
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
@@ -203,15 +206,25 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     The loss reads only the 2-hop receptive field of the labeled nodes:
     the hidden rows ``N1``, the columns of ``Ahat[lab]``, and the feature
     rows ``N2``, the columns of ``Ahat[N1]``. Training runs on
-    ``Ahat[lab, N1]``, ``Ahat[N1, N2]`` and ``X[N2]`` alone, so an epoch
-    costs O(nnz(X[N2]) h + nnz(Ahat[N1]) h), plus nnz(X[N2]) + |N1| h
-    dropout uniforms. Features whose share of nonzero entries is at most
-    ``SPARSE_FEATURE_DENSITY`` are multiplied as CSR, in training and in
-    the eval-mode forward. The input dropout mask is drawn only at the
-    nonzeros of ``X[N2]``, one uniform each in row-major order, on both
-    paths (a zero entry stays zero whatever its mask); then the |N1| x h
-    hidden mask follows. No other unit reaches the loss, so each live unit
-    keeps the same dropout law.
+    ``Ahat[lab, N1]``, ``Ahat[N1, N2]`` and ``X[N2]`` alone. The first
+    layer is associated by the narrower operand, d = X.shape[1] against
+    h = ``hyper.hidden``:
+
+    - d < h: ``AX = Ahat[N1, N2] X_d`` then ``s1 = AX W1``, and the
+      backward reuses it, ``dW1 = AX^T ds1``. An epoch costs one sparse
+      product of nnz(Ahat[N1, N2]) d and two |N1| d h GEMMs.
+    - d >= h: ``s1 = Ahat[N1, N2] (X_d W1)`` and
+      ``dW1 = X_d^T (Ahat[N2, N1] ds1)``. An epoch costs two sparse
+      products of nnz(Ahat[N1, N2]) h and two products of nnz(X[N2]) h.
+
+    Both add the second layer's O(nnz(Ahat[lab]) h + |lab| h K), plus
+    nnz(X[N2]) + |N1| h dropout uniforms. Features whose share of nonzero
+    entries is at most ``SPARSE_FEATURE_DENSITY`` are multiplied as CSR, in
+    training and in the eval-mode forward. The input dropout mask is drawn
+    only at the nonzeros of ``X[N2]``, one uniform each in row-major order,
+    on both paths (a zero entry stays zero whatever its mask); then the
+    |N1| x h hidden mask follows. No other unit reaches the loss, so each
+    live unit keeps the same dropout law.
     """
     rng = np.random.default_rng(hyper.seed)
     d, k, h = g.features.shape[1], g.n_classes, hyper.hidden
@@ -223,7 +236,8 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     n1, a_lab = _receptive(ahat_sp[idx])  # Ahat[lab, N1]
     n2, a_12 = _receptive(ahat_sp[n1])  # Ahat[N1, N2]
     a_lab_t = a_lab.T.tocsr()  # Ahat is symmetric: Ahat[N1, lab]
-    a_12_t = a_12.T.tocsr()
+    narrow = d < h  # multiply Ahat[N1, N2] by X_d, not by X_d W1
+    a_12_t = None if narrow else a_12.T.tocsr()
     onehot = np.eye(k)[g.labels[idx]]
     keep = 1.0 - hyper.dropout
 
@@ -236,7 +250,10 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     if sparse:
         xd = x2.copy()
     else:
-        flat, scatter = np.flatnonzero(x2), np.zeros(x2.size)  # places the factors
+        xd = np.empty(x2.shape)
+        flat = slice(None) if nnz == x2.size else np.flatnonzero(x2)
+        scatter = np.zeros(x2.size)  # places the factors
+    factors, mask_h = np.empty(nnz), np.empty((n1.size, h))  # dropout, redrawn in place
 
     # Adam state
     m1 = np.zeros_like(W1); v1 = np.zeros_like(W1)
@@ -244,15 +261,21 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     b1, b2, eps = 0.9, 0.999, 1e-8
 
     for t in range(1, hyper.epochs + 1):
-        factors = (rng.random(nnz) < keep) / keep
+        rng.random(out=factors)
+        np.multiply(np.less(factors, keep, out=factors), 1.0 / keep, out=factors)
         if sparse:
             np.multiply(x2.data, factors, out=xd.data)
         else:
             scatter[flat] = factors
-            xd = x2 * scatter.reshape(x2.shape)
-        s1 = a_12 @ (xd @ W1)
+            np.multiply(x2, scatter.reshape(x2.shape), out=xd)
+        if narrow:
+            ax = a_12 @ xd
+            s1 = ax @ W1
+        else:
+            s1 = a_12 @ (xd @ W1)
         hidden = np.maximum(s1, 0.0)
-        mask_h = (rng.random(hidden.shape) < keep) / keep
+        rng.random(out=mask_h)
+        np.multiply(np.less(mask_h, keep, out=mask_h), 1.0 / keep, out=mask_h)
         hd = hidden * mask_h
         ah_lab = a_lab @ hd
         g_z = (softmax(ah_lab @ W2) - onehot) / len(idx)
@@ -261,7 +284,7 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
         g_hd = a_lab_t @ (g_z @ W2.T)
         g_hidden = g_hd * mask_h
         g_s1 = g_hidden * (s1 > 0.0)
-        g_w1 = xd.T @ (a_12_t @ g_s1) + hyper.weight_decay * W1
+        g_w1 = (ax.T @ g_s1 if narrow else xd.T @ (a_12_t @ g_s1)) + hyper.weight_decay * W1
 
         for W, gw, m, v in ((W1, g_w1, m1, v1), (W2, g_w2, m2, v2)):
             m *= b1; m += (1 - b1) * gw

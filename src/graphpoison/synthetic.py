@@ -17,12 +17,19 @@ _COIN_ROWS = 256  # adjacency rows per coin block
 
 
 def _stratified_mask(labels: Array, fraction: float, rng: np.random.Generator) -> Array:
-    """A ``fraction`` sample of each class present in ``labels``, at least one node each."""
+    """A ``fraction`` sample of each class present in ``labels``, at least one node each.
+
+    When every class has a single node, that rule labels every node; then
+    the last node is left unlabeled, so two or more nodes always keep both
+    sides of the mask. It draws nothing extra from ``rng``.
+    """
     mask = np.zeros(labels.size, dtype=bool)
     for b in np.unique(labels):
         members = np.flatnonzero(labels == b)
         take = max(1, int(np.floor(fraction * members.size)))
         mask[rng.choice(members, size=take, replace=False)] = True
+    if labels.size > 1 and mask.all():
+        mask[-1] = False
     return mask
 
 
@@ -40,10 +47,11 @@ def sbm_graph(
     Labels are block ids; features are one-hot block indicators plus
     ``feature_noise`` times standard Gaussian noise, so classification has
     to lean on structure. The labeled set is a stratified
-    ``labeled_fraction`` sample per block (at least one per block). With
-    ``connected=True`` the result is restricted to its largest component;
-    if that component holds only labeled or only unlabeled nodes, the
-    labeled set is drawn again, from the component's nodes.
+    ``labeled_fraction`` sample per block (at least one per block, but
+    never every node). With ``connected=True`` the result is restricted to
+    its largest component; if that component holds only labeled or only
+    unlabeled nodes, the labeled set is drawn again, from the component's
+    nodes: where it holds one node per class, all but its last are labeled.
     """
     rng = np.random.default_rng(seed)
     sizes = list(block_sizes)

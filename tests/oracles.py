@@ -54,6 +54,12 @@ def train_surrogate_primal(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -
     return SurrogateParams(W)
 
 
+def log_softmax_rowwise(z: np.ndarray) -> np.ndarray:
+    """``models.log_softmax`` with its row max taken along each row."""
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def train_victim_full(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     """``train_victim`` with every epoch run over all N rows of the graph.
 
@@ -62,6 +68,8 @@ def train_victim_full(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     library does, and scatters them into full-shape masks that hold ones at
     every other entry. ``N1`` are the columns of ``Ahat[lab]`` and ``N2``
     the columns of ``Ahat[N1]``; no unit outside them reaches the loss.
+    The first layer is always right-associated, ``Ahat (X_d W1)``, whatever
+    the feature width.
     """
     rng = np.random.default_rng(hyper.seed)
     X = g.features

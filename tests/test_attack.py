@@ -395,6 +395,29 @@ def test_degree_test_hook_restricts_flips():
     assert len(guarded.flips) < len(free.flips)  # tight threshold must bite
 
 
+PREFIX_CASES = {
+    "meta-degree-test": (meta_attack, dict(
+        loss_spec=LossSpec("cw", True, CA),
+        constraints=AttackConstraints(degree_test=True, degree_test_threshold=5e-4))),
+    "meta-retrain-every-2": (meta_attack, dict(loss_spec=LossSpec("nll", True, CA), retrain_every=2)),
+    "meta-refresh-pseudo-labels": (meta_attack, dict(
+        loss_spec=LossSpec("nll", True, CA), retrain_every=2, refresh_pseudo_labels=True)),
+    "dice": (dice_attack, dict(seed=3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PREFIX_CASES))
+def test_an_attack_at_a_smaller_budget_is_a_prefix_of_a_larger_one(case):
+    # the budget is only the loop bound, so one run serves every smaller budget
+    attack, kw = PREFIX_CASES[case]
+    g = sbm_graph((60, 60, 60), 0.08, 0.01, seed=4)
+    small, large = (attack(g, _cfg(budget=b, **kw)) for b in (8, 20))
+    assert len(small.flips) == 8 and len(large.flips) == 20
+    assert small.flips == large.flips[:8] and small.trace == large.trace[:8]
+    if case == "meta-degree-test":  # the test rejects candidates within the prefix
+        assert sum(t["rejects"]["degree_test"] for t in small.trace) > 0
+
+
 def test_dice_budget_zero(medium_sbm):
     res = dice_attack(medium_sbm, _cfg(budget=0))
     assert res.flips == []

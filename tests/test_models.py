@@ -23,7 +23,7 @@ from graphpoison import (
 )
 from graphpoison import models
 from .conftest import tiny_graph, write_plain_dataset
-from .oracles import surrogate_nll, train_surrogate_primal, train_victim_full
+from .oracles import log_softmax_rowwise, surrogate_nll, train_surrogate_primal, train_victim_full
 
 
 def _toy_separable():
@@ -147,6 +147,23 @@ def test_train_surrogate_loss_nonincreasing(small_sbm):
         for k in range(0, 31, 5)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+@pytest.mark.parametrize("k", [2, 7, 8, 9, 40])
+def test_log_softmax_matches_the_row_wise_max_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    z = rng.normal(scale=30.0, size=(500, k))
+    z[:100] = rng.integers(-2, 3, size=(100, k)) / 3.0  # tied maxima
+    z[100:150] = np.where(rng.random((50, k)) < 0.5, 0.0, -0.0)  # signed-zero ties
+    huge = rng.random((100, k)) < 0.3
+    z[150:250][huge] = np.where(rng.random(huge.sum()) < 0.5, 1e300, -1e300)
+    z[250, :] = 1e300
+    z[251, :] = -1e300
+    z[252, 0], z[252, 1:] = -1e300, 1e300
+    got = models.log_softmax(z)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == log_softmax_rowwise(z).tobytes()
+    assert models.log_softmax(z[:, ::-1]).tobytes() == log_softmax_rowwise(z[:, ::-1]).tobytes()
 
 
 def test_pseudo_labels_keep_ground_truth():
@@ -349,12 +366,23 @@ def _with_features(kind: str):
     return make
 
 
+def _narrow_sparse_sbm() -> Graph:
+    """The BoW SBM's graph with 10-dim binary features, about 5% nonzero."""
+    g = _bow_sbm()
+    X = (np.random.default_rng(5).random((g.n_nodes, 10)) < 0.05).astype(float)
+    return Graph(g.csr, X, g.labels, g.labeled_mask, g.n_classes)
+
+
+# Feature widths d = 300, 20, 20, N and 20 train with Ahat (X_d W1); the two
+# cases of d = 7 and d = 10 below the hidden width 16 train with (Ahat X_d) W1.
 VICTIM_ORACLE_CASES = {
     "bag_of_words": _bow_sbm,
     "gaussian": _with_features("gaussian"),
     "half_zero": _half_zero_sbm,
     "identity": _with_features("identity"),
     "outlying_components": lambda: _with_outlying_components(_half_zero_sbm()),
+    "narrow_sbm": lambda: sbm_graph((25,) * 7, 0.2, 0.01, feature_noise=1.5, seed=3),
+    "narrow_sparse": _narrow_sparse_sbm,
 }
 
 
@@ -366,6 +394,21 @@ def test_train_victim_matches_the_full_graph_oracle(kind, dropout):
     g = VICTIM_ORACLE_CASES[kind]()
     want = [train_victim_full(g, VictimHyper(epochs=60, dropout=dropout, seed=s)) for s in range(3)]
     assert _victim_accuracies(g, dropout) == want
+
+
+def test_both_first_layer_associations_agree_on_the_meta_cora_shape():
+    # the graph of the meta-cora benchmark input: d = 7 < h = 16
+    g = sbm_graph((390,) * 7, 0.0083, 0.00035, seed=1)
+    ahat = normalize_adjacency(g.csr)
+    n1, _ = models._receptive(ahat[g.labeled_mask])
+    n2, a_12 = models._receptive(ahat[n1])
+    rng = np.random.default_rng(0)
+    x2, W1 = g.features[n2], models._glorot(rng, 7, 16)
+    g_s1 = rng.normal(size=(n1.size, 16))
+    ax = a_12 @ x2
+    pairs = [(ax @ W1, a_12 @ (x2 @ W1)), (ax.T @ g_s1, x2.T @ (a_12.T.tocsr() @ g_s1))]
+    for left, right in pairs:  # s1, then dW1
+        assert np.linalg.norm(left - right) <= 1e-12 * np.linalg.norm(right)
 
 
 class _RecordingRng:

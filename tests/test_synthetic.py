@@ -72,6 +72,26 @@ def test_sbm_graph_redraws_a_mask_the_largest_component_cut_to_one_side():
     assert not whole.labeled_mask[keep].any()  # the first draw labeled no node of the component
 
 
+def test_sbm_graph_leaves_a_node_unlabeled_where_each_class_has_one():
+    # the largest component of this sparse shape sometimes holds one node
+    # per class, where the stratified redraw would label all of them
+    args = ((5, 5, 5), 0.1, 0.05)
+    one_per_class = 0
+    for seed in range(50):
+        g = sbm_graph(*args, seed=seed)
+        assert g.labeled_mask.any() and g.unlabeled_mask.any(), seed
+        if np.bincount(g.labels).max() == 1:
+            one_per_class += 1
+            assert np.flatnonzero(g.unlabeled_mask).tolist() == [g.n_nodes - 1], seed
+        try:
+            want = sbm_graph_dense(*args, seed=seed)
+        except ValueError as e:  # the largest component kept one side of the mask
+            assert str(e) == EMPTY_SIDE, seed
+            continue
+        _assert_same_graph(g, want)
+    assert one_per_class == 5
+
+
 def test_sbm_graph_memory_grows_with_n_not_n_squared():
     # meta-large's input: N = 5040, whose N x N coins alone take 194 MiB
     tracemalloc.start()
