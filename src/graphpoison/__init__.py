@@ -6,7 +6,6 @@ from .attack import (
     AttackConstraints,
     AttackResult,
     constraint_check,
-    degree_likelihood_ratio,
     dice_attack,
     meta_attack,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "constraint_check",
     "count_flips",
     "cw_loss",
-    "degree_likelihood_ratio",
     "dice_attack",
     "evaluate",
     "finite_difference_gradient",

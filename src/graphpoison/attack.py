@@ -2,8 +2,8 @@
 
 The greedy loop alternates surrogate retraining with gradient-guided flip
 selection: per iteration it scores every unordered pair by the gradient of
-the attack objective in the feasible flip direction, filters candidates
-through the unnoticeability constraints, and applies the best one. DICE
+the attack objective in the feasible flip direction and, in the same
+scan, applies the best pair the unnoticeability constraints allow. DICE
 replaces the gradient with seeded coin flips (delete within a class, add
 across classes) over the surrogate's pseudo-labels.
 """
@@ -25,7 +25,7 @@ Array = np.ndarray
 ADD = "add"
 DELETE = "delete"
 DICE_MAX_RETRIES = 200  # draws per DICE step before the attack stops, exhausted
-TOP_M = 32  # candidates a step's first scan keeps; each rescan keeps twice as many
+REASONS = ("singleton", "degree_test")  # reject reasons, by code - 1
 
 
 @dataclass(frozen=True)
@@ -89,29 +89,38 @@ class AttackResult:
     exhausted: bool = False
 
 
-def _powerlaw_ll(log_deg: Array, n: int, d_min: int) -> float:
-    """Log-likelihood of a fitted Zipf-type tail over degrees >= d_min."""
-    if n == 0:
-        return 0.0
-    sum_log = float(log_deg.sum())
-    alpha = 1.0 + n / (sum_log - n * np.log(d_min - 0.5))
-    return n * np.log(alpha) + n * alpha * np.log(d_min) - (alpha + 1.0) * sum_log
+def _powerlaw_ll(n, sum_log):
+    """Log-likelihood of a Zipf-type tail fit to ``n`` degrees >= 2 with Σ log d ``sum_log``; 0 where n is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = 1.0 + n / (sum_log - n * np.log(1.5))
+        ll = n * np.log(alpha) + n * alpha * np.log(2.0) - (alpha + 1.0) * sum_log
+    return np.where(n == 0, 0.0, ll)
 
 
-def degree_likelihood_ratio(deg_ref, deg_new, d_min: int = 2) -> float:
-    """Likelihood-ratio statistic comparing two degree sequences' power-law tails.
+def _tail_stats(deg: Array) -> tuple:
+    """The count of the degrees >= 2 and their Σ log d, all the degree test reads of a sequence."""
+    return (deg >= 2.0).sum(), np.log(np.maximum(deg, 1.0)).sum()  # log max(d, 1) is 0 below 2
 
-    Small values mean the sequences are plausibly from one distribution.
-    """
-    a = np.asarray(deg_ref, dtype=np.float64)
-    b = np.asarray(deg_new, dtype=np.float64)
-    la = np.log(a[a >= d_min])
-    lb = np.log(b[b >= d_min])
-    lc = np.concatenate([la, lb])
-    ll_a = _powerlaw_ll(la, la.size, d_min)
-    ll_b = _powerlaw_ll(lb, lb.size, d_min)
-    ll_c = _powerlaw_ll(lc, lc.size, d_min)
-    return -2.0 * ll_c + 2.0 * (ll_a + ll_b)
+
+def _reject_codes(d_i, d_j, deleting: bool, rules: AttackConstraints, stats) -> Array:
+    """Why flipping pairs of endpoint degrees ``(d_i, d_j)`` is forbidden, elementwise.
+
+    0 allows a flip, k rejects it for ``REASONS[k - 1]``; ``deleting``: the pairs are edges.
+    ``stats`` (read by the degree test only) is the reference's :func:`_tail_stats`, then
+    the current graph's: a flip moves only its endpoints' terms of the statistic."""
+    code = np.zeros(np.broadcast(d_i, d_j).shape, dtype=np.int8)
+    if rules.degree_test:
+        n_ref, s_ref, n_new, s_new = stats
+        for d in (d_i, d_j):
+            e = d + (-1.0 if deleting else 1.0)
+            n_new = n_new + (e >= 2.0) * 1 - (d >= 2.0)
+            s_new = s_new + (np.log(np.maximum(e, 1.0)) - np.log(np.maximum(d, 1.0)))
+        pooled = _powerlaw_ll(n_ref + n_new, s_ref + s_new)
+        ratio = -2.0 * pooled + 2.0 * (_powerlaw_ll(n_ref, s_ref) + _powerlaw_ll(n_new, s_new))
+        code[ratio > rules.degree_test_threshold] = 2
+    if rules.forbid_singletons and deleting:
+        code[np.minimum(d_i, d_j) <= 1.0] = 1
+    return code
 
 
 def constraint_check(
@@ -126,18 +135,10 @@ def constraint_check(
     ``g``, as :func:`flip_edge` does.
     """
     _check_pair(g, i, j)
-    rules = cfg.constraints
-    deleting = g.csr[i, j] == 1.0
-    deg = g.degrees()
-    if rules.forbid_singletons and deleting and (deg[i] <= 1.0 or deg[j] <= 1.0):
-        return "singleton"
-    if rules.degree_test:
-        ref = g if reference is None else reference
-        deg[[i, j]] += -1.0 if deleting else 1.0
-        ratio = degree_likelihood_ratio(ref.degrees(), deg)
-        if ratio > rules.degree_test_threshold:
-            return "degree_test"
-    return None
+    rules, deg = cfg.constraints, g.degrees()
+    stats = _tail_stats((reference or g).degrees()) + _tail_stats(deg) if rules.degree_test else None
+    code = int(_reject_codes(deg[i], deg[j], g.csr[i, j] == 1.0, rules, stats))
+    return REASONS[code - 1] if code else None
 
 
 def _margin_summary(phi: Array, mask: Array) -> dict:
@@ -150,42 +151,56 @@ def _margin_summary(phi: Array, mask: Array) -> dict:
     }
 
 
-def _top_pairs(
-    us: Array, vs: Array, s: Array, csr, excluded: list, buffer: Array, m: int
-) -> list[tuple[float, int, int]]:
-    """The ``m`` best positive-score pairs i < j outside ``excluded``, as (score, i, j).
+def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer: Array, rules, ref):
+    """The best allowed positive-score pair i < j of ``g`` outside ``excluded``, as
+    ``((score, i, j) or None, rejects)``, in one pass over :func:`upper_blocks`.
 
     A score is the gradient in the one flip a pair admits (deleting an edge
-    negates it). Ordered by score, ties by the smaller row-major index.
-    Each block is read in full once, for its row maxima; hits are read only
-    from the hot rows, whose maximum reaches the block's cut-off.
+    negates it); pairs rank by score, ties by the smaller row-major index.
+    ``rejects`` counts by reason the forbidden positive-score pairs outside
+    ``excluded`` that rank ahead. Deletions are judged per edge, additions
+    on the grid of distinct degrees (gathered over a block only when one of
+    its keys is forbidden). ``ref`` is the reference's :func:`_tail_stats`.
     """
-    n = s.size
-    ex = np.array(excluded, dtype=np.int64).reshape(-1, 2)
-    iu, ju = csr.nonzero()  # row-major
+    n, deg = g.n_nodes, g.degrees()
+    stats = ref + _tail_stats(deg)
+    iu, ju = g.csr.nonzero()  # row-major
     upper = iu < ju
     iu, ju = iu[upper], ju[upper]
-    best, index = np.empty(0), np.empty(0, dtype=np.int64)
+    del_codes = _reject_codes(deg[iu], deg[ju], True, rules, stats)
+    levels, cls = np.unique(deg, return_inverse=True)
+    grid = _reject_codes(levels[:, None], levels, False, rules, stats)
+    add = grid[:, cls] if grid.any() else None  # per degree class, the addition codes of every column
+    ex = np.array(excluded, dtype=np.int64).reshape(-1, 2)
+    best, best_index, found = 0.0, -1, []
     for rows, block in upper_blocks(us, vs, s, buffer):
-        r0, r1 = rows.start, rows.stop
+        r0, r1, cols = rows.start, rows.stop, n - rows.start
+        flat = block.reshape(-1)
         edges = slice(*np.searchsorted(iu, [r0, r1]))
-        block[iu[edges] - r0, ju[edges] - r0] *= -1.0
+        at_edges, codes = (iu[edges] - r0) * cols + ju[edges] - r0, del_codes[edges]
+        flat[at_edges] *= -1.0  # before the masks: an excluded edge must stay -inf
         block[:, : r1 - r0][np.tri(r1 - r0, dtype=bool)] = -np.inf
         mine = (ex[:, 0] >= r0) & (ex[:, 0] < r1)
         block[ex[mine, 0] - r0, ex[mine, 1] - r0] = -np.inf
-        # later blocks hold larger indices, so they must beat the kept m-th score;
-        # within a block, the m-th largest row maximum bounds the cut-off below
-        row_max = block.max(axis=1)
-        floor = best[-1] if best.size == m else 0.0
-        low = np.sort(row_max)[-m] if r1 - r0 >= m else floor
-        cut = low if low > floor else np.nextafter(floor, np.inf)
-        hot = np.flatnonzero(row_max >= cut)  # the only rows that can hold a hit
-        i, j = np.nonzero(block[hot] >= cut)
-        best = np.concatenate([best, block[hot[i], j]])
-        index = np.concatenate([index, (r0 + hot[i]) * n + r0 + j])
-        order = np.lexsort((index, -best))[:m]
-        best, index = best[order], index[order]
-    return [(float(v), int(k // n), int(k % n)) for v, k in zip(best, index)]
+        if add is None:  # only edges can be forbidden
+            at, codes = at_edges[codes != 0], codes[codes != 0]
+        else:
+            block_codes = add[cls[rows], r0:].reshape(-1)
+            block_codes[at_edges] = codes
+            forbidden = block_codes != 0
+            top = flat.max(where=~forbidden, initial=-np.inf)
+            at = np.flatnonzero(forbidden & (flat >= max(best, top)))  # below both it cannot rank ahead
+            codes = block_codes[at]
+        found.append((flat[at], (r0 + at // cols) * n + r0 + at % cols, codes))
+        flat[at] = -np.inf
+        k = int(flat.argmax())
+        if flat[k] > best:  # later blocks hold larger indices: ties stay put
+            best, best_index = float(flat[k]), (r0 + k // cols) * n + r0 + k % cols
+    vals, index, codes = (np.concatenate(parts) for parts in zip(*found))
+    ahead = (vals > best) | ((vals == best) & (index < best_index))
+    counts = np.bincount(codes[ahead], minlength=len(REASONS) + 1)
+    chosen = (best, best_index // n, best_index % n) if best_index >= 0 else None
+    return chosen, dict(zip(REASONS, counts[1:].tolist()))
 
 
 def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
@@ -196,13 +211,11 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     the first (re-deriving pseudo-labels only when
     ``cfg.refresh_pseudo_labels``), compute the attack gradient under
     ``cfg.loss_spec`` with weights from the current margins, and apply the
-    best-scoring constraint-allowed flip. Pairs are scored in row chunks and
-    the best ``TOP_M`` are checked in order; only when all are rejected is
-    the scan repeated without them, keeping twice as many. Stops early,
-    flagged ``exhausted``, when no allowed candidate still has positive
-    score. A pair is never flipped twice. Each trace entry counts the
-    candidates checked and the rejects by reason. Deterministic given the
-    config.
+    best-scoring constraint-allowed flip, found by one scan (:func:`_top_pairs`).
+    Stops early, flagged ``exhausted``, when no allowed candidate still has
+    positive score. A pair is never flipped twice. Each trace entry counts
+    by reason the rejects, the forbidden pairs that rank ahead of its flip;
+    ``candidates_checked`` is their count plus one. Deterministic given the config.
     """
     n = g.n_nodes
     if cfg.budget > n * (n - 1) // 2:
@@ -214,6 +227,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     pseudo = pseudo_labels(params, g)
     exhausted = False
     buffer = np.empty(CHUNK_ROWS * n)  # once per run: freed every step, it would stay in the heap
+    ref = _tail_stats(g.degrees())
 
     for step in range(cfg.budget):
         if step and step % cfg.retrain_every == 0:
@@ -221,26 +235,12 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
             if cfg.refresh_pseudo_labels:
                 pseudo = pseudo_labels(params, current)
         us, vs, s, info = attack_factors(current, params, cfg.loss_spec, pseudo)
-        excluded = [(i, j) for i, j, _ in flips]
-        rejects = dict.fromkeys(("singleton", "degree_test"), 0)
-        chosen, m = None, TOP_M
-        while chosen is None:
-            candidates = _top_pairs(us, vs, s, current.csr, excluded, buffer, m)
-            for score, i, j in candidates:
-                reason = constraint_check(current, i, j, cfg, reference=g)
-                if reason is None:
-                    chosen = (i, j, score)
-                    break
-                rejects[reason] += 1
-                excluded.append((i, j))
-            if len(candidates) < m:
-                break  # every positive-score pair was checked
-            m *= 2
+        chosen, rejects = _top_pairs(us, vs, s, current, [f[:2] for f in flips], buffer, cfg.constraints, ref)
         if chosen is None:
             exhausted = True
             break
 
-        i, j, score = chosen
+        score, i, j = chosen
         op = DELETE if current.csr[i, j] == 1.0 else ADD
         current = flip_edge(current, i, j)
         objective_after = attack_objective(

@@ -49,9 +49,9 @@ def sbm_graph(
     to lean on structure. The labeled set is a stratified
     ``labeled_fraction`` sample per block (at least one per block, but
     never every node). With ``connected=True`` the result is restricted to
-    its largest component; if that component holds only labeled or only
-    unlabeled nodes, the labeled set is drawn again, from the component's
-    nodes: where it holds one node per class, all but its last are labeled.
+    its largest component, which must hold an edge (else ValueError); if it
+    holds only labeled or only unlabeled nodes, the labeled set is redrawn
+    from its nodes: where it holds one node per class, all but its last are labeled.
     """
     rng = np.random.default_rng(seed)
     sizes = list(block_sizes)
@@ -70,6 +70,8 @@ def sbm_graph(
     if not connected:
         return g
     keep = largest_component(g.csr)
+    if keep.size == 1:
+        raise ValueError("sbm_graph drew no edge: its largest component is a single node")
     if mask[keep].all() or not mask[keep].any():
         mask[keep] = _stratified_mask(labels[keep], labeled_fraction, rng)
         g = Graph(g.csr, features, labels, mask, len(sizes))

@@ -159,23 +159,6 @@ def pair_scores_two_products(
     return out
 
 
-def dense_top_pairs(grad: np.ndarray, g: Graph, excluded, m: int) -> list[tuple[float, int, int]]:
-    """``attack._top_pairs`` by a dense sort of the N x N symmetrized gradient ``grad``.
-
-    Edges are negated, the lower triangle and ``excluded`` masked; the
-    positive scores are ordered by (-score, row-major index) and cut at ``m``.
-    """
-    n = g.n_nodes
-    scores = grad * (1.0 - 2.0 * g.adjacency)
-    scores[np.tril_indices(n)] = -np.inf
-    for i, j in excluded:
-        scores[i, j] = -np.inf
-    flat = scores.ravel()
-    hits = np.flatnonzero(flat > 0.0)
-    order = np.lexsort((hits, -flat[hits]))[:m]
-    return [(float(flat[k]), int(k // n), int(k % n)) for k in hits[order]]
-
-
 def dense_adjacency_gradient(g_z: np.ndarray, g: Graph, params: SurrogateParams) -> np.ndarray:
     """Pull d objective / d logits back to the raw adjacency by the dense formula.
 
@@ -243,13 +226,59 @@ def score_flips(grad: np.ndarray, g: Graph) -> list[tuple[int, int, float]]:
     return list(zip(iu[order].tolist(), ju[order].tolist(), scores[order].tolist()))
 
 
+def _powerlaw_ll(log_deg: np.ndarray, d_min: int) -> float:
+    """Log-likelihood of a fitted Zipf-type tail over the logs of the degrees >= d_min."""
+    n = log_deg.size
+    if n == 0:
+        return 0.0
+    sum_log = float(log_deg.sum())
+    alpha = 1.0 + n / (sum_log - n * np.log(d_min - 0.5))
+    return n * np.log(alpha) + n * alpha * np.log(d_min) - (alpha + 1.0) * sum_log
+
+
+def degree_likelihood_ratio(deg_ref, deg_new, d_min: int = 2) -> float:
+    """The degree test's likelihood-ratio statistic from two whole degree sequences.
+
+    Each power-law tail, and that of the pooled sequence, is fit from its
+    degrees >= d_min. Small values mean the sequences are plausibly from
+    one distribution.
+    """
+    a = np.asarray(deg_ref, dtype=np.float64)
+    b = np.asarray(deg_new, dtype=np.float64)
+    la = np.log(a[a >= d_min])
+    lb = np.log(b[b >= d_min])
+    pooled = _powerlaw_ll(np.concatenate([la, lb]), d_min)
+    return -2.0 * pooled + 2.0 * (_powerlaw_ll(la, d_min) + _powerlaw_ll(lb, d_min))
+
+
+def dense_best_pair(grad: np.ndarray, g: Graph, excluded, cfg: AttackConfig, reference: Graph):
+    """``attack._top_pairs`` by the dense ranking of the N x N symmetrized gradient ``grad``.
+
+    Every pair ranked by :func:`score_flips`; pairs in ``excluded`` are
+    skipped, and ``constraint_check`` runs in that order until one passes.
+    Returns ``((score, i, j), rejects)``, or ``(None, rejects)`` when no
+    allowed pair scores above 0.
+    """
+    done = set(excluded)
+    counts = {"singleton": 0, "degree_test": 0}
+    for i, j, score in score_flips(grad, g):
+        if not score > 0.0:
+            break
+        if (i, j) in done:
+            continue
+        reason = constraint_check(g, i, j, cfg, reference=reference)
+        if reason is None:
+            return (score, i, j), counts
+        counts[reason] += 1
+    return None, counts
+
+
 def dense_greedy_attack(g: Graph, cfg: AttackConfig) -> tuple[list, list[float], list[dict], bool]:
     """``meta_attack``'s greedy loop over the full N x N gradient.
 
-    Per step: the full :func:`attack_gradient`, every pair ranked by
-    :func:`score_flips`, and ``constraint_check`` in that order until one
-    passes. Returns the flips, their scores, each step's rejects by reason
-    and whether the loop ran out of allowed positive-score pairs.
+    Per step: the full :func:`attack_gradient` and :func:`dense_best_pair`.
+    Returns the flips, their scores, each step's rejects by reason and
+    whether the loop ran out of allowed positive-score pairs.
     """
     params = train_surrogate(g, cfg.surrogate_hyper)
     pseudo = pseudo_labels(params, g)
@@ -260,19 +289,10 @@ def dense_greedy_attack(g: Graph, cfg: AttackConfig) -> tuple[list, list[float],
             if cfg.refresh_pseudo_labels:
                 pseudo = pseudo_labels(params, current)
         grad = attack_gradient(current, params, cfg.loss_spec, pseudo)
-        done = {(i, j) for i, j, _ in flips}
-        counts = {"singleton": 0, "degree_test": 0}
-        for i, j, score in score_flips(grad, current):
-            if not score > 0.0:
-                return flips, scores, rejects, True
-            if (i, j) in done:
-                continue
-            reason = constraint_check(current, i, j, cfg, reference=g)
-            if reason is None:
-                break
-            counts[reason] += 1
-        else:
+        chosen, counts = dense_best_pair(grad, current, [(i, j) for i, j, _ in flips], cfg, g)
+        if chosen is None:
             return flips, scores, rejects, True
+        score, i, j = chosen
         flips.append((i, j, "delete" if current.csr[i, j] == 1.0 else "add"))
         scores.append(score)
         rejects.append(counts)

@@ -11,7 +11,6 @@ from graphpoison import (
     build_graph,
     constraint_check,
     count_flips,
-    degree_likelihood_ratio,
     dice_attack,
     flip_edge,
     meta_attack,
@@ -22,7 +21,14 @@ from graphpoison import (
 from graphpoison.gradients import CHUNK_ROWS, attack_factors
 
 from .conftest import tiny_graph
-from .oracles import assembled_scores, attack_gradient, dense_greedy_attack, dense_top_pairs, score_flips
+from .oracles import (
+    assembled_scores,
+    attack_gradient,
+    degree_likelihood_ratio,
+    dense_best_pair,
+    dense_greedy_attack,
+    score_flips,
+)
 
 FAST_SURROGATE = SurrogateHyper(epochs=60)
 CA = CAWeightParams(4.5, 1.0, 1.0, 1.0)
@@ -79,6 +85,68 @@ def test_degree_likelihood_ratio_identical_distributions():
     assert degree_likelihood_ratio(deg, bumped) > 0.0
 
 
+def _flipped(g, count, seed):
+    """``g`` after ``count`` seeded random flips."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = flip_edge(g, *rng.choice(g.n_nodes, 2, replace=False).tolist())
+    return g
+
+
+def test_closed_form_statistic_matches_the_whole_sequence_ratio():
+    """The degree test decides each flip from the tail sums and its two
+    endpoints' degrees. Bracketing the oracle's statistic, recomputed from
+    both whole degree sequences, by +-1e-9 flips the decision, so the two
+    agree to 1e-9 absolute (the statistic is a difference of terms of about
+    1e2 here, 1e4 on larger graphs), for every addition and deletion,
+    including the degree moves 0<->1, 1<->2 and 2<->3 across the tail's edge."""
+    reference = sbm_graph((30, 30), 0.06, 0.01, seed=5, connected=False)
+    g = _flipped(reference, 10, seed=0)
+    deg = g.degrees()
+    stats = attack_module._tail_stats(reference.degrees()) + attack_module._tail_stats(deg)
+    moves = set()
+    for i, j in zip(*np.triu_indices(g.n_nodes, 1)):
+        deleting = g.csr[i, j] == 1.0
+        new = deg.copy()
+        new[[i, j]] += -1.0 if deleting else 1.0
+        ratio = degree_likelihood_ratio(reference.degrees(), new)
+        for offset, code in ((-1e-9, 2), (1e-9, 0)):
+            rules = AttackConstraints(forbid_singletons=False, degree_test=True, degree_test_threshold=ratio + offset)
+            assert attack_module._reject_codes(deg[i], deg[j], deleting, rules, stats) == code
+        moves |= {(int(d), int(d + (-1 if deleting else 1))) for d in deg[[i, j]]}
+    assert {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)} <= moves
+
+
+@pytest.mark.parametrize("threshold, flips", [(1e-4, 1), (5e-4, 5), (4e-3, 16)])
+def test_degree_key_decisions_equal_constraint_check(three_chunk_sbm, threshold, flips):
+    """The scan's decisions, per upper edge for deletions and on the grid of
+    distinct degrees for additions, equal ``constraint_check`` pair by pair.
+    Each threshold gets a graph far enough from the reference to both allow
+    and reject."""
+    reference = three_chunk_sbm
+    g = _flipped(reference, flips, seed=1)
+    cfg = _cfg(constraints=AttackConstraints(degree_test=True, degree_test_threshold=threshold))
+    deg = g.degrees()
+    stats = attack_module._tail_stats(reference.degrees()) + attack_module._tail_stats(deg)
+    levels, cls = np.unique(deg, return_inverse=True)
+    grid = attack_module._reject_codes(levels[:, None], levels, False, cfg.constraints, stats)
+    iu, ju = np.triu(g.adjacency, 1).nonzero()
+    on_edges = attack_module._reject_codes(deg[iu], deg[ju], True, cfg.constraints, stats)
+    rng = np.random.default_rng(2)
+    pairs = [sorted(rng.choice(g.n_nodes, 2, replace=False).tolist()) for _ in range(200)]
+    pairs += [(iu[k], ju[k]) for k in rng.choice(iu.size, 100, replace=False)]
+    reasons = (None,) + attack_module.REASONS
+    decisions = []
+    for i, j in pairs:
+        if g.csr[i, j] == 1.0:
+            code = on_edges[np.flatnonzero((iu == i) & (ju == j))[0]]
+        else:
+            code = grid[cls[i], cls[j]]
+        decisions.append(reasons[code])
+        assert decisions[-1] == constraint_check(g, i, j, cfg, reference=reference)
+    assert None in decisions and "degree_test" in decisions
+
+
 def test_meta_attack_budget_zero(medium_sbm):
     res = meta_attack(medium_sbm, _cfg(budget=0))
     assert res.flips == []
@@ -116,7 +184,7 @@ def test_meta_attack_deterministic(medium_sbm):
 
 def test_meta_attack_holds_two_chunks_of_scores():
     """The traced peak stays near the one reused CHUNK_ROWS x N score
-    buffer (1.4 chunks here, with the hot rows' candidates and the surrogate
+    buffer (1.4 chunks here, with a block's temporaries and the surrogate
     refit beside it), well under one N x N array."""
     import tracemalloc
 
@@ -203,23 +271,29 @@ def test_meta_attack_pinned_flip_lists(medium_sbm, base, ca):
 
 
 def test_meta_attack_matches_dense_greedy_oracle(three_chunk_sbm):
-    """Flips, trace scores and exhaustion equal the dense loop's exactly, for
-    every loss; the degree test rejects enough pairs to force rescans."""
+    """Flips, trace scores, rejects and exhaustion equal the dense loop's
+    exactly, for every loss; the degree test rejects up to hundreds of pairs
+    before a flip, and on the 16-node graph it forbids every positive-score
+    pair after four flips, so the run exhausts mid-budget."""
     checked = []
-    for spec in (LossSpec("nll"), LossSpec("nll", True, CA), LossSpec("cw"), LossSpec("cw", True, CA)):
+    cases = [(three_chunk_sbm, spec, 1e-4, 5)
+             for spec in (LossSpec("nll"), LossSpec("nll", True, CA), LossSpec("cw"), LossSpec("cw", True, CA))]
+    cases.append((sbm_graph((8, 8), 0.4, 0.1, seed=2), LossSpec("cw"), 1e-3, 10))
+    for g, spec, threshold, budget in cases:
         cfg = _cfg(
-            budget=5,
+            budget=budget,
             loss_spec=spec,
-            constraints=AttackConstraints(degree_test=True, degree_test_threshold=1e-4),
+            constraints=AttackConstraints(degree_test=True, degree_test_threshold=threshold),
         )
-        res = meta_attack(three_chunk_sbm, cfg)
-        flips, scores, rejects, exhausted = dense_greedy_attack(three_chunk_sbm, cfg)
+        res = meta_attack(g, cfg)
+        flips, scores, rejects, exhausted = dense_greedy_attack(g, cfg)
         assert res.flips == flips
         assert [t["score"] for t in res.trace] == scores
         assert [t["rejects"] for t in res.trace] == rejects
         assert res.exhausted == exhausted
         checked += [t["candidates_checked"] for t in res.trace]
-    assert max(checked) > attack_module.TOP_M
+    assert exhausted and 0 < len(flips) < budget  # the last case
+    assert max(checked) > 32
 
 
 def _tie_factors(g):
@@ -274,38 +348,77 @@ def test_meta_attack_breaks_a_cross_chunk_tie_by_row_major_order(three_chunk_sbm
     assert res.exhausted
 
 
-@pytest.mark.parametrize("m", [1, 32, 300])
-def test_top_pairs_equal_a_dense_sort(three_chunk_sbm, m):
-    """``_top_pairs`` reads candidates only from rows whose maximum reaches
-    its cut-off; it returns exactly the dense ranking's first m pairs, ties
-    at the cut included, with and without excluded pairs."""
+def _scan_fixture(g):
+    """``g`` after four flips (two deletions, two additions) and the flipped pairs."""
+    rng = np.random.default_rng(0)
+    iu, ju = np.triu(g.adjacency, 1).nonzero()
+    flipped = [(int(iu[k]), int(ju[k])) for k in rng.choice(iu.size, 2, replace=False)]
+    while len(flipped) < 4:
+        i, j = sorted(rng.choice(g.n_nodes, 2, replace=False).tolist())
+        if g.csr[i, j] == 0.0:
+            flipped.append((i, j))
+    current = g
+    for i, j in flipped:
+        current = flip_edge(current, i, j)
+    return current, flipped
+
+
+def _scan(current, reference, factors, cfg, excluded):
+    """``_top_pairs`` on ``current`` with the reference graph's tail sums."""
+    ref = attack_module._tail_stats(reference.degrees())
+    buffer = np.empty(CHUNK_ROWS * current.n_nodes)
+    return attack_module._top_pairs(*factors, current, excluded, buffer, cfg.constraints, ref)
+
+
+@pytest.mark.parametrize("threshold", [None, 1e-5, 1e-4])
+def test_top_pairs_best_allowed_pair_and_rejects_equal_the_dense_ranking(three_chunk_sbm, threshold):
+    """One scan gives the dense ranking's first allowed pair and the rejects
+    ahead of it, with and without excluded pairs; the degree test's
+    thresholds forbid additions, so the scan gathers the degree-key mask."""
     g = three_chunk_sbm
-    n = g.n_nodes
+    test = threshold is not None
+    cfg = _cfg(constraints=AttackConstraints(degree_test=test, degree_test_threshold=threshold or 0.004))
     params = train_surrogate(g, FAST_SURROGATE)
-    labels = pseudo_labels(params, g)
+    current, flipped = _scan_fixture(g)
+    gradient = attack_factors(g, params, LossSpec("cw", True, CA), pseudo_labels(params, g))[:3]
     us, vs, _ = _tie_factors(g)
-    buffer = np.empty(CHUNK_ROWS * n)
-    for factors in (attack_factors(g, params, LossSpec("cw", True, CA), labels)[:3], (us, vs, np.zeros(n))):
+    for factors in (gradient, (us, vs, np.zeros(g.n_nodes))):
         grad = assembled_scores(*factors)
-        ranked = dense_top_pairs(grad, g, [], m + 2)
-        assert len(ranked) == m + 2
-        excluded = [ranked[k][1:] for k in (0, m // 2, m - 1)]
-        for ex in ([], excluded):
-            expected = dense_top_pairs(grad, g, ex, m)
-            assert len(expected) == m
-            assert attack_module._top_pairs(*factors, g.csr, ex, buffer, m) == expected
+        found = _scan(current, g, factors, cfg, [])
+        assert found == dense_best_pair(grad, current, [], cfg, g) and found[0] is not None
+        if test and factors is gradient:
+            assert found[1]["degree_test"] > 0
+        # the flipped pairs, the chosen pair and two forbidden pairs scored ahead of it
+        ahead = [(i, j) for i, j, _ in score_flips(grad, current)[:50]]
+        forbidden = [p for p in ahead if constraint_check(current, *p, cfg, reference=g) is not None]
+        excluded = flipped + [found[0][1:]] + forbidden[:2]
+        found = _scan(current, g, factors, cfg, excluded)
+        assert found == dense_best_pair(grad, current, excluded, cfg, g) and found[0] is not None
 
 
-def test_top_pairs_can_return_every_positive_pair(three_chunk_sbm):
-    """With m past the count of positive pairs no cut-off applies: every
-    edge and non-edge of every row comes back, in the dense order."""
+def test_top_pairs_rejects_every_positive_pair_when_every_flip_is_forbidden(three_chunk_sbm):
+    """With every flip forbidden no pair is chosen, and every positive-score
+    pair outside the excluded ones is rejected: by the singleton rule if it
+    is an edge at a degree-1 node, else by the degree test."""
     g = three_chunk_sbm
+    cfg = _cfg(constraints=AttackConstraints(degree_test=True, degree_test_threshold=-1.0))
     params = train_surrogate(g, FAST_SURROGATE)
-    factors = attack_factors(g, params, LossSpec("nll", True, CA), pseudo_labels(params, g))[:3]
-    expected = dense_top_pairs(assembled_scores(*factors), g, [], g.n_nodes**2)
-    assert any(g.csr[i, j] for _, i, j in expected)
-    found = attack_module._top_pairs(*factors, g.csr, [], np.empty(CHUNK_ROWS * g.n_nodes), len(expected) + 1)
-    assert found == expected
+    us, vs, s = attack_factors(g, params, LossSpec("nll", True, CA), pseudo_labels(params, g))[:3]
+    current, flipped = _scan_fixture(g)
+    a = current.adjacency
+    deg = a.sum(axis=1)
+    lonely = (a == 1.0) & (np.minimum.outer(deg, deg) <= 1.0)
+    singletons = 0
+    for factors in ((us, vs, s), (-us, vs, -s)):  # the second negates every score
+        for excluded in ([], flipped):
+            scores = assembled_scores(*factors) * (1.0 - 2.0 * a)
+            scores[np.tril_indices(g.n_nodes)] = -np.inf
+            scores[tuple(np.array(excluded, dtype=int).reshape(-1, 2).T)] = -np.inf
+            positive = scores > 0.0
+            expected = {"singleton": int((positive & lonely).sum()), "degree_test": int((positive & ~lonely).sum())}
+            assert _scan(current, g, factors, cfg, excluded) == (None, expected)
+            singletons += expected["singleton"]
+    assert singletons > 0
 
 
 def _record_graphs(monkeypatch, name, graph_arg):

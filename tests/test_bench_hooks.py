@@ -77,9 +77,14 @@ def test_resolved_hooks_fire_in_an_attack_and_are_restored(bench_trace):
         "models.pseudo_label",
         "losses.loss",
         "gradients.objective",
-        "attack.constraint",
     }
     assert expected <= fired
+    # meta applies the constraint rules inside its score scan; DICE still
+    # checks each draw through constraint_check
+    tracer = bench_trace.Tracer()
+    with tracer.installed(bench_trace.LAYER_HOOKS):
+        dice_attack(g, cfg)
+    assert "attack.constraint" in {span.name for span in tracer.spans}
 
 
 def test_the_victim_hook_times_every_fit(bench_trace):

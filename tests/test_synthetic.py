@@ -92,6 +92,25 @@ def test_sbm_graph_leaves_a_node_unlabeled_where_each_class_has_one():
     assert one_per_class == 5
 
 
+def test_sbm_graph_that_draws_no_edge_says_so():
+    # the largest component of an edgeless draw is one node, which no mask
+    # redraw can split; every other seed of the shape still builds
+    args = ((3, 3), 0.2, 0.1)
+    with pytest.raises(ValueError, match="largest component is a single node"):
+        sbm_graph(*args, seed=10)
+    assert sbm_graph(*args, seed=10, connected=False).n_edges == 0
+    edgeless = 0
+    for seed in range(200):
+        if sbm_graph(*args, seed=seed, connected=False).n_edges == 0:
+            edgeless += 1
+            with pytest.raises(ValueError, match="single node"):
+                sbm_graph(*args, seed=seed)
+        else:
+            g = sbm_graph(*args, seed=seed)
+            assert g.labeled_mask.any() and g.unlabeled_mask.any()
+    assert edgeless == 17
+
+
 def test_sbm_graph_memory_grows_with_n_not_n_squared():
     # meta-large's input: N = 5040, whose N x N coins alone take 194 MiB
     tracemalloc.start()
