@@ -10,7 +10,6 @@ across classes) over the surrogate's pseudo-labels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .gradients import CHUNK_ROWS, attack_factors, attack_objective, upper_blocks
 from .graph import Graph, _check_pair, count_flips, flip_edge
 from .losses import LossSpec
-from .models import SurrogateHyper, _check_bool, _check_int, pseudo_labels, train_surrogate
+from .models import SurrogateHyper, check_fields, pseudo_labels, train_surrogate
 
 Array = np.ndarray
 
@@ -43,10 +42,7 @@ class AttackConstraints:
     degree_test_threshold: float = 0.004
 
     def __post_init__(self) -> None:
-        _check_bool("forbid_singletons", self.forbid_singletons)
-        _check_bool("degree_test", self.degree_test)
-        if not math.isfinite(self.degree_test_threshold):
-            raise ValueError("degree_test_threshold must be finite")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -72,10 +68,12 @@ class AttackConfig:
     dice_add_prob: float = 0.5
 
     def __post_init__(self) -> None:
-        _check_int("budget", self.budget, 0)
-        _check_int("retrain_every", self.retrain_every, 1)
-        _check_int("seed", self.seed, 0)
-        _check_bool("refresh_pseudo_labels", self.refresh_pseudo_labels)
+        check_fields(self)
+        for name in ("budget", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        if self.retrain_every < 1:
+            raise ValueError("retrain_every must be >= 1")
         if not 0.0 <= self.dice_add_prob <= 1.0:
             raise ValueError("dice_add_prob must be in [0, 1]")
 
@@ -191,14 +189,16 @@ def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer:
             top = flat.max(where=~forbidden, initial=-np.inf)
             at = np.flatnonzero(forbidden & (flat >= max(best, top)))  # below both it cannot rank ahead
             codes = block_codes[at]
-        found.append((flat[at], (r0 + at // cols) * n + r0 + at % cols, codes))
+        found.append((flat[at], at, codes, r0))  # block-local offsets: no index temporaries
         flat[at] = -np.inf
         k = int(flat.argmax())
         if flat[k] > best:  # later blocks hold larger indices: ties stay put
             best, best_index = float(flat[k]), (r0 + k // cols) * n + r0 + k % cols
-    vals, index, codes = (np.concatenate(parts) for parts in zip(*found))
-    ahead = (vals > best) | ((vals == best) & (index < best_index))
-    counts = np.bincount(codes[ahead], minlength=len(REASONS) + 1)
+    counts = np.zeros(len(REASONS) + 1, dtype=np.int64)
+    for vals, at, codes, r0 in found:  # part by part: never a concatenated copy
+        ahead, tie = vals > best, np.flatnonzero(vals == best)
+        ahead[tie] = (r0 + at[tie] // (n - r0)) * n + r0 + at[tie] % (n - r0) < best_index
+        counts += np.bincount(codes[ahead], minlength=len(REASONS) + 1)
     chosen = (best, best_index // n, best_index % n) if best_index >= 0 else None
     return chosen, dict(zip(REASONS, counts[1:].tolist()))
 

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph, build_graph, largest_component
-from .models import _check_int
+from .models import check_type
 
 EDGES_FILE = "edges.txt"
 LABELS_FILE = "labels.txt"
@@ -38,9 +38,10 @@ class DatasetError(ValueError):
 
 def check_split(fraction: float, seed: int) -> None:
     """Raise ValueError unless ``(fraction, seed)`` is a valid split request."""
-    if not 0.0 < fraction < 1.0:
+    if not 0.0 < check_type("split fraction", fraction, float) < 1.0:
         raise ValueError("split fraction must be in (0, 1)")
-    _check_int("split seed", seed, 0)
+    if check_type("split seed", seed, int) < 0:
+        raise ValueError("split seed must be nonnegative")
 
 
 def seeded_split(n_nodes: int, fraction: float, seed: int) -> np.ndarray:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import math
-import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -18,7 +16,7 @@ from .data import DatasetError, check_split, load_dataset
 from .evaluation import EvalReport, evaluate
 from .graph import Graph, flip_edge
 from .losses import CAWeightParams, LossSpec
-from .models import SurrogateHyper, VictimHyper
+from .models import SurrogateHyper, VictimHyper, check_fields, check_type
 
 OUTPUT_DIR_ENV = "GRAPHPOISON_OUTPUT_DIR"
 
@@ -28,26 +26,6 @@ DICE = "dice"
 
 class ConfigError(ValueError):
     """An experiment configuration is invalid."""
-
-
-def _check_type(name: str, value, annotation: str) -> None:
-    """Raise ValueError unless ``value`` has the field's annotated type.
-
-    A bool is no number (JSON ``true`` is no count), an int is a float,
-    floats must be finite, and ``seeds`` (annotated ``tuple``) is a list or
-    tuple of ints.
-    """
-    if annotation == "tuple":
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"{name} must be a list of integers, got {value!r}")
-        for item in value:
-            _check_type(name, item, "int")
-        return
-    kind = {"bool": bool, "int": numbers.Integral, "float": numbers.Real, "str": str}[annotation]
-    if not isinstance(value, kind) or (annotation != "bool" and isinstance(value, bool)):
-        raise ValueError(f"{name} must be of type {annotation}, got {value!r}")
-    if annotation == "float" and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -93,11 +71,9 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         try:
-            for f in dataclasses.fields(self):
-                _check_type(f.name, getattr(self, f.name), f.type)
+            check_fields(self)
             if not self.seeds:
                 raise ValueError("seeds must be nonempty")
-            object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
             if min(self.seeds) < 0:
                 raise ValueError("seeds must be nonnegative")
             if not 0.0 <= self.budget_fraction <= 1.0:
@@ -142,10 +118,7 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as e:
-            raise ConfigError(str(e))
+        return cls(**data)
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
@@ -230,11 +203,9 @@ def apply_flips(g: Graph, flips) -> Graph:
     seen = set()
     for k, (i, j, op) in enumerate(flips):
         try:
-            for name, value, kind in (("i", i, "int"), ("j", j, "int"), ("op", op, "str")):
-                _check_type(name, value, kind)
+            i, j, op = check_type("i", i, int), check_type("j", j, int), check_type("op", op, str)
         except ValueError as e:
             raise DatasetError(f"flip {k}: {e}") from None
-        i, j = int(i), int(j)
         pair = (min(i, j), max(i, j))
         if pair in seen:
             raise DatasetError(f"flip {k}: pair {pair} is flipped twice")

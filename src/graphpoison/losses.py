@@ -11,12 +11,11 @@ constants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import _check_bool, log_softmax, margins
+from .models import check_fields, log_softmax, margins
 
 Array = np.ndarray
 
@@ -40,8 +39,7 @@ class CAWeightParams:
     beta2: float = 1.0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.alpha1, self.beta1, self.alpha2, self.beta2))):
-            raise ValueError("alphas and betas must be finite")
+        check_fields(self)
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ValueError("alphas must be positive")
         if self.beta1 < 0 or self.beta2 < 0:
@@ -58,15 +56,15 @@ class LossSpec:
     cw_kappa: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.base not in _BASES:
             raise ValueError(f"base must be one of {_BASES}, got {self.base!r}")
-        _check_bool("ca_enabled", self.ca_enabled)
         if self.ca_enabled and self.ca_params is None:
             raise ValueError("ca_enabled requires ca_params")
         if not self.ca_enabled and self.ca_params is not None:
             raise ValueError("ca_params given but ca_enabled is False")
-        if not (math.isfinite(self.cw_kappa) and self.cw_kappa >= 0):
-            raise ValueError("cw_kappa must be finite and nonnegative")
+        if self.cw_kappa < 0:
+            raise ValueError("cw_kappa must be nonnegative")
 
 
 def _check_mask(mask: Array) -> Array:

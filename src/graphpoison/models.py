@@ -9,8 +9,9 @@ dropout and Adam, retrained from scratch for evaluation.
 
 from __future__ import annotations
 
-import math
-import numbers
+import dataclasses
+import sys
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,27 +27,50 @@ Array = np.ndarray
 SPARSE_FEATURE_DENSITY = 0.1
 
 
-def _check_int(name: str, value, low: int) -> None:
-    """Reject a value that is not an integer (bools included) or is below ``low``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < low:
-        raise ValueError(f"{name} must be nonnegative" if low == 0 else f"{name} must be >= {low}")
+_KINDS = {bool: "a bool", int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_bool(name: str, value) -> None:
-    """Reject a switch that is not a bool (a numpy bool is one; 0, 1 and strings are not)."""
-    if not isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a bool, got {value!r}")
+def check_type(name: str, value, kind):
+    """Return ``value`` as a field annotated ``kind`` stores it; ValueError if it does not fit.
+
+    The one type rule of every config: a bool, Python's or numpy's, fits only
+    ``bool``; an integer fits ``int`` and ``float``; ``float`` takes any
+    finite real; ``tuple`` is a list or tuple of integers; any other kind (a
+    nested config, ``X | None``) is checked by ``isinstance``. A numpy scalar
+    is stored as its ``.item()``, a Python value as given.
+    """
+    if kind is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{name} must be a list of integers, got {value!r}")
+        return tuple(check_type(name, item, int) for item in value)
+    if isinstance(value, np.generic):
+        value = value.item()
+    if kind is bool:
+        fits = isinstance(value, bool)
+    else:
+        fits = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if not fits:
+        wanted = _KINDS.get(kind) or f"of type {getattr(kind, '__name__', kind)}"
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:  # nan, an infinity, or an int no float holds
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
-def _check_training(lr: float, epochs: int, weight_decay: float, seed: int) -> None:
-    if not (math.isfinite(lr) and lr > 0):
-        raise ValueError("learning rate must be finite and positive")
-    _check_int("epochs", epochs, 0)
-    if not (math.isfinite(weight_decay) and weight_decay >= 0):
-        raise ValueError("weight_decay must be finite and nonnegative")
-    _check_int("seed", seed, 0)
+def check_fields(config) -> None:
+    """Run :func:`check_type` on every field of a dataclass by its resolved annotation."""
+    hints = typing.get_type_hints(type(config))
+    for f in dataclasses.fields(config):
+        object.__setattr__(config, f.name, check_type(f.name, getattr(config, f.name), hints[f.name]))
+
+
+def _check_training(hyper) -> None:
+    """The range rules shared by the two training configs."""
+    if hyper.lr <= 0:
+        raise ValueError("learning rate must be positive")
+    for name in ("epochs", "weight_decay", "seed"):
+        if getattr(hyper, name) < 0:
+            raise ValueError(f"{name} must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -57,7 +81,8 @@ class SurrogateHyper:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_training(self.lr, self.epochs, self.weight_decay, self.seed)
+        check_fields(self)
+        _check_training(self)
 
 
 @dataclass(frozen=True)
@@ -83,8 +108,10 @@ class VictimHyper:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_training(self.lr, self.epochs, self.weight_decay, self.seed)
-        _check_int("hidden", self.hidden, 1)
+        check_fields(self)
+        _check_training(self)
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
 

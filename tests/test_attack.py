@@ -396,6 +396,21 @@ def test_top_pairs_best_allowed_pair_and_rejects_equal_the_dense_ranking(three_c
         assert found == dense_best_pair(grad, current, excluded, cfg, g) and found[0] is not None
 
 
+@pytest.mark.parametrize("threshold", [5e-6, 1e-5, 2e-5])
+def test_top_pairs_counts_tied_rejects_by_row_major_order(three_chunk_sbm, threshold):
+    """Every pair of nodes >= 300 scores 1, a tie across the second and third
+    row chunks: only the forbidden pairs before the flip in row-major order
+    are rejects, however many tie with it after."""
+    g = three_chunk_sbm
+    n = g.n_nodes
+    us, vs = np.zeros((1, n)), np.zeros((1, n))
+    us[0, 300:] = vs[0, 300:] = 1.0
+    factors = (us, vs, np.zeros(n))
+    cfg = _cfg(constraints=AttackConstraints(degree_test=True, degree_test_threshold=threshold))
+    found = _scan(g, g, factors, cfg, [])
+    assert found == dense_best_pair(assembled_scores(*factors), g, [], cfg, g) and found[0][0] == 1.0
+
+
 def test_top_pairs_rejects_every_positive_pair_when_every_flip_is_forbidden(three_chunk_sbm):
     """With every flip forbidden no pair is chosen, and every positive-score
     pair outside the excluded ones is rejected: by the singleton rule if it
@@ -641,3 +656,24 @@ def test_constraint_check_rejects_pairs_flip_edge_rejects(i, j):
         constraint_check(g, i, j, _cfg())
     with pytest.raises(ValueError, match="out of range|self-loop"):
         flip_edge(g, i, j)
+
+
+def test_a_heavily_rejecting_scan_holds_few_chunks_of_rejects():
+    """With the degree test at 1e-5 most steps reject over 470k pairs ahead
+    of their flip; the scan keeps 17 bytes per forbidden pair above the
+    running best and counts them part by part, not in one concatenated copy."""
+    import tracemalloc
+
+    g = sbm_graph((700, 700, 600), p_in=0.0075, p_out=0.00075, seed=0)
+    cfg = AttackConfig(
+        budget=8, loss_spec=LossSpec("cw"), constraints=AttackConstraints(degree_test=True, degree_test_threshold=1e-5)
+    )
+    tracemalloc.start()
+    try:
+        res = meta_attack(g, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(res.flips) == 8
+    assert max(entry["rejects"]["degree_test"] for entry in res.trace) > 470_000
+    assert peak <= 5 * CHUNK_ROWS * g.n_nodes * 8

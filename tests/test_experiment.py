@@ -16,7 +16,7 @@ from graphpoison import (
     sbm_graph,
 )
 from graphpoison.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from graphpoison.experiment import flips_path, write_text
+from graphpoison.experiment import flips_path, report_payload, write_text
 
 from .conftest import write_plain_dataset
 
@@ -118,6 +118,18 @@ def test_config_dict_roundtrip():
     assert again == cfg
 
 
+def test_numpy_config_values_are_stored_as_python_values():
+    """A numpy value would pass construction and then fail ``json.dumps`` only
+    after the whole attack and evaluation; a Python value is stored as given."""
+    cfg = ExperimentConfig(
+        hidden=np.int64(16), alpha1=np.float32(2.0), degree_test=np.bool_(True), seeds=[np.int64(1)], beta1=4
+    )
+    blob = json.loads(json.dumps(report_payload(cfg, [], 0)))
+    assert (blob["config"]["hidden"], blob["config"]["alpha1"], blob["config"]["seeds"]) == (16, 2.0, [1])
+    assert type(cfg.hidden) is int and type(cfg.alpha1) is float and cfg.degree_test is True
+    assert '"beta1": 4,' in json.dumps(cfg.to_dict(), indent=2, sort_keys=True)  # an int stays an int
+
+
 def test_config_defaults_equal_library_defaults():
     """ExperimentConfig restates the sub-configs' defaults as flat fields;
     a default changed in one place only would make the CLI and the
@@ -201,7 +213,7 @@ def test_apply_flips_rejects_repeated_pair():
 ], ids=["float-id", "float-j", "bool-id", "numpy-bool-id", "string-id", "int-op"])
 def test_apply_flips_rejects_mistyped_flips(flip):
     """A non-integer id is rejected, never truncated onto another pair."""
-    with pytest.raises(DatasetError, match=r"flip 0: (i|j|op) must be of type"):
+    with pytest.raises(DatasetError, match=r"flip 0: (i|j|op) must be (an integer|a string)"):
         apply_flips(_path4(), [flip])
 
 
@@ -495,7 +507,7 @@ def test_cli_attack_file_schema(dataset_dir, tmp_path):
 # --- property: every config is rejected up front or runs to a finite report ---
 
 NAN, INF = float("nan"), float("inf")
-NOT_A_NUMBER = [True, False, "1", None, [1]]
+NOT_A_NUMBER = [True, False, np.bool_(True), "1", None, [1]]
 
 
 def _field(valid, *invalid):
@@ -503,16 +515,23 @@ def _field(valid, *invalid):
     return st.one_of(valid.map(lambda v: (v, True)), st.sampled_from(invalid).map(lambda v: (v, False)))
 
 
+def _numpy_too(valid, *types):
+    """``valid``, or its values as one of the numpy scalar ``types``."""
+    return st.one_of(valid, *(valid.map(t) for t in types))
+
+
 def _ints(lo, hi, *out_of_range):
-    return _field(st.integers(lo, hi), *out_of_range, 1.5, *NOT_A_NUMBER)
+    valid = _numpy_too(st.integers(lo, hi), np.int64, np.int32)
+    return _field(valid, *out_of_range, 1.5, np.float64(1.0), *NOT_A_NUMBER)
 
 
 def _floats(lo, hi, *out_of_range):
-    return _field(st.floats(lo, hi), *out_of_range, NAN, INF, -INF, *NOT_A_NUMBER)
+    valid = _numpy_too(st.floats(lo, hi), np.float64, np.float32)
+    return _field(valid, *out_of_range, NAN, INF, -INF, np.float64(NAN), *NOT_A_NUMBER)
 
 
 def _bools():
-    return _field(st.booleans(), "no", "false", 0, 1, None)
+    return _field(_numpy_too(st.booleans(), np.bool_), "no", "false", 0, 1, np.int64(1), None)
 
 
 def _choice(*valid):
@@ -547,7 +566,10 @@ CONFIG_FIELDS = {
     "victim_epochs": _ints(0, 5, -5),
     "victim_weight_decay": _floats(0.0, 0.01, -1.0),
     "dropout": _floats(0.0, 0.9, 1.0, -0.1),
-    "seeds": _field(st.lists(st.integers(0, 3), min_size=1, max_size=2), [], [-1], [0.7], [True], "0", 3),
+    "seeds": _field(
+        st.lists(_numpy_too(st.integers(0, 3), np.int64), min_size=1, max_size=2),
+        [], [-1], [0.7], [True], [np.bool_(False)], "0", 3,
+    ),
 }
 
 

@@ -1,11 +1,16 @@
+import dataclasses
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from graphpoison import (
+    AttackConfig,
+    AttackConstraints,
     CAWeightParams,
+    ExperimentConfig,
     Graph,
     LossSpec,
     SurrogateHyper,
@@ -463,3 +468,38 @@ def test_train_victim_holds_no_feature_sized_array_on_sparse_features():
     # with nnz(X): one full-shape draw or dense dropped copy of X would
     # alone be N*d doubles.
     assert peak <= 0.75 * n * d * 8
+
+
+CONFIGS = [SurrogateHyper, VictimHyper, CAWeightParams, LossSpec, AttackConstraints, AttackConfig, ExperimentConfig]
+CONFIG_FIELDS = [
+    (cls, f.name, typing.get_type_hints(cls)[f.name]) for cls in CONFIGS for f in dataclasses.fields(cls)
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, kind", CONFIG_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name, _ in CONFIG_FIELDS]
+)
+def test_every_config_field_follows_the_one_type_rule(cls, name, kind):
+    """By its annotation, each field rejects at construction what does not fit
+    it and stores a numpy scalar that does as the Python value."""
+    default = getattr(cls(), name)
+    bad = [None, 1] if kind is str else [None, "1"]
+    if kind in (int, float):
+        bad += [True, np.bool_(False)]
+    if kind is float:
+        bad += [float("nan"), float("inf"), np.float64(-np.inf), 10**400]  # no float holds 10**400
+    if kind is tuple:
+        bad += [[True], [np.bool_(False)], [0.5]]
+    if kind is bool:
+        bad += [0, 1, np.int64(1)]
+    for value in bad:
+        if value is None and isinstance(None, kind):
+            continue  # ``X | None`` takes None
+        with pytest.raises(ValueError, match=name):
+            cls(**{name: value})
+    as_numpy = {int: [np.int64, np.int32], float: [np.float64, np.float32], bool: [np.bool_]}
+    for np_type in as_numpy.get(kind, []):
+        stored = getattr(cls(**{name: np_type(default)}), name)
+        assert type(stored) is kind and stored == np_type(default).item()
+    if kind is tuple:
+        assert getattr(cls(**{name: [np.int64(d) for d in default]}), name) == default
