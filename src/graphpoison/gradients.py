@@ -1,25 +1,23 @@
 """Closed-form gradients of attack losses with respect to the adjacency.
 
-The surrogate's logits are ``Z = Ahat (Ahat P)`` with ``P = X W`` and
-``Ahat = D^{-1/2}(A + I)D^{-1/2}``, so with ``g_z = dL/dZ`` the gradient
-``G = dL/dAhat = g_z (Ahat P)^T + (Ahat g_z) P^T = u^T v`` has rank <= 2K,
-with factors stored factor-major: ``u = [g_z, Ahat g_z]^T`` and
-``v = [Ahat P, P]^T``. Through the degree normalization,
+The surrogate's logits are ``Z = Ahat P2`` with ``P1 = X W``, ``P2 = Ahat P1``
+and ``Ahat = D^{-1/2}(A + I)D^{-1/2}``, so with ``g_z = dL/dZ`` the gradient
+``G = dL/dAhat = g_z P2^T + (Ahat g_z) P1^T = u^T v`` has rank <= 2K, with
+factors stored factor-major: ``u = [g_z, Ahat g_z]^T`` and ``v = [P2, P1]^T``.
+Through the degree normalization,
 
     dL/dA[a, b] = G[a, b] / sqrt(d_a d_b)  -  (r_a + c_a) / (2 d_a),
 
 with ``d`` the degrees of ``A + I`` and ``r``/``c`` the row/column sums of
 ``G * Ahat``. As ``Ahat`` is symmetric, ``r = sum_k u_k * Ahat v_k`` and
-``c = sum_k v_k * Ahat u_k``, so :func:`_pull_back` needs no N x N array.
-Nor does scoring. :func:`score_factors` stacks ``us``, ``vs`` and ``s``
-into two (4K+2) x N factors whose product is the symmetrized gradient, so
-:func:`pair_scores` scores a block of pairs by one rank-(4K+2) product.
-The attack loop scans the upper triangle in row chunks through one
-CHUNK_ROWS x N buffer (:func:`upper_blocks`); ``per_node_gradients``
-builds no N x N array either. The dense N x N gradient, assembled from
-the same blocks, the two-product form of the scores and the dense formula
-are test oracles (``tests/oracles.py``), beside
-``finite_difference_gradient``.
+``c = sum_k v_k * Ahat u_k``, so :func:`attack_factors` pulls ``G`` back
+with no N x N array. Nor does scoring: :func:`score_factors` stacks the
+pulled-back factors into two (4K+2) x N factors whose product is the
+symmetrized gradient, and :func:`upper_blocks` scans the upper triangle in
+row chunks through one CHUNK_ROWS x N buffer. :func:`per_node_gradients`
+takes each node's gradient norm from K x K Grams and a sum over its 2-hop
+ball. The dense N x N gradient, the two-product scores, the dense formula
+and the per-node loop are test oracles (``tests/oracles.py``).
 
 The attack maximizes a single scalar objective: the weighted masked sum of
 the base loss for NLL, and its negation for the clamped-margin loss (which
@@ -28,9 +26,8 @@ at the evaluation point and treated as constants, so the gradient of a
 weighted node term is exactly the weight times the unweighted gradient.
 That definition is written once, in :func:`_evaluate`: from the logits of
 one forward pass it computes the margins once, and from them the weights,
-the objective and ``d objective / d logits``. Every reader
-(``attack_objective``, ``attack_factors``, ``per_node_gradients``,
-``finite_difference_gradient``) takes them from it.
+the objective and ``d objective / d logits``. ``attack_objective`` calls
+it on any (relaxed) adjacency, every other reader through :func:`_forward`.
 """
 
 from __future__ import annotations
@@ -88,18 +85,13 @@ def attack_objective(
     return _evaluate(logits, labels, mask, spec, weights)[2]
 
 
-def _pull_back(u: Array, v: Array, ahat_u: Array, ahat_v: Array, deg: Array) -> tuple[Array, Array, Array]:
-    """Pull ``dL/dAhat = u^T v`` back to the raw adjacency.
-
-    ``u``, ``v`` are (k, N) factors, ``ahat_u``/``ahat_v`` their products
-    with ``Ahat`` in the same layout, ``deg`` the degrees of ``A + I``.
-    Returns the D^{-1/2}-scaled factors ``us``, ``vs`` and the degree term
-    ``s``: the raw gradient is ``us^T vs - s 1^T`` with a zeroed diagonal
-    (independent-entry semantics, NOT symmetrized).
-    """
-    s = (np.einsum("kn,kn->n", u, ahat_v) + np.einsum("kn,kn->n", v, ahat_u)) / (2.0 * deg)
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return u * inv_sqrt, v * inv_sqrt, s
+def _forward(g: Graph, params: SurrogateParams, spec: LossSpec, labels: Array) -> tuple:
+    """``(ahat, P1, P2, logits, _evaluate(...))`` of one forward pass, over the unlabeled nodes."""
+    ahat = normalize_adjacency(g.csr)
+    prop1 = g.features @ params.weight
+    prop2 = ahat @ prop1
+    logits = ahat @ prop2
+    return ahat, prop1, prop2, logits, _evaluate(logits, labels, g.unlabeled_mask, spec)
 
 
 def attack_factors(
@@ -107,29 +99,24 @@ def attack_factors(
 ) -> tuple[Array, Array, Array, dict]:
     """Factors of the attack gradient over the unlabeled nodes, from one forward pass.
 
-    The surrogate parameters are held fixed; differentiation runs through
-    the degree normalization. Returns ``us``, ``vs``, ``s`` (see
-    :func:`_pull_back`; :func:`score_factors` stacks them for
-    :func:`pair_scores`) and a dict of what the attack loop reads at the
-    evaluation point: ``margins`` against ``labels``, the cost-aware
-    ``weights`` (to freeze them when it re-evaluates the objective after a
-    flip) and the ``objective`` value.
+    With the surrogate parameters fixed, ``dL/dAhat = u^T v`` is pulled back
+    through the degree normalization to the D^{-1/2}-scaled ``us``, ``vs`` and
+    the degree term ``s``: the raw gradient is ``us^T vs - s 1^T`` with a
+    zeroed diagonal (independent-entry semantics, NOT symmetrized). The dict
+    holds what the attack loop reads: ``margins`` against ``labels``, the
+    cost-aware ``weights`` (frozen when it re-evaluates the objective after
+    a flip) and the ``objective`` value.
     """
-    ahat = normalize_adjacency(g.csr)
-    prop1 = g.features @ params.weight
-    prop2 = ahat @ prop1
-    logits = ahat @ prop2
-    phi, weights, objective, g_z = _evaluate(logits, labels, g.unlabeled_mask, spec)
+    ahat, prop1, prop2, logits, (phi, weights, objective, g_z) = _forward(g, params, spec, labels)
     ahat_gz = ahat @ g_z
-    us, vs, s = _pull_back(
-        np.vstack([g_z.T, ahat_gz.T]),
-        np.vstack([prop2.T, prop1.T]),
-        np.vstack([ahat_gz.T, (ahat @ ahat_gz).T]),
-        np.vstack([logits.T, prop2.T]),
-        g.degrees() + 1.0,
-    )
-    info = {"margins": phi, "weights": weights, "objective": objective}
-    return us, vs, s, info
+    u = np.vstack([g_z.T, ahat_gz.T])
+    v = np.vstack([prop2.T, prop1.T])
+    ahat_u = np.vstack([ahat_gz.T, (ahat @ ahat_gz).T])
+    ahat_v = np.vstack([logits.T, prop2.T])
+    deg = g.degrees() + 1.0
+    s = (np.einsum("kn,kn->n", u, ahat_v) + np.einsum("kn,kn->n", v, ahat_u)) / (2.0 * deg)
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return u * inv_sqrt, v * inv_sqrt, s, {"margins": phi, "weights": weights, "objective": objective}
 
 
 def score_factors(us: Array, vs: Array, s: Array) -> tuple[Array, Array]:
@@ -174,32 +161,44 @@ def upper_blocks(us: Array, vs: Array, s: Array, buffer: Array):
 def per_node_gradients(
     g: Graph, params: SurrogateParams, spec: LossSpec, labels: Array
 ) -> list[tuple[int, float]]:
-    """Frobenius norm of each unlabeled node's (raw) gradient matrix.
+    """Frobenius norm of each unlabeled node's (raw) gradient matrix, in one pass.
 
-    Node v's term has ``dL/dAhat = e_v (Ahat P q)^T + Ahat[:, v] (P q)^T``
-    with ``q = g_z[v]``: rank-2 factors, so each node costs O(N + nnz)
-    instead of materializing an N x N matrix.
+    Node v's term, ``dL/dAhat = e_v (P2 q)^T + Ahat[:, v] (P1 q)^T`` with
+    ``q = g_z[v]``, pulls back as in :func:`attack_factors` to ``us^T vs - s 1^T``
+    with a zeroed diagonal, of squared norm
+    ``tr(us us^T vs vs^T) - 2 (us s) . (vs 1) + N s.s - diag.diag``. Both 2 x 2
+    Grams read ``q`` through K x K Grams ``G_xy = P_x^T D^{-1} P_y`` that all
+    nodes share, and ``vs 1`` is linear in ``q``; ``s`` and the diagonal vanish
+    outside v's 2-hop ball, so the rest are sums over the entries (v, n) of
+    ``Ahat[U] Ahat``, in CHUNK_ROWS-node blocks of the unlabeled set U.
+    O(nnz(Ahat^2) K + N K^2) time; no N x N array.
     """
-    ahat = normalize_adjacency(g.csr)
-    prop1 = g.features @ params.weight
-    prop2 = ahat @ prop1
-    g_z = _evaluate(ahat @ prop2, labels, g.unlabeled_mask, spec)[3]
+    ahat, prop1, prop2, logits, (*_, g_z) = _forward(g, params, spec, labels)
     deg = g.degrees() + 1.0
-    n = g.n_nodes
-
-    out: list[tuple[int, float]] = []
-    for v in np.flatnonzero(g.unlabeled_mask):
-        u = np.zeros((2, n))
-        u[0, v] = 1.0
-        row = slice(ahat.indptr[v], ahat.indptr[v + 1])
-        u[1, ahat.indices[row]] = ahat.data[row]  # Ahat[:, v], read as row v (Ahat symmetric)
-        a, b = prop2 @ g_z[v], prop1 @ g_z[v]
-        us, vs, s = _pull_back(u, np.stack([a, b]), np.stack([u[1], ahat @ u[1]]), np.stack([ahat @ a, a]), deg)
-        # ||us^T vs - s 1^T||_F^2 from 2 x 2 Grams, minus the zeroed diagonal
-        diag = np.einsum("kn,kn->n", us, vs) - s
-        total = ((us @ us.T) * (vs @ vs.T)).sum() - 2.0 * (us @ s) @ vs.sum(axis=1) + n * (s @ s) - diag @ diag
-        out.append((int(v), float(np.sqrt(max(total, 0.0)))))
-    return out
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    nodes = np.flatnonzero(g.unlabeled_mask)
+    q = g_z[nodes]
+    grams = np.stack([(prop2.T / deg) @ prop2, (prop2.T / deg) @ prop1, (prop1.T / deg) @ prop1])
+    q22, q21, q11 = np.einsum("vk,gkl,vl->gv", q, grams, q)  # q^T G_xy q for every node
+    sums = np.empty((nodes.size, 5))
+    for r0 in range(0, nodes.size, CHUNK_ROWS):
+        block = nodes[r0 : r0 + CHUNK_ROWS]
+        two = ahat[block] @ ahat  # e = Ahat^2[v, n] over v's 2-hop ball; n = v is in each row
+        row = np.repeat(np.arange(block.size), np.diff(two.indptr))
+        v, n, e = block[row], two.indices, two.data
+        at_v = n == v
+        c = np.asarray(ahat[v, n]).ravel()
+        a = np.einsum("ek,ek->e", prop2[n], g_z[v])
+        b = np.einsum("ek,ek->e", prop1[n], g_z[v])
+        zq = np.einsum("vk,vk->v", logits[block], g_z[block])[row]
+        s = (np.where(at_v, zq, 0.0) + 2.0 * c * a + b * e) / (2.0 * deg[n])
+        diag = (np.where(at_v, a, 0.0) + c * b) / deg[n] - s
+        terms = np.stack([c * c / deg[n], np.where(at_v, s, 0.0), c * s * inv_sqrt[n], s * s, diag * diag])
+        sums[r0 : r0 + block.size] = np.add.reduceat(terms, two.indptr[:-1], axis=1).T
+    c2, s_v, cs, ss, dd = sums.T
+    total = (q22 + 2.0 * ahat.diagonal()[nodes] * q21) / deg[nodes] + c2 * q11 + g.n_nodes * ss - dd
+    total -= 2.0 * (s_v * inv_sqrt[nodes] * (q @ (prop2.T @ inv_sqrt)) + cs * (q @ (prop1.T @ inv_sqrt)))
+    return [(int(v), float(np.sqrt(max(t, 0.0)))) for v, t in zip(nodes, total)]
 
 
 def finite_difference_gradient(
@@ -221,10 +220,8 @@ def finite_difference_gradient(
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError("step size h must be finite and positive")
-    mask = g.unlabeled_mask
-    weights = _evaluate(forward_logits(params, normalize_adjacency(g.csr), g.features), labels, mask, spec)[1]
-
-    n = g.n_nodes
+    mask, n = g.unlabeled_mask, g.n_nodes
+    weights = _forward(g, params, spec, labels)[4][1]
     out = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):

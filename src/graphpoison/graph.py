@@ -84,7 +84,9 @@ class Graph:
             raise ValueError("adjacency entries must be 0 or 1")
         if np.any(y < 0):
             raise ValueError("labels must be nonnegative class indices")
-        k = n_classes if n_classes > 0 else int(y.max()) + 1 if n else 0
+        if isinstance(n_classes, bool) or not isinstance(n_classes, (int, np.integer)) or n_classes < 0:
+            raise ValueError(f"n_classes must be a nonnegative integer (0 infers it), got {n_classes!r}")
+        k = int(n_classes) or (int(y.max()) + 1 if n else 0)
         if np.any(y >= k):
             raise ValueError(f"label index >= n_classes ({k})")
         if not (m.any() and (~m).any()):

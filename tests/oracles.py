@@ -205,11 +205,48 @@ def node_gradient(
     Weights still come from the margins of the full logits, exactly as in
     :func:`attack_gradient`; only the loss term is restricted to ``node``.
     ``per_node_gradients`` returns the Frobenius norms of these matrices
-    without materializing them.
+    from shared K x K Grams and sums over each node's 2-hop ball;
+    :func:`per_node_gradients_loop` from each node's rank-2 factors.
     """
     only = np.zeros(g.n_nodes, dtype=bool)
     only[node] = True
     return _masked_gradient(g, params, spec, labels, only)
+
+
+def per_node_gradients_loop(
+    g: Graph, params: SurrogateParams, spec: LossSpec, labels: np.ndarray
+) -> list[tuple[int, float]]:
+    """``per_node_gradients`` by a loop over the unlabeled nodes.
+
+    Node v's term has ``dL/dAhat = e_v (Ahat P q)^T + Ahat[:, v] (P q)^T``
+    with ``q = g_z[v]``: rank-2 factors ``u``, ``v``, pulled back as in
+    ``attack_factors`` to ``us^T vs - s 1^T`` with a zeroed diagonal, whose
+    norm comes from 2 x 2 Grams. Each node costs O(N + nnz), so O(N^2) in all.
+    """
+    ahat = normalize_adjacency(g.csr)
+    prop1 = g.features @ params.weight
+    prop2 = ahat @ prop1
+    g_z = gradients._evaluate(ahat @ prop2, labels, g.unlabeled_mask, spec)[3]
+    deg = g.degrees() + 1.0
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    n = g.n_nodes
+
+    out = []
+    for node in np.flatnonzero(g.unlabeled_mask):
+        u = np.zeros((2, n))
+        u[0, node] = 1.0
+        row = slice(ahat.indptr[node], ahat.indptr[node + 1])
+        u[1, ahat.indices[row]] = ahat.data[row]  # Ahat[:, node], read as row node (Ahat symmetric)
+        a, b = prop2 @ g_z[node], prop1 @ g_z[node]
+        v = np.stack([a, b])
+        ahat_u, ahat_v = np.stack([u[1], ahat @ u[1]]), np.stack([ahat @ a, a])
+        s = (np.einsum("kn,kn->n", u, ahat_v) + np.einsum("kn,kn->n", v, ahat_u)) / (2.0 * deg)
+        us, vs = u * inv_sqrt, v * inv_sqrt
+        # ||us^T vs - s 1^T||_F^2 from 2 x 2 Grams, minus the zeroed diagonal
+        diag = np.einsum("kn,kn->n", us, vs) - s
+        total = ((us @ us.T) * (vs @ vs.T)).sum() - 2.0 * (us @ s) @ vs.sum(axis=1) + n * (s @ s) - diag @ diag
+        out.append((int(node), float(np.sqrt(max(total, 0.0)))))
+    return out
 
 
 def score_flips(grad: np.ndarray, g: Graph) -> list[tuple[int, int, float]]:

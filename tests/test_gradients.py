@@ -17,7 +17,13 @@ from graphpoison import (
 from graphpoison.gradients import CHUNK_ROWS, attack_factors, attack_objective, pair_scores, score_factors
 
 from .conftest import tiny_graph
-from .oracles import attack_gradient, dense_attack_gradient, node_gradient, pair_scores_two_products
+from .oracles import (
+    attack_gradient,
+    dense_attack_gradient,
+    node_gradient,
+    pair_scores_two_products,
+    per_node_gradients_loop,
+)
 
 CA = CAWeightParams(4.5, 1.0, 1.0, 1.0)
 ALL_SPECS = [
@@ -139,14 +145,52 @@ def test_per_node_sum_equals_total_gradient():
         assert np.allclose((total + total.T) / 2.0, full, atol=1e-10 * max(np.abs(full).max(), 1))
 
 
-def test_fast_norms_match_naive_node_gradients():
+def test_fast_norms_match_naive_node_gradients(three_chunk_sbm):
+    """The one-pass norms equal the per-node loop and the dense matrices; the
+    three-chunk graph has about 630 unlabeled nodes, so three CHUNK_ROWS blocks."""
     g = sbm_graph((12, 12), 0.3, 0.05, seed=4)
     params, labels = _trained(g)
+    big_params, big_labels = _trained(three_chunk_sbm)
+    assert (~three_chunk_sbm.labeled_mask).sum() > 2 * CHUNK_ROWS
     for spec in ALL_SPECS:
         fast = dict(per_node_gradients(g, params, spec, labels))
+        assert fast == pytest.approx(dict(per_node_gradients_loop(g, params, spec, labels)), rel=1e-12)
         for v in fast:
             naive = np.linalg.norm(node_gradient(g, params, spec, labels, v))
-            assert fast[v] == pytest.approx(naive, rel=1e-9, abs=1e-12)
+            assert fast[v] == pytest.approx(naive, rel=1e-12)
+        fast = dict(per_node_gradients(three_chunk_sbm, big_params, spec, big_labels))
+        loop = dict(per_node_gradients_loop(three_chunk_sbm, big_params, spec, big_labels))
+        assert list(fast) == list(loop) and min(loop.values()) > 0
+        assert fast == pytest.approx(loop, rel=1e-12)
+
+
+def test_norms_on_isolated_degree_one_and_chain_nodes():
+    """Isolated and degree-1 unlabeled nodes and a 2-hop chain, which the loader
+    drops but ``Graph`` accepts; a node the CW clamp turns off reads exactly 0."""
+    from graphpoison import build_graph
+    from graphpoison.graph import normalize_adjacency
+    from graphpoison.models import forward_logits, margins
+
+    rng = np.random.default_rng(3)
+    n = 8
+    mask = np.zeros(n, dtype=bool)
+    mask[[1, 5]] = True
+    # chain 0-1-2-3, pair 5-6, nodes 4 and 7 isolated
+    g = build_graph([(0, 1), (1, 2), (2, 3), (5, 6)], rng.normal(size=(n, 3)), rng.integers(0, 3, n), mask, 3)
+    assert list(g.degrees()) == [1, 2, 2, 1, 0, 1, 1, 0]
+    params = SurrogateParams(rng.normal(size=(3, 3)) * 3.0)
+    logits = forward_logits(params, normalize_adjacency(g.csr), g.features)
+    labels = logits.argmax(axis=1)
+    labels[2] = logits[2].argmin()  # node 2, mid-chain, misclassified by a wide margin
+    assert margins(logits, labels)[2] < -1.0
+    for spec in ALL_SPECS:
+        fast = dict(per_node_gradients(g, params, spec, labels))
+        assert list(fast) == [0, 2, 3, 4, 6, 7]
+        assert fast == pytest.approx(dict(per_node_gradients_loop(g, params, spec, labels)), rel=1e-12)
+        for v in fast:
+            assert fast[v] == pytest.approx(np.linalg.norm(node_gradient(g, params, spec, labels, v)), rel=1e-12)
+        assert (fast[2] == 0.0) == (spec.base == "cw")  # g_z[2] = 0 under the clamp at kappa 1
+        assert all(fast[v] > 0 for v in fast if v != 2)
 
 
 def test_ca_scaling_identity_entrywise():

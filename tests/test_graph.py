@@ -71,6 +71,18 @@ def test_build_rejects_label_past_n_classes():
         build_graph([(0, 1)], _features(2), [0, 3], _mask(2), n_classes=2)
 
 
+@pytest.mark.parametrize("n_classes", [2.5, 3.0, -1, True, np.bool_(True), "3", None])
+def test_graph_rejects_a_bool_non_integer_or_negative_n_classes(n_classes):
+    with pytest.raises(ValueError, match="n_classes must be a nonnegative integer"):
+        Graph(np.zeros((2, 2)), _features(2), [0, 1], _mask(2), n_classes=n_classes)
+
+
+@pytest.mark.parametrize("n_classes, stored", [(0, 2), (3, 3), (np.int64(3), 3), (np.uint8(4), 4)])
+def test_graph_stores_n_classes_as_a_python_int(n_classes, stored):
+    g = Graph(np.zeros((2, 2)), _features(2), [0, 1], _mask(2), n_classes=n_classes)
+    assert g.n_classes == stored and type(g.n_classes) is int
+
+
 def test_graph_rejects_asymmetric_adjacency():
     a = np.zeros((2, 2))
     a[0, 1] = 1
