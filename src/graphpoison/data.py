@@ -144,7 +144,10 @@ def load_dataset(dir_path: str, split_fraction: float = 0.10, split_seed: int = 
     labels = labels[keep]
     if np.unique(labels).size < 2:
         raise DatasetError(f"the largest connected component holds fewer than two classes: {labels_path}")
-    feats = np.eye(keep.size) if feats is None else feats[keep]
+    if feats is None:
+        feats = np.eye(keep.size)
+    elif keep.size < n:  # an LCC of every node needs no N x d copy
+        feats = feats[keep]
 
     mask = seeded_split(labels.size, split_fraction, split_seed)
     return build_graph(pairs, feats, labels, mask)

@@ -7,6 +7,8 @@ A graph is validated once, at the boundary: ``Graph(...)``, ``build_graph``
 ``sbm_graph``) and ``load_dataset`` check every field. ``flip_edge`` then
 derives new values from a valid graph without re-validating them; it is
 the only code that changes an adjacency entry.
+Sparse features get their CSR form once, in ``Graph(...)``, and every
+graph derived by ``flip_edge`` shares it.
 ``largest_component`` is the one connectivity routine, and
 ``normalize_adjacency`` builds the surrogate's propagation matrix
 ``Ahat = D^{-1/2} (A + I) D^{-1/2}`` in CSR form.
@@ -23,10 +25,33 @@ from scipy.sparse.csgraph import connected_components
 
 Array = np.ndarray
 
+# Features with at most this share of nonzero entries also get a CSR form,
+# ``Graph.sparse_features``: bag-of-words (~1%) and identity (1/N) features,
+# not dense embeddings.
+SPARSE_FEATURE_DENSITY = 0.1
+
 
 def _read_only(*arrays: Array) -> None:
     for a in arrays:
         a.flags.writeable = False
+
+
+def _sparse_form(X: Array) -> sp.csr_matrix | None:
+    """Read-only ``sp.csr_matrix(X)`` if at most ``SPARSE_FEATURE_DENSITY`` of ``X`` is nonzero, else None.
+
+    One ``X != 0`` pass: its flat nonzero positions, in row-major order, are
+    the CSR entries, and each row's start is a search in them. ``-0.0`` is
+    zero here, as in ``sp.csr_matrix``.
+    """
+    nonzero = X != 0
+    if np.count_nonzero(nonzero) > SPARSE_FEATURE_DENSITY * X.size:
+        return None
+    n, d = X.shape
+    flat = np.flatnonzero(nonzero)
+    indptr = np.searchsorted(flat, np.arange(n + 1) * d)
+    out = sp.csr_matrix((X.ravel()[flat], flat % d, indptr), shape=X.shape)
+    _read_only(out.data, out.indices, out.indptr)
+    return out
 
 
 @dataclass(frozen=True, init=False)
@@ -39,7 +64,12 @@ class Graph:
         The adjacency, canonical (sorted indices, no duplicates, no explicit
         zeros, every stored value 1.0), symmetric, zero diagonal.
     features : (N, d) float array
-        Node feature matrix; every entry finite.
+        Node feature matrix, d >= 1; every entry finite.
+    sparse_features : (N, d) CSR matrix or None
+        ``features`` as CSR, array for array ``sp.csr_matrix(features)``,
+        when at most ``SPARSE_FEATURE_DENSITY`` of its entries are nonzero;
+        None otherwise. Derived once here and shared by every graph
+        ``flip_edge`` derives, so no victim fit converts the features again.
     labels : (N,) int array
         Class index per node, in ``{0 .. n_classes-1}``.
     labeled_mask : (N,) bool array
@@ -47,13 +77,15 @@ class Graph:
         set); the complement is the unlabeled pool used for the attack loss
         and for evaluation.
 
-    Every array, the three of ``csr`` included, is a read-only copy. The
-    constructor accepts a dense or scipy-sparse adjacency; ``adjacency`` is a
-    dense copy of ``csr``, O(N^2) per access, for readers outside the library.
+    Every array, the three of ``csr`` and of ``sparse_features`` included,
+    is a read-only copy. The constructor accepts a dense or scipy-sparse
+    adjacency; ``adjacency`` is a dense copy of ``csr``, O(N^2) per access,
+    for readers outside the library.
     """
 
     csr: sp.csr_matrix
     features: Array
+    sparse_features: sp.csr_matrix | None
     labels: Array
     labeled_mask: Array
     n_classes: int
@@ -69,8 +101,11 @@ class Graph:
         n = shape[0]
         if X.ndim != 2 or X.shape[0] != n:
             raise ValueError(f"features must have {n} rows, got shape {X.shape}")
+        if X.shape[1] == 0:
+            raise ValueError(f"features must have at least one column, got shape {X.shape}")
         if not np.isfinite(X).all():
             raise ValueError("features must be finite (no NaN or inf)")
+        X_sp = _sparse_form(X)
         if y.shape != (n,) or m.shape != (n,):
             raise ValueError("labels and labeled_mask must be 1-d of length n_nodes")
         A = sp.csr_matrix(adjacency, dtype=np.float64, copy=True)
@@ -93,7 +128,8 @@ class Graph:
             raise ValueError("labeled_mask needs at least one labeled and one unlabeled node")
 
         _read_only(A.data, A.indices, A.indptr, X, y, m)
-        for name, value in zip(("csr", "features", "labels", "labeled_mask", "n_classes"), (A, X, y, m, k)):
+        names = ("csr", "features", "sparse_features", "labels", "labeled_mask", "n_classes")
+        for name, value in zip(names, (A, X, X_sp, y, m, k)):
             object.__setattr__(self, name, value)
 
     @property
@@ -201,9 +237,10 @@ def flip_edge(g: Graph, i: int, j: int) -> Graph:
     """Toggle the undirected edge {i, j}; returns a new Graph.
 
     Adds a two-entry +-1 CSR to ``g.csr`` (O(nnz)) and drops the zero it
-    leaves on a deletion. The new graph shares ``g``'s features, labels and
-    mask and is not re-validated: toggling a mirrored off-diagonal pair of a
-    canonical adjacency keeps it canonical, symmetric and zero-diagonal.
+    leaves on a deletion. The new graph shares ``g``'s features, their CSR
+    form, labels and mask and is not re-validated: toggling a mirrored
+    off-diagonal pair of a canonical adjacency keeps it canonical,
+    symmetric and zero-diagonal.
     """
     _check_pair(g, i, j)
     step = 1.0 - 2.0 * g.csr[i, j]

@@ -22,10 +22,6 @@ from .graph import Graph, normalize_adjacency
 
 Array = np.ndarray
 
-# Victim features with at most this share of nonzero entries are multiplied
-# as CSR: bag-of-words (~1%) and identity (1/N) features, not dense embeddings.
-SPARSE_FEATURE_DENSITY = 0.1
-
 
 _KINDS = {bool: "a bool", int: "an integer", float: "a number", str: "a string"}
 
@@ -245,13 +241,14 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
       products of nnz(Ahat[N1, N2]) h and two products of nnz(X[N2]) h.
 
     Both add the second layer's O(nnz(Ahat[lab]) h + |lab| h K), plus
-    nnz(X[N2]) + |N1| h dropout uniforms. Features whose share of nonzero
-    entries is at most ``SPARSE_FEATURE_DENSITY`` are multiplied as CSR, in
-    training and in the eval-mode forward. The input dropout mask is drawn
-    only at the nonzeros of ``X[N2]``, one uniform each in row-major order,
-    on both paths (a zero entry stays zero whatever its mask); then the
-    |N1| x h hidden mask follows. No other unit reaches the loss, so each
-    live unit keeps the same dropout law.
+    nnz(X[N2]) + |N1| h dropout uniforms. Features with a CSR form,
+    ``g.sparse_features`` (at most ``graph.SPARSE_FEATURE_DENSITY`` of them
+    nonzero), are multiplied as that CSR matrix, in training and in the
+    eval-mode forward; a fit never converts X itself. The input dropout
+    mask is drawn only at the nonzeros of ``X[N2]``, one uniform each in
+    row-major order, on both paths (a zero entry stays zero whatever its
+    mask); then the |N1| x h hidden mask follows. No other unit reaches the
+    loss, so each live unit keeps the same dropout law.
     """
     rng = np.random.default_rng(hyper.seed)
     d, k, h = g.features.shape[1], g.n_classes, hyper.hidden
@@ -268,10 +265,8 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     onehot = np.eye(k)[g.labels[idx]]
     keep = 1.0 - hyper.dropout
 
-    X = g.features
-    sparse = np.count_nonzero(X) <= SPARSE_FEATURE_DENSITY * X.size
-    if sparse:
-        X = sp.csr_matrix(X)  # data holds the nonzeros in row-major order
+    sparse = g.sparse_features is not None
+    X = g.sparse_features if sparse else g.features  # CSR data: the nonzeros in row-major order
     x2 = X[n2]
     nnz = x2.nnz if sparse else np.count_nonzero(x2)
     if sparse:

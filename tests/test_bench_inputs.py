@@ -6,10 +6,15 @@ bag-of-words ones) and builds each run's config from ``ExperimentConfig``.
 A change to the loader or the config that breaks either breaks the
 benchmark without failing anything else, so this test loads the module
 (read-only, by path) and reads a shrunk copy of every workload back.
+It also runs every full-size seed-1 workload once and checks the
+benchmark's flip/accuracy fingerprint, the exactness oracle of every
+speed change.
 """
 
 import dataclasses
+import hashlib
 import importlib.util
+import json
 import os
 import sys
 
@@ -17,7 +22,7 @@ import numpy as np
 import pytest
 
 from graphpoison import load_dataset, sbm_graph
-from graphpoison.experiment import attack_budget
+from graphpoison.experiment import attack_budget, flips_path, resolve_output, run_experiment
 
 from .conftest import REPO_ROOT
 
@@ -72,8 +77,48 @@ SEED_1_DIGESTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def seed_1_inputs(bench_inputs, tmp_path_factory):
+    """Generate each full-size seed-1 workload once: name -> (directory, generate's info)."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            d = str(tmp_path_factory.mktemp(name))
+            cache[name] = d, bench_inputs.generate(bench_inputs.WORKLOADS[name], 1, d)
+        return cache[name]
+
+    return get
+
+
 @pytest.mark.parametrize("name", sorted(SEED_1_DIGESTS))
-def test_full_size_seed_1_inputs_are_pinned(bench_inputs, tmp_path, name):
+def test_full_size_seed_1_inputs_are_pinned(bench_inputs, seed_1_inputs, name):
     assert bench_inputs.WORKLOADS.keys() == SEED_1_DIGESTS.keys()
-    info = bench_inputs.generate(bench_inputs.WORKLOADS[name], 1, str(tmp_path))
+    _, info = seed_1_inputs(name)
     assert info["sha256"] == SEED_1_DIGESTS[name]
+
+
+# The benchmark's fingerprint of one seed-1 run of each workload, the sha256
+# of its flips and per-seed victim accuracies hashed as
+# ``perfbench/bench_worker.sha256_json`` hashes them; recorded with numpy
+# 2.4 and scipy 1.17. A change that moves a flip or an accuracy by one
+# rounding fails here, not only when the benchmark is run.
+SEED_1_FINGERPRINTS = {
+    "meta-cora": "9f64ea3bc161b1d8dbb58e93d58b1c26757b3fa3d5763d95b8b6214c9e568abd",
+    "meta-large": "a82cd59798d2b9422dfc1d0c95c37876241db2367a0a7bcb9c0ba3f82fe4cb96",
+    "dice-eval": "5730b61858fba925947efe4cf54f9c0176eedcbb9147961c33988c0d5caeadf3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED_1_FINGERPRINTS))
+def test_seed_1_benchmark_runs_keep_their_fingerprints(bench_inputs, seed_1_inputs, tmp_path, name):
+    assert bench_inputs.WORKLOADS.keys() == SEED_1_FINGERPRINTS.keys()
+    d, info = seed_1_inputs(name)
+    w = bench_inputs.WORKLOADS[name]
+    cfg = bench_inputs.experiment_config(w, d, info["edges"], str(tmp_path / "out.json"))
+    report = run_experiment(cfg)
+    with open(flips_path(resolve_output(cfg.output))) as fh:
+        flips = [[f["i"], f["j"], f["op"]] for f in json.load(fh)]
+    payload = {"flips": flips, "per_seed_accuracy": report.per_seed_accuracy}
+    fingerprint = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert fingerprint == SEED_1_FINGERPRINTS[name]

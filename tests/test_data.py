@@ -49,6 +49,18 @@ def test_identity_features_sized_after_lcc(tmp_path):
     assert np.array_equal(g.features, np.eye(4))
 
 
+def test_features_keep_the_rows_of_the_lcc(tmp_path):
+    # an isolated node 1 between path nodes: the kept rows are 0, 2, 3, 4 in order
+    d = tmp_path / "ds"
+    os.makedirs(d)
+    (d / "edges.txt").write_text("0 2\n2 3\n3 4\n")
+    (d / "labels.txt").write_text("0\n1\n1\n0\n1\n")
+    (d / "features.csv").write_text("1,0\n9,9\n0,1\n2,0\n0,3\n")
+    g = load_dataset(str(d), split_fraction=0.3)
+    assert g.features.tolist() == [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0], [0.0, 3.0]]
+    assert g.labels.tolist() == [0, 1, 0, 1]
+
+
 def test_duplicate_and_self_loop_lines_dropped(tmp_path):
     d = tmp_path / "ds"
     os.makedirs(d)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphpoison import (
     AttackConfig,
     CAWeightParams,
+    Graph,
     LossSpec,
     VictimHyper,
     evaluate,
@@ -52,6 +54,24 @@ def test_evaluate_rejects_non_integer_seeds(small_sbm, seeds, monkeypatch):
         evaluate(small_sbm, small_sbm, FAST_VICTIM, seeds=seeds)
     assert fits == []  # checked before the first fit
     assert evaluate(small_sbm, small_sbm, FAST_VICTIM, seeds=[np.int64(3)]).per_seed_accuracy == [0.5]
+
+
+def test_evaluate_never_converts_bag_of_words_features(monkeypatch):
+    # Graph(...) derives the CSR form once; every fit of every seed reuses it
+    g = sbm_graph((30, 30, 30), 0.15, 0.02, seed=4)
+    X = (np.random.default_rng(2).random((g.n_nodes, 200)) < 0.03).astype(float)
+    g = Graph(g.csr, X, g.labels, g.labeled_mask, g.n_classes)
+    assert g.sparse_features is not None
+    converted, real = [], sp.csr_matrix
+
+    def spy(arg1, *args, **kwargs):
+        converted.append((type(arg1), getattr(arg1, "shape", None)))
+        return real(arg1, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "csr_matrix", spy)
+    assert len(evaluate(g, g, VictimHyper(epochs=5), seeds=(0, 1, 2)).per_seed_accuracy) == 3
+    assert converted  # the spy is live: each fit normalizes the adjacency through it
+    assert (np.ndarray, X.shape) not in converted
 
 
 def test_evaluate_rejects_mismatched_graphs(small_sbm):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from graphpoison import (
     normalize_adjacency,
     sbm_graph,
 )
+from graphpoison import graph
 
 from .conftest import tiny_graph
 from .oracles import normalize_dense
@@ -133,6 +135,80 @@ def test_graph_arrays_are_immutable():
     for a in _csr_arrays(g.csr):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_graph_rejects_zero_width_features():
+    # no surrogate or victim means anything without one feature column
+    with pytest.raises(ValueError, match="features must have at least one column"):
+        Graph(np.zeros((2, 2)), np.zeros((2, 0)), [0, 1], _mask(2))
+    with pytest.raises(ValueError, match="features"):
+        build_graph([(0, 1)], np.zeros((2, 0)), [0, 1], _mask(2))
+
+
+def _bag_of_words(n=60, d=200, seed=0):
+    return (np.random.default_rng(seed).random((n, d)) < 0.03).astype(float)
+
+
+def _at_the_threshold(extra=0):
+    """20 x 5 features with SPARSE_FEATURE_DENSITY of their entries nonzero, plus ``extra``."""
+    X = np.zeros((20, 5))
+    X.flat[: round(graph.SPARSE_FEATURE_DENSITY * X.size) + extra] = 2.0
+    return X
+
+
+def _with_zero_rows():
+    X = _bag_of_words()
+    X[[0, 7, -1]] = 0.0  # empty first and last rows test both ends of indptr
+    return X
+
+
+def _with_negative_zeros():
+    X = _bag_of_words() * np.random.default_rng(1).choice([-1.5, 3.0], size=(60, 200))  # 0 * -1.5 = -0.0
+    assert np.signbit(X[X == 0]).any()
+    return X
+
+
+FEATURES_WITH_A_CSR_FORM = {
+    "bag_of_words": _bag_of_words,
+    "identity": lambda: np.eye(40),
+    "at_the_density_threshold": _at_the_threshold,
+    "zero_rows": _with_zero_rows,
+    "negative_zeros": _with_negative_zeros,
+}
+DENSE_FEATURES = {
+    "above_the_density_threshold": lambda: _at_the_threshold(extra=1),
+    "gaussian": lambda: np.random.default_rng(0).normal(size=(40, 8)),
+}
+
+
+def _graph_with(X):
+    n = X.shape[0]
+    return Graph(sp.csr_matrix((n, n)), X, np.arange(n) % 2, _mask(n))
+
+
+@pytest.mark.parametrize("kind", sorted(FEATURES_WITH_A_CSR_FORM))
+def test_sparse_features_equal_scipys_conversion_array_for_array(kind):
+    X = FEATURES_WITH_A_CSR_FORM[kind]()
+    got, want = _graph_with(X).sparse_features, sp.csr_matrix(X)
+    assert got is not None and got.shape == want.shape
+    for a, b in zip(_csr_arrays(got), _csr_arrays(want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", sorted(DENSE_FEATURES))
+def test_dense_features_have_no_csr_form(kind):
+    assert _graph_with(DENSE_FEATURES[kind]()).sparse_features is None
+
+
+def test_sparse_features_are_read_only_and_shared_by_flipped_graphs():
+    g = build_graph([(0, 1), (1, 2)], _bag_of_words(), np.arange(60) % 2, _mask(60))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.sparse_features = None
+    for a in _csr_arrays(g.sparse_features):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    flipped = flip_edge(flip_edge(g, 0, 2), 3, 4)
+    assert flipped.sparse_features is g.sparse_features
 
 
 def test_normalize_isolated_node_is_identity():

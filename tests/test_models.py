@@ -26,7 +26,7 @@ from graphpoison import (
     train_surrogate,
     train_victim,
 )
-from graphpoison import models
+from graphpoison import graph, models
 from .conftest import tiny_graph, write_plain_dataset
 from .oracles import log_softmax_rowwise, surrogate_nll, train_surrogate_primal, train_victim_full
 
@@ -328,7 +328,7 @@ PINNED_SPARSE_VICTIM_ACCURACIES = {
 @pytest.mark.parametrize("features, dropout", sorted(PINNED_SPARSE_VICTIM_ACCURACIES))
 def test_train_victim_pinned_sparse_feature_accuracies(features, dropout, tmp_path):
     g = _bow_sbm() if features == "bag_of_words" else _identity_featured(tmp_path)
-    assert np.count_nonzero(g.features) <= models.SPARSE_FEATURE_DENSITY * g.features.size
+    assert g.sparse_features is not None
     assert _victim_accuracies(g, dropout) == PINNED_SPARSE_VICTIM_ACCURACIES[features, dropout]
 
 
@@ -344,10 +344,14 @@ def _half_zero_sbm() -> Graph:
 @pytest.mark.parametrize("dropout", [0.5, 0.0])
 def test_train_victim_sparse_features_match_the_dense_path(dropout, monkeypatch):
     # both paths draw the input mask at the nonzeros only, in row-major order
-    for g in (_bow_sbm(), _half_zero_sbm()):
-        monkeypatch.setattr(models, "SPARSE_FEATURE_DENSITY", 1.0)
+    for make in (_bow_sbm, _half_zero_sbm):
+        monkeypatch.setattr(graph, "SPARSE_FEATURE_DENSITY", 1.0)
+        g = make()
+        assert g.sparse_features is not None
         sparse = _victim_accuracies(g, dropout)
-        monkeypatch.setattr(models, "SPARSE_FEATURE_DENSITY", 0.0)
+        monkeypatch.setattr(graph, "SPARSE_FEATURE_DENSITY", 0.0)
+        g = make()
+        assert g.sparse_features is None
         assert _victim_accuracies(g, dropout) == sparse
 
 
@@ -435,14 +439,15 @@ class _RecordingRng:
 
 @pytest.mark.parametrize("density", [1.0, 0.0])  # the CSR path, then the dense one
 def test_train_victim_draws_the_input_mask_at_the_nonzeros(density, monkeypatch):
+    monkeypatch.setattr(graph, "SPARSE_FEATURE_DENSITY", density)
     g = _bow_sbm()
+    assert (g.sparse_features is not None) == (density == 1.0)
     d, k, h = g.features.shape[1], g.n_classes, 16
     ahat = normalize_adjacency(g.csr)
     n1 = np.unique(ahat[g.labeled_mask].indices)  # hidden rows the loss reads
     n2 = np.unique(ahat[n1].indices)  # feature rows those read
     assert n1.size < n2.size < g.n_nodes
     hyper = VictimHyper(hidden=h, epochs=2, seed=2)
-    monkeypatch.setattr(models, "SPARSE_FEATURE_DENSITY", density)
     want = train_victim(g, hyper)
     draws = []
     default_rng = np.random.default_rng
