@@ -19,7 +19,7 @@ print(f"two-block graph: {g.n_nodes} nodes, {g.n_edges} edges, "
       f"{int(g.labeled_mask.sum())} labeled")
 
 params = train_surrogate(g)
-logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
+logits = forward_logits(params, normalize_adjacency(g.csr), g.features)
 
 guess = pseudo_labels(params, g)
 unl = g.unlabeled_mask

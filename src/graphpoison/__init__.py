@@ -18,7 +18,6 @@ from .graph import (
     build_graph,
     count_flips,
     flip_edge,
-    largest_connected_component,
     normalize_adjacency,
 )
 from .losses import CAWeightParams, LossSpec, ca_weights, cw_loss, loss_value, nll_loss
@@ -62,7 +61,6 @@ __all__ = [
     "finite_difference_gradient",
     "flip_edge",
     "forward_logits",
-    "largest_connected_component",
     "load_dataset",
     "loss_value",
     "margin_gradient_scatter",

@@ -132,7 +132,7 @@ def constraint_check(
     defaults to ``g``). Raises ValueError for a self-loop or an id outside
     ``g``, as :func:`flip_edge` does.
     """
-    _check_pair(g, i, j)
+    i, j = _check_pair(g, i, j)
     rules, deg = cfg.constraints, g.degrees()
     stats = _tail_stats((reference or g).degrees()) + _tail_stats(deg) if rules.degree_test else None
     code = int(_reject_codes(deg[i], deg[j], g.csr[i, j] == 1.0, rules, stats))

@@ -12,8 +12,8 @@ All three files follow one rule: row k is line k + 1. A blank or "#" line
 before the last row, or a value that does not parse, raises
 ``DatasetError`` naming ``path:LINE``; trailing blank lines are allowed.
 
-Loading applies largest-connected-component extraction and a seeded
-labeled/unlabeled split. Self-loop rows and duplicate edges are dropped.
+Loading keeps the edge list's largest connected component, then draws a
+seeded labeled/unlabeled split. Self-loop rows and duplicate edges are dropped.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import os
 import warnings
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graph import Graph, build_graph, largest_component
 from .models import check_type
@@ -107,10 +106,10 @@ def _check_rows(path: str, ok: np.ndarray, problem: str) -> None:
 def load_dataset(dir_path: str, split_fraction: float = 0.10, split_seed: int = 0) -> Graph:
     """Load a dataset directory into a Graph (LCC-reduced, seeded split).
 
-    The node count is defined by the labels file. LCC reduction happens
-    before the split, so the labeled fraction refers to the graph actually
-    attacked; identity features for featureless graphs are built at the
-    reduced size. A component with fewer than two distinct labels is
+    The node count is defined by the labels file. LCC reduction happens on
+    the edge list, before the split, so the labeled fraction refers to the
+    graph actually attacked; identity features for featureless graphs are
+    built at the reduced size. A component with fewer than two distinct labels is
     rejected: no margin, attack or accuracy means anything on it.
     """
     check_split(split_fraction, split_seed)
@@ -136,11 +135,7 @@ def load_dataset(dir_path: str, split_fraction: float = 0.10, split_seed: int = 
             raise DatasetError(f"{feats_path} has {feats.shape[0]} rows but labels define {n} nodes")
         _check_rows(feats_path, np.isfinite(feats).all(axis=1), "non-finite feature value (NaN or inf)")
 
-    keep = largest_component(sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n)))
-    new_id = np.full(n, -1)
-    new_id[keep] = np.arange(keep.size)
-    pairs = new_id[pairs]
-    pairs = pairs[pairs[:, 0] >= 0]  # an edge leaves the LCC only with both endpoints
+    keep, pairs = largest_component(pairs, n)
     labels = labels[keep]
     if np.unique(labels).size < 2:
         raise DatasetError(f"the largest connected component holds fewer than two classes: {labels_path}")

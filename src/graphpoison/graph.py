@@ -9,9 +9,9 @@ derives new values from a valid graph without re-validating them; it is
 the only code that changes an adjacency entry.
 Sparse features get their CSR form once, in ``Graph(...)``, and every
 graph derived by ``flip_edge`` shares it.
-``largest_component`` is the one connectivity routine, and
-``normalize_adjacency`` builds the surrogate's propagation matrix
-``Ahat = D^{-1/2} (A + I) D^{-1/2}`` in CSR form.
+``largest_component``, the one LCC routine, restricts an edge list before any
+Graph exists, and ``normalize_adjacency`` builds the surrogate's propagation
+matrix ``Ahat = D^{-1/2} (A + I) D^{-1/2}`` in CSR form.
 """
 
 from __future__ import annotations
@@ -199,38 +199,32 @@ def normalize_adjacency(adjacency) -> sp.csr_matrix:
     return entries.tocsr()
 
 
-def largest_component(adjacency) -> Array:
-    """Sorted node ids of the largest connected component of an adjacency.
+def largest_component(pairs, n: int) -> tuple[Array, Array]:
+    """The largest connected component of an ``n``-node edge list: ``(keep, pairs)``.
 
-    Ties between equal-size components go to the one containing the
-    smallest node id.
+    ``keep`` holds the component's node ids, sorted; the returned pairs are
+    the input pairs inside it, in input order, each id renumbered to its
+    position in ``keep``. Pairs may repeat or come in either orientation.
+    Ties between equal-size components go to the one holding the smallest id.
     """
-    _, comp = connected_components(adjacency, directed=False)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    _, comp = connected_components(sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n)), directed=False)
     size_of = np.bincount(comp)[comp]  # per node: the size of its component
-    return np.flatnonzero(comp == comp[np.argmax(size_of == size_of.max())])
+    inside = comp == comp[np.argmax(size_of == size_of.max())]
+    new_id = np.cumsum(inside) - 1
+    return np.flatnonzero(inside), new_id[pairs[inside[pairs].all(axis=1)]]
 
 
-def largest_connected_component(g: Graph) -> Graph:
-    """Induced subgraph on :func:`largest_component`.
+def _check_pair(g: Graph, i, j) -> tuple[int, int]:
+    """``(i, j)`` as ints; ValueError unless they are two distinct integer ids of ``g`` (no bool, no float)."""
+    from .models import check_type  # models imports this module
 
-    Node indices are remapped densely, preserving relative order.
-    """
-    keep = largest_component(g.csr)
-    return Graph(
-        g.csr[keep][:, keep],
-        g.features[keep],
-        g.labels[keep],
-        g.labeled_mask[keep],
-        g.n_classes,
-    )
-
-
-def _check_pair(g: Graph, i: int, j: int) -> None:
-    """Raise ValueError unless {i, j} is a flippable pair of ``g``: two distinct ids in range."""
+    i, j = check_type("node id i", i, int), check_type("node id j", j, int)
     if i == j:
         raise ValueError("cannot flip a self-loop")
     if not (0 <= i < g.n_nodes and 0 <= j < g.n_nodes):
         raise ValueError(f"pair ({i}, {j}) out of range for {g.n_nodes} nodes")
+    return i, j
 
 
 def flip_edge(g: Graph, i: int, j: int) -> Graph:
@@ -242,7 +236,7 @@ def flip_edge(g: Graph, i: int, j: int) -> Graph:
     off-diagonal pair of a canonical adjacency keeps it canonical,
     symmetric and zero-diagonal.
     """
-    _check_pair(g, i, j)
+    i, j = _check_pair(g, i, j)
     step = 1.0 - 2.0 * g.csr[i, j]
     A = g.csr + sp.csr_matrix(([step, step], ([i, j], [j, i])), shape=g.csr.shape)
     A.eliminate_zeros()

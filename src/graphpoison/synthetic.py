@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, build_graph, largest_component, largest_connected_component
+from .graph import Graph, build_graph, largest_component
+from .models import check_type
 
 Array = np.ndarray
 _COIN_ROWS = 256  # adjacency rows per coin block
@@ -48,13 +49,24 @@ def sbm_graph(
     ``feature_noise`` times standard Gaussian noise, so classification has
     to lean on structure. The labeled set is a stratified
     ``labeled_fraction`` sample per block (at least one per block, but
-    never every node). With ``connected=True`` the result is restricted to
-    its largest component, which must hold an edge (else ValueError); if it
-    holds only labeled or only unlabeled nodes, the labeled set is redrawn
-    from its nodes: where it holds one node per class, all but its last are labeled.
+    never every node). With ``connected=True`` the graph is the draw's
+    largest component (:func:`largest_component`), which must hold an edge;
+    if it holds only labeled or only unlabeled nodes, the labeled set is
+    redrawn from its nodes: where it holds one node per class, all but its
+    last are labeled. A bad argument raises ValueError naming it.
     """
+    sizes = check_type("block_sizes", block_sizes, tuple)
+    if not sizes or min(sizes) < 1:
+        raise ValueError(f"block_sizes must be a nonempty list of positive integers, got {block_sizes!r}")
+    for name, value in (("p_in", p_in), ("p_out", p_out), ("labeled_fraction", labeled_fraction)):
+        if not 0.0 <= check_type(name, value, float) <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+    for name, value, kind in (("feature_noise", feature_noise, float), ("seed", seed, int)):
+        if check_type(name, value, kind) < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    check_type("connected", connected, bool)
+
     rng = np.random.default_rng(seed)
-    sizes = list(block_sizes)
     n = sum(sizes)
     labels = np.repeat(np.arange(len(sizes)), sizes)
 
@@ -63,16 +75,15 @@ def sbm_graph(
         same = labels[start : start + _COIN_ROWS, None] == labels
         i, j = np.nonzero(rng.random(same.shape) < np.where(same, p_in, p_out))
         edges.append(np.stack([i + start, j], axis=1)[j > i + start])
+    edges = np.concatenate(edges)
 
     features = np.eye(len(sizes))[labels] + feature_noise * rng.normal(size=(n, len(sizes)))
     mask = _stratified_mask(labels, labeled_fraction, rng)
-    g = build_graph(np.concatenate(edges), features, labels, mask, n_classes=len(sizes))
-    if not connected:
-        return g
-    keep = largest_component(g.csr)
-    if keep.size == 1:
-        raise ValueError("sbm_graph drew no edge: its largest component is a single node")
-    if mask[keep].all() or not mask[keep].any():
-        mask[keep] = _stratified_mask(labels[keep], labeled_fraction, rng)
-        g = Graph(g.csr, features, labels, mask, len(sizes))
-    return largest_connected_component(g)
+    if connected:
+        keep, edges = largest_component(edges, n)
+        if keep.size == 1:
+            raise ValueError("sbm_graph drew no edge: its largest component is a single node")
+        features, labels, mask = features[keep], labels[keep], mask[keep]
+        if mask.all() or not mask.any():
+            mask = _stratified_mask(labels, labeled_fraction, rng)
+    return build_graph(edges, features, labels, mask, n_classes=len(sizes))

@@ -1,9 +1,10 @@
+import collections
 import os
 
 import numpy as np
 import pytest
 
-from graphpoison import Graph, sbm_graph
+from graphpoison import Graph, graph, sbm_graph
 from graphpoison.gradients import CHUNK_ROWS
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -55,6 +56,24 @@ def three_chunk_sbm() -> Graph:
     g = sbm_graph((250, 250, 200), 0.03, 0.003, seed=0)
     assert g.n_nodes > 2 * CHUNK_ROWS
     return g
+
+
+def spy_graph_builds(monkeypatch) -> collections.Counter:
+    """Count, from here on, ``Graph`` constructions and ``connected_components`` calls."""
+    calls = collections.Counter()
+    init, components = graph.Graph.__init__, graph.connected_components
+
+    def counting_init(self, *args, **kwargs):
+        calls["Graph"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_components(*args, **kwargs):
+        calls["connected_components"] += 1
+        return components(*args, **kwargs)
+
+    monkeypatch.setattr(graph.Graph, "__init__", counting_init)
+    monkeypatch.setattr(graph, "connected_components", counting_components)
+    return calls
 
 
 def write_plain_dataset(g: Graph, dir_path, features: bool = True) -> str:

@@ -5,6 +5,7 @@ faster or more implicitly; tests compare the two.
 """
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from graphpoison import (
     AttackConfig,
@@ -15,7 +16,6 @@ from graphpoison import (
     VictimHyper,
     constraint_check,
     flip_edge,
-    largest_connected_component,
     pseudo_labels,
     train_surrogate,
 )
@@ -370,6 +370,11 @@ def sbm_graph_dense(
         mask[rng.choice(members, size=take, replace=False)] = True
 
     g = Graph(adj, features, labels, mask, n_classes=len(sizes))
-    if connected:
-        g = largest_connected_component(g)
-    return g
+    if not connected:
+        return g
+    # the largest component; on a tie in size, the one holding the smallest id
+    _, comp = connected_components(adj, directed=False)
+    _, first = np.unique(comp, return_index=True)
+    winner = np.lexsort((first, -np.bincount(comp)))[0]
+    keep = np.flatnonzero(comp == winner)
+    return Graph(g.csr[keep][:, keep], features[keep], labels[keep], mask[keep], n_classes=len(sizes))

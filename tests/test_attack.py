@@ -66,6 +66,16 @@ def test_constraint_singleton_rule():
     assert constraint_check(g, 1, 2, relaxed) is None
 
 
+@pytest.mark.parametrize("bad", [True, np.bool_(True), 1.5, 1.0, "1"], ids=repr)
+@pytest.mark.parametrize("side", ["i", "j"])
+def test_constraint_check_rejects_an_id_that_is_not_an_integer(bad, side):
+    g = build_graph([(0, 1), (1, 2)], np.eye(3), [0, 1, 0], [True, False, False])
+    pair = (bad, 2) if side == "i" else (2, bad)
+    with pytest.raises(ValueError, match=f"node id {side} must be an integer"):
+        constraint_check(g, *pair, _cfg())
+    assert constraint_check(g, np.int64(1), np.int32(2), _cfg()) == "singleton"
+
+
 def test_constraint_degree_test_passthrough():
     g = sbm_graph((15, 15), 0.3, 0.05, seed=2)
     strict = _cfg(constraints=AttackConstraints(degree_test=True, degree_test_threshold=-1.0))

@@ -5,7 +5,7 @@ import pytest
 
 from graphpoison import DatasetError, load_dataset, sbm_graph, seeded_split
 
-from .conftest import CORA_DIR, DATA_ROOT, requires_cora, write_plain_dataset
+from .conftest import CORA_DIR, DATA_ROOT, requires_cora, spy_graph_builds, write_plain_dataset
 
 POLBLOGS_DIR = os.path.join(DATA_ROOT, "polblogs")
 
@@ -77,6 +77,19 @@ def test_lcc_applied_by_default(tmp_path):
     (d / "labels.txt").write_text("0\n1\n0\n1\n1\n")
     g = load_dataset(str(d), split_fraction=0.4)
     assert g.n_nodes == 3
+
+
+@pytest.mark.parametrize("features", [True, False])
+def test_load_dataset_builds_one_graph_after_one_components_pass(tmp_path, monkeypatch, features):
+    d = tmp_path / "ds"
+    os.makedirs(d)
+    (d / "edges.txt").write_text("0 2\n2 3\n3 4\n")
+    (d / "labels.txt").write_text("0\n1\n1\n0\n1\n")
+    if features:
+        (d / "features.csv").write_text("1,0\n9,9\n0,1\n2,0\n0,3\n")
+    calls = spy_graph_builds(monkeypatch)
+    assert load_dataset(str(d), split_fraction=0.3).n_nodes == 4
+    assert (calls["Graph"], calls["connected_components"]) == (1, 1)
 
 
 def test_split_is_seed_deterministic(tmp_path, small_sbm):

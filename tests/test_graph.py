@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphpoison import (
@@ -14,11 +14,11 @@ from graphpoison import (
     count_flips,
     dice_attack,
     flip_edge,
-    largest_connected_component,
     normalize_adjacency,
     sbm_graph,
 )
 from graphpoison import graph
+from graphpoison.graph import largest_component
 
 from .conftest import tiny_graph
 from .oracles import normalize_dense
@@ -250,36 +250,73 @@ def test_normalize_matches_dense_formula(seed, n):
 
 
 def test_lcc_picks_larger_component():
-    # component {0,1,2} (size 3) vs {3,4} (size 2)
-    feats = _features(5)
-    labels = [0, 1, 0, 1, 0]
-    mask = np.array([True, False, True, False, False])
-    g = build_graph([(0, 1), (1, 2), (3, 4)], feats, labels, mask)
-    sub = largest_connected_component(g)
-    assert sub.n_nodes == 3
-    assert np.array_equal(sub.labels, [0, 1, 0])
+    # component {2,3,4} (size 3) vs {0,1} (size 2); ids renumber to positions in keep
+    keep, pairs = largest_component([(0, 1), (2, 4), (4, 3)], 5)
+    assert keep.tolist() == [2, 3, 4]
+    assert pairs.tolist() == [[0, 2], [2, 1]]
 
 
 def test_lcc_of_connected_graph_is_identity():
-    g = build_graph([(0, 1), (1, 2)], _features(3), [0, 1, 0], _mask(3))
-    sub = largest_connected_component(g)
-    assert np.array_equal(sub.adjacency, g.adjacency)
-    assert np.array_equal(sub.features, g.features)
+    edges = [(0, 1), (2, 1), (1, 0)]
+    keep, pairs = largest_component(edges, 3)
+    assert keep.tolist() == [0, 1, 2]
+    assert pairs.tolist() == [list(e) for e in edges] and pairs.dtype == np.int64
 
 
 def test_lcc_tie_breaks_to_smallest_index():
     # two components of size 2: {0, 3} and {1, 2}; winner holds node 0
-    feats = _features(4)
-    mask = np.array([True, False, True, False])
-    g = build_graph([(0, 3), (1, 2)], feats, [0, 1, 1, 0], mask)
-    sub = largest_connected_component(g)
-    assert np.array_equal(sub.features, feats[[0, 3]])
+    keep, pairs = largest_component([(1, 2), (0, 3)], 4)
+    assert keep.tolist() == [0, 3]
+    assert pairs.tolist() == [[0, 1]]
 
 
-def test_lcc_idempotent(small_sbm):
-    once = largest_connected_component(small_sbm)
-    twice = largest_connected_component(once)
-    assert np.array_equal(once.adjacency, twice.adjacency)
+def test_lcc_idempotent():
+    whole = sbm_graph((20, 20), p_in=0.1, p_out=0.01, seed=1, connected=False)
+    edges = np.transpose(sp.triu(whole.csr).nonzero())
+    keep, once = largest_component(edges, whole.n_nodes)
+    assert 1 < keep.size < whole.n_nodes
+    again, twice = largest_component(once, keep.size)
+    assert np.array_equal(again, np.arange(keep.size)) and np.array_equal(twice, once)
+
+
+def _largest_component_by_bfs(pairs, n):
+    """Sorted ids of the first largest component found by BFS from each unseen id in turn."""
+    adj = np.zeros((n, n), dtype=bool)
+    for i, j in pairs:
+        adj[i, j] = adj[j, i] = True
+    seen = np.zeros(n, dtype=bool)
+    best = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, frontier = [start], [start]
+        while frontier:
+            reached = np.flatnonzero(adj[frontier.pop()] & ~seen)
+            seen[reached] = True
+            comp += reached.tolist()
+            frontier += reached.tolist()
+        if len(comp) > len(best):  # strictly larger: a tie keeps the component found first
+            best = comp
+    return sorted(best)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 10),
+    raw=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20),
+)
+@example(n=6, raw=[(0, 1), (1, 0), (0, 1)])  # duplicate and reversed pairs, isolated nodes
+@example(n=6, raw=[(4, 5), (0, 3), (2, 1)])  # three components of equal size
+@example(n=7, raw=[(6, 5), (5, 4), (1, 0), (2, 1)])  # equal size, the later pair listed first
+@example(n=4, raw=[])  # no edge: every node is its own component
+def test_largest_component_matches_bfs_on_a_dense_adjacency(n, raw):
+    pairs = [(i % n, j % n) for i, j in raw if i % n != j % n]
+    keep, sub = largest_component(pairs, n)
+    want = _largest_component_by_bfs(pairs, n)
+    assert keep.tolist() == want
+    position = {v: k for k, v in enumerate(want)}
+    assert sub.tolist() == [[position[i], position[j]] for i, j in pairs if i in position]
 
 
 def test_flip_edge_adds_and_removes():
@@ -302,6 +339,24 @@ def test_flip_edge_rejects_ids_outside_the_graph(i, j):
     g = tiny_graph(n=4)
     with pytest.raises(ValueError, match="out of range"):
         flip_edge(g, i, j)
+
+
+# a bool is not a node id (True once flipped the pair {1, 2}), nor is a float, even a whole one
+NOT_NODE_IDS = [True, np.bool_(True), 1.5, 1.0, "1"]
+
+
+@pytest.mark.parametrize("bad", NOT_NODE_IDS, ids=repr)
+@pytest.mark.parametrize("side", ["i", "j"])
+def test_flip_edge_rejects_an_id_that_is_not_an_integer(bad, side):
+    g = tiny_graph(n=4)
+    pair = (bad, 2) if side == "i" else (2, bad)
+    with pytest.raises(ValueError, match=f"node id {side} must be an integer"):
+        flip_edge(g, *pair)
+
+
+def test_flip_edge_accepts_numpy_integer_ids():
+    g = tiny_graph(n=4)
+    assert _same_csr(flip_edge(g, np.int64(0), np.int32(3)).csr, flip_edge(g, 0, 3).csr)
 
 
 @settings(max_examples=30, deadline=None)
@@ -377,7 +432,7 @@ def test_graph_operations_never_hold_a_dense_adjacency():
         g = build_graph(ring + chords, feats, labels, mask)
         flipped = flip_edge(g, 0, 2)
         assert count_flips(g, flipped) == 1
-        assert largest_connected_component(flipped).n_nodes == n
+        assert largest_component(np.transpose(sp.triu(flipped.csr).nonzero()), n)[0].size == n
         normalize_adjacency(flipped.csr)
         assert flipped.degrees().sum() == 2 * flipped.n_edges
         assert len(dice_attack(g, AttackConfig(budget=3)).flips) == 3

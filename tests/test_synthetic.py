@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from graphpoison import Graph, sbm_graph
 from graphpoison.graph import largest_component
 from graphpoison.synthetic import _COIN_ROWS
 
+from .conftest import spy_graph_builds
 from .oracles import sbm_graph_dense
 
 EMPTY_SIDE = "labeled_mask needs at least one labeled and one unlabeled node"
@@ -65,11 +67,57 @@ def test_sbm_graph_redraws_a_mask_the_largest_component_cut_to_one_side():
     _assert_valid_split(g)
     # the same coins and features as the whole graph, restricted to its largest component
     whole = sbm_graph(*args, seed=1146, connected=False)
-    keep = largest_component(whole.csr)
-    assert keep.size == g.n_nodes < whole.n_nodes
+    keep, pairs = largest_component(np.transpose(sp.triu(whole.csr).nonzero()), whole.n_nodes)
+    assert keep.size == g.n_nodes < whole.n_nodes and len(pairs) == g.n_edges
     assert np.array_equal(g.features, whole.features[keep]) and np.array_equal(g.labels, whole.labels[keep])
     assert (g.csr != whole.csr[keep][:, keep]).nnz == 0
     assert not whole.labeled_mask[keep].any()  # the first draw labeled no node of the component
+
+
+@pytest.mark.parametrize("connected, components", [(True, 1), (False, 0)])
+@pytest.mark.parametrize("seed", [0, 1146])  # seed 1146 redraws the mask (see above)
+def test_sbm_graph_builds_one_graph_after_one_components_pass(monkeypatch, connected, components, seed):
+    calls = spy_graph_builds(monkeypatch)
+    sbm_graph((15, 15), 0.3, 0.05, seed=seed, connected=connected)
+    assert (calls["Graph"], calls["connected_components"]) == (1, components)
+
+
+BAD_ARGUMENTS = [
+    ({"block_sizes": ()}, "block_sizes must be a nonempty list of positive integers"),
+    ({"block_sizes": (10, 0)}, "block_sizes must be a nonempty list of positive integers"),
+    ({"block_sizes": (10, -3)}, "block_sizes must be a nonempty list of positive integers"),
+    ({"block_sizes": (10, 2.5)}, "block_sizes must be an integer"),
+    ({"block_sizes": 20}, "block_sizes must be a list of integers"),
+    ({"p_in": 1.5}, r"p_in must be in \[0, 1\]"),
+    ({"p_in": -0.2}, r"p_in must be in \[0, 1\]"),
+    ({"p_in": float("nan")}, "p_in must be finite"),
+    ({"p_out": 2}, r"p_out must be in \[0, 1\]"),
+    ({"p_out": True}, "p_out must be a number"),
+    ({"labeled_fraction": -1}, r"labeled_fraction must be in \[0, 1\]"),
+    ({"labeled_fraction": 1.5}, r"labeled_fraction must be in \[0, 1\]"),
+    ({"feature_noise": -0.1}, "feature_noise must be nonnegative"),
+    ({"feature_noise": float("inf")}, "feature_noise must be finite"),
+    ({"seed": True}, "seed must be an integer"),
+    ({"seed": np.bool_(False)}, "seed must be an integer"),
+    ({"seed": 1.0}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be nonnegative"),
+    ({"connected": 1}, "connected must be a bool"),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_ARGUMENTS, ids=[repr(bad) for bad, _ in BAD_ARGUMENTS])
+def test_sbm_graph_rejects_a_bad_argument_by_name(bad, message):
+    with pytest.raises(ValueError, match=message):
+        sbm_graph(**{"block_sizes": (10, 10), "p_in": 0.3, "p_out": 0.05, **bad})
+
+
+def test_sbm_graph_accepts_the_ends_of_each_range_and_numpy_scalars():
+    kwargs = dict(p_out=np.float64(0.0), feature_noise=0, seed=np.int64(3))
+    full = sbm_graph([np.int64(10), 10], p_in=1.0, labeled_fraction=1.0, **kwargs)
+    assert full.n_nodes == 10 and full.unlabeled_mask.sum() == 1  # one clique; all labeled but the last
+    unlabeled = sbm_graph((10, 10), p_in=0.5, labeled_fraction=0.0, connected=False, **kwargs)
+    assert unlabeled.labeled_mask.sum() == 2  # one node per class
+    assert sbm_graph((4,), p_in=0.0, connected=False).n_edges == 0
 
 
 def test_sbm_graph_leaves_a_node_unlabeled_where_each_class_has_one():
