@@ -12,12 +12,20 @@ All three files follow one rule: row k is line k + 1. A blank or "#" line
 before the last row, or a value that does not parse, raises
 ``DatasetError`` naming ``path:LINE``; trailing blank lines are allowed.
 
+A table whose every line is one-digit fields joined by the delimiter ("1,0,1"
+in features.csv, "3" or "1 2" in the whitespace tables), with one field
+count and "\n" line ends, is converted in whole-array passes over its bytes:
+binary bag-of-words features and labels below 10. Any other file is read
+line by line. Both give the same array, and the rules and every
+``path:LINE`` error above are the same on either path.
+
 Loading keeps the edge list's largest connected component, then draws a
 seeded labeled/unlabeled split. Self-loop rows and duplicate edges are dropped.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import warnings
 
@@ -75,25 +83,63 @@ def _rows(fh, path: str, last: list[int]):
         raise DatasetError(f"{path}: no rows")
 
 
-def _read_table(path: str, dtype, delimiter: str | None = None) -> np.ndarray:
-    """The file's rows as a 2-D array (row k from line k + 1), or DatasetError.
+def _read_digits(data: bytes, dtype, delimiter: str | None) -> np.ndarray | None:
+    """The table ``data`` holds if every line is ``c<sep>c...c`` with one width, else None.
 
-    Two numpy behaviours must hold, and the rejected-line tests check both:
-    np.loadtxt pulls one line at a time from ``_rows``, so it fails on the
-    last line yielded, and its message ends in " at row ...".
+    Each ``c`` is one decimal digit and ``<sep>`` is ``delimiter`` (one space
+    for None); the last newline may be missing. Such a file is a
+    ``(rows, width)`` byte grid, so checking its columns and subtracting
+    ``ord("0")`` gives what np.loadtxt gives, without a Python step per line.
+    No temporary is larger than the file or the returned array.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    width = data.find(b"\n") + 1  # line length, newline included: 2 per field
+    if width % 2 or len(data) % width:
+        return None
+    grid = np.frombuffer(data, np.uint8).reshape(-1, width)
+    sep = ord(delimiter or " ")
+    if not ((grid[:, 1:-1:2] == sep).all() and (grid[:, -1] == ord("\n")).all()):
+        return None
+    digits = grid[:, ::2] - np.uint8(ord("0"))  # a byte below "0" wraps above 9
+    return digits.astype(dtype) if digits.max() <= 9 else None
+
+
+def _read_lines(data: bytes, path: str, dtype, delimiter: str | None) -> np.ndarray:
+    """The rows of ``data`` through np.loadtxt, or DatasetError naming ``path:LINE``.
+
+    The bytes are decoded as ``open(path)`` would decode them, universal
+    newlines included. Two numpy behaviours must hold, and the rejected-line
+    tests check both: np.loadtxt pulls one line at a time from ``_rows``, so
+    it fails on the last line yielded, and its message ends in " at row ...".
     """
     last = [0]
     try:
-        with open(path) as fh, warnings.catch_warnings():
+        with io.TextIOWrapper(io.BytesIO(data)) as fh, warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)  # else some numpy releases cast "1.5" to 1
             return np.loadtxt(_rows(fh, path, last), dtype=dtype, delimiter=delimiter, comments=None, ndmin=2)
-    except FileNotFoundError:
-        raise DatasetError(f"missing dataset file: {path}")
     except DatasetError:
         raise
     except ValueError as e:
         reason = str(e).split(" at row ")[0]  # numpy counts its rows from 0 or from 1, by error kind
         raise DatasetError(f"{path}:{last[0]}: {reason}")
+
+
+def _read_table(path: str, dtype, delimiter: str | None = None) -> np.ndarray:
+    """The file's rows as a 2-D array (row k from line k + 1), or DatasetError.
+
+    The file is read once. A table of one-digit fields (``_read_digits``)
+    is converted in whole-array passes; every other file goes through
+    ``_read_lines``, which builds every ``path:LINE`` error. Both give the
+    same array.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise DatasetError(f"missing dataset file: {path}")
+    table = _read_digits(data, dtype, delimiter)
+    return _read_lines(data, path, dtype, delimiter) if table is None else table
 
 
 def _check_rows(path: str, ok: np.ndarray, problem: str) -> None:

@@ -178,7 +178,8 @@ def build_graph(edges, features, labels, labeled_mask, n_classes: int = 0) -> Gr
     outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
     if outside.any():
         raise ValueError(f"edge {tuple(pairs[outside][0].tolist())} out of range for {n} nodes")
-    rows, cols = np.unique(np.concatenate([pairs, pairs[:, ::-1]]), axis=0).T
+    keys = np.unique(np.concatenate([pairs[:, 0] * n + pairs[:, 1], pairs[:, 1] * n + pairs[:, 0]]))
+    rows, cols = keys // n, keys % n  # the unique pairs, in row-major order
     A = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
     return Graph(A, X, labels, labeled_mask, n_classes)
 

@@ -151,10 +151,13 @@ def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> Surro
     W0 = rng.uniform(-scale, scale, size=(d, k))
 
     # The labeled rows of Ahat^2 X are fixed during training: the
-    # logistic-regression design matrix, from the sparse 2-hop rows
+    # logistic-regression design matrix, from the sparse 2-hop rows. Scipy
+    # sums each entry in the 2-hop rows' order from +0.0 either way, so the
+    # CSR form, which only skips zero terms, gives the same bits.
     ahat = normalize_adjacency(g.csr)
     idx = np.flatnonzero(g.labeled_mask)
-    f_lab = (ahat[idx] @ ahat) @ g.features
+    two_hop = ahat[idx] @ ahat
+    f_lab = (two_hop @ g.sparse_features).toarray() if g.sparse_features is not None else two_hop @ g.features
     q, r = scipy.linalg.qr(f_lab.T, mode="economic", check_finite=False)
     r_t = np.ascontiguousarray(r.T)  # logits are R^T M
     onehot = np.eye(k)[g.labels[idx]]

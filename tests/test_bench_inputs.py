@@ -44,10 +44,15 @@ def bench_inputs():
     return module
 
 
+def _shrunk(full):
+    """Workload ``full`` on blocks of BLOCK_SIZE nodes, at the same mean degree."""
+    scale = full.block_size / BLOCK_SIZE
+    return dataclasses.replace(full, block_size=BLOCK_SIZE, p_in=full.p_in * scale, p_out=full.p_out * scale)
+
+
 def test_every_workload_loads_as_generated(bench_inputs, tmp_path):
     for name, full in bench_inputs.WORKLOADS.items():
-        scale = full.block_size / BLOCK_SIZE  # keeps the mean degree
-        w = dataclasses.replace(full, block_size=BLOCK_SIZE, p_in=full.p_in * scale, p_out=full.p_out * scale)
+        w = _shrunk(full)
         d = str(tmp_path / name)
         info = bench_inputs.generate(w, 1, d)
         g = load_dataset(d)
@@ -65,6 +70,26 @@ def test_every_workload_loads_as_generated(bench_inputs, tmp_path):
 
         cfg = bench_inputs.experiment_config(w, d, info["edges"], str(tmp_path / f"{name}.json"))
         assert attack_budget(cfg, g) == w.flips, name
+
+
+def test_bag_of_words_inputs_parse_only_their_edges_line_by_line(bench_inputs, tmp_path, monkeypatch):
+    # one-digit features and labels take the byte path; the multi-digit edge list alone reaches np.loadtxt
+    names = [name for name, w in bench_inputs.WORKLOADS.items() if w.bow_features]
+    assert names
+    loadtxt, widths = np.loadtxt, []
+
+    def spy(*args, **kwargs):
+        out = loadtxt(*args, **kwargs)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    for name in names:
+        d = str(tmp_path / name)
+        bench_inputs.generate(_shrunk(bench_inputs.WORKLOADS[name]), 1, d)
+        widths.clear()
+        assert load_dataset(d).features.shape[1] == bench_inputs.BOW_DIM
+        assert widths == [2], name
 
 
 # ``generate(WORKLOADS[name], 1, ...)["sha256"]`` at full size, recorded with

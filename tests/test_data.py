@@ -2,8 +2,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphpoison import DatasetError, load_dataset, sbm_graph, seeded_split
+from graphpoison.data import _read_digits, _read_lines, _read_table
 
 from .conftest import CORA_DIR, DATA_ROOT, requires_cora, spy_graph_builds, write_plain_dataset
 
@@ -236,6 +239,67 @@ def test_rejected_line_exits_with_the_data_code_and_is_named(tmp_path, capsys, f
 def test_file_without_rows_rejected(tmp_path, file):
     with pytest.raises(DatasetError, match=rf"{file}: no rows"):
         load_dataset(_path_dataset(tmp_path, file, "\n \n"))
+
+
+TABLE_CHARS = "0123456789, \n\r#.-"
+
+
+@st.composite
+def _table_texts(draw, sep):
+    """A file over TABLE_CHARS: random, a one-digit table, or such a table with one edit."""
+    if draw(st.booleans()):
+        return draw(st.text(TABLE_CHARS, max_size=24))
+    width = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from("0123456789"), min_size=width, max_size=width).map(sep.join)
+    text = "\n".join(draw(st.lists(row, min_size=1, max_size=5))) + draw(st.sampled_from(["", "\n"]))
+    if draw(st.booleans()):
+        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 1))  # insert or replace a character
+        text = text[:at] + draw(st.sampled_from(TABLE_CHARS)) + text[at + cut :]
+    return text
+
+
+def _is_one_digit_table(text: str, sep: str) -> bool:
+    """Every line ``c<sep>c...c`` with one digit per field and one field count; the last newline optional."""
+    rows = [line.split(sep) for line in text.removesuffix("\n").split("\n")]
+    digits = all(len(c) == 1 and c in "0123456789" for r in rows for c in r)
+    return bool(text) and digits and all(len(r) == len(rows[0]) for r in rows)
+
+
+def _read_or_error(read):
+    try:
+        return read()
+    except DatasetError as e:
+        return str(e)
+
+
+@settings(deadline=None)
+@given(
+    delimiter_text=st.sampled_from([",", None]).flatmap(lambda de: st.tuples(st.just(de), _table_texts(de or " "))),
+    dtype=st.sampled_from([np.int64, np.float64]),
+)
+@example(delimiter_text=(",", "1,0\n0,1"), dtype=np.float64)
+@example(delimiter_text=(None, "3 1\n2 0\n"), dtype=np.int64)
+@example(delimiter_text=(None, "0\n1\n\n"), dtype=np.int64)
+@example(delimiter_text=(",", "1,0\r\n0,1\r\n"), dtype=np.float64)
+@example(delimiter_text=(None, "0  1\n"), dtype=np.int64)
+@example(delimiter_text=(",", "1,0\n0,1,1\n"), dtype=np.float64)
+@example(delimiter_text=(None, "0\n123\n"), dtype=np.int64)  # a digit where the newline column is
+@example(delimiter_text=(",", "0,1\n0,1,1,1\n"), dtype=np.float64)
+@example(delimiter_text=(",", ""), dtype=np.float64)
+def test_one_digit_tables_read_as_the_line_path_reads_them(tmp_path_factory, delimiter_text, dtype):
+    """``_read_table``, the reader of ``load_dataset``, returns the line path's array or raises its error."""
+    delimiter, text = delimiter_text
+    data = text.encode()
+    path = tmp_path_factory.getbasetemp() / "table.txt"
+    path.write_bytes(data)
+    got = _read_or_error(lambda: _read_table(str(path), dtype, delimiter))
+    want = _read_or_error(lambda: _read_lines(data, str(path), dtype, delimiter))
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+    assert (_read_digits(data, dtype, delimiter) is not None) == _is_one_digit_table(text, delimiter or " ")
 
 
 def test_blank_feature_line_exits_with_the_data_code(tmp_path, capsys):

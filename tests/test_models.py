@@ -355,6 +355,32 @@ def test_train_victim_sparse_features_match_the_dense_path(dropout, monkeypatch)
         assert _victim_accuracies(g, dropout) == sparse
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_train_surrogate_sparse_design_matches_the_dense_one_bit_for_bit(seed, monkeypatch):
+    # zero terms, -0.0 ones included, are all the CSR product skips: every sum keeps its order and its bits
+    g = _bow_sbm()
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(g.n_nodes, 40)) * 10.0 ** rng.integers(-8, 9, size=(g.n_nodes, 40))
+    X[rng.random(X.shape) < 0.9] = 0.0
+    X[rng.random(X.shape) < 0.05] = -0.0
+    designs, qr = [], models.scipy.linalg.qr
+
+    def spy(f_t, **kwargs):  # train_surrogate factors the design's transpose
+        designs.append(f_t.T.copy())
+        return qr(f_t, **kwargs)
+
+    monkeypatch.setattr(models.scipy.linalg, "qr", spy)
+    weights = []
+    for density, has_csr in ((1.0, True), (0.0, False)):
+        monkeypatch.setattr(graph, "SPARSE_FEATURE_DENSITY", density)
+        h = Graph(g.csr, X, g.labels, g.labeled_mask, g.n_classes)
+        assert (h.sparse_features is not None) == has_csr
+        weights.append(train_surrogate(h, SurrogateHyper(epochs=20)).weight)
+    assert (X < 0).any() and (np.signbit(X) & (X == 0)).any()
+    assert np.array_equal(designs[0], designs[1])
+    assert np.array_equal(weights[0], weights[1])
+
+
 def _with_outlying_components(g: Graph) -> Graph:
     """``g`` plus a 4-node path without a labeled node and an isolated labeled node."""
     path = sp.diags([np.ones(3), np.ones(3)], [-1, 1], shape=(4, 4))
