@@ -11,7 +11,7 @@ import numpy as np
 from .gradients import per_node_gradients
 from .graph import Graph, count_flips, normalize_adjacency
 from .losses import LossSpec
-from .models import SurrogateHyper, VictimHyper, forward_logits, margins, train_surrogate, train_victim
+from .models import SurrogateHyper, VictimHyper, feature_operand, forward_logits, margins, train_surrogate, train_victim
 
 Array = np.ndarray
 
@@ -76,7 +76,6 @@ def margin_gradient_scatter(
     margins (against pseudo-labels they never could).
     """
     params = train_surrogate(g, surrogate_hyper)
-    logits = forward_logits(params, normalize_adjacency(g.csr), g.features)
-    phi = margins(logits, g.labels)
+    phi = margins(forward_logits(params, normalize_adjacency(g.csr), feature_operand(g)), g.labels)
     norms = per_node_gradients(g, params, spec, g.labels)
     return [(v, float(phi[v]), norm) for v, norm in norms]

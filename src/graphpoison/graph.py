@@ -69,7 +69,7 @@ class Graph:
         ``features`` as CSR, array for array ``sp.csr_matrix(features)``,
         when at most ``SPARSE_FEATURE_DENSITY`` of its entries are nonzero;
         None otherwise. Derived once here and shared by every graph
-        ``flip_edge`` derives, so no victim fit converts the features again.
+        ``flip_edge`` derives; every feature product reads it (``models.feature_operand``).
     labels : (N,) int array
         Class index per node, in ``{0 .. n_classes-1}``.
     labeled_mask : (N,) bool array

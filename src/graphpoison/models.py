@@ -2,9 +2,9 @@
 
 The attacker's surrogate is the linearized two-layer GCN
 ``softmax(Ahat^2 X W)`` trained by full-batch gradient descent on the
-labeled nodes, run in the min(d, L) dimensional span of its labeled design
-(one reduced QR per fit); the victim is a standard two-layer GCN with a ReLU,
-dropout and Adam, retrained from scratch for evaluation.
+labeled nodes, on the narrower side of its L x d labeled design; the victim
+is a standard two-layer GCN with a ReLU, dropout and Adam, retrained from
+scratch for evaluation. Both multiply sparse features as their CSR form.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import typing
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .graph import Graph, normalize_adjacency
@@ -124,9 +123,21 @@ def softmax(z: Array) -> Array:
     return np.exp(log_softmax(z))
 
 
-def forward_logits(params: SurrogateParams, ahat: sp.spmatrix, features: Array) -> Array:
-    """Pre-softmax logits Ahat (Ahat (X W)) of the linearized surrogate."""
+def forward_logits(params: SurrogateParams, ahat: sp.spmatrix, features: Array | sp.spmatrix) -> Array:
+    """Pre-softmax logits Ahat (Ahat (X W)) of the linearized surrogate; ``features`` dense or CSR."""
     return ahat @ (ahat @ (features @ params.weight))
+
+
+def feature_operand(g: Graph) -> Array | sp.csr_matrix:
+    """``g.sparse_features`` if set, else ``g.features``: the operand of every product with the features."""
+    return g.features if g.sparse_features is None else g.sparse_features
+
+
+def _labeled_design(g: Graph) -> Array:
+    """``Ahat[lab] Ahat X`` (L x d); scipy sums each entry in the same order, so a CSR X gives the dense bits."""
+    ahat = normalize_adjacency(g.csr)
+    design = (ahat[np.flatnonzero(g.labeled_mask)] @ ahat) @ feature_operand(g)
+    return design.toarray() if sp.issparse(design) else design
 
 
 def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> SurrogateParams:
@@ -136,51 +147,39 @@ def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> Surro
     L2 penalty; deterministic given ``hyper.seed``. With ``epochs=0`` the
     returned weights equal the seeded initialization.
 
-    The iterates are those of gradient descent on ``W``, computed in the
-    r = min(d, L) dimensional span of the labeled design ``F = Ahat[lab]
-    Ahat X`` (L x d). With the reduced QR ``F^T = Q R``, every gradient
-    ``F^T (softmax - Y) / L`` lies in span(Q), so ``W_t = c_t W_0 + Q A_t``
-    with ``c_t = (1 - lr wd)^t``: the part of ``W_0`` outside span(Q) never
-    reaches the logits and only decays. The loop updates ``M_t = Q^T W_t``
-    from the logits ``R^T M_t``. An epoch costs O(L r K) instead of
-    O(L d K), plus one O(d L r) QR per fit.
+    With the labeled design ``F = Ahat[lab] Ahat X`` (L x d), ``decay = 1 -
+    lr wd`` and ``step = lr / L``, the loop runs on the narrower side of F.
+    With d <= L, on ``W <- decay W - step F^T (softmax(F W) - Y)``: two
+    L d K products per epoch. With d > L, on the dual ``S <- decay S + D``,
+    ``D = softmax(Z) - Y``, so ``W_t = decay^t W_0 - step F^T S_t``; the
+    logits follow as ``Z <- decay Z - step G D`` from the Gram ``G = F F^T``,
+    formed once: one L L K product per epoch and one L d L product per fit.
+    Nothing is inverted, so a rank-deficient design needs no special case.
     """
     d, k = g.features.shape[1], g.n_classes
-    rng = np.random.default_rng(hyper.seed)
     scale = 1.0 / np.sqrt(d)
-    W0 = rng.uniform(-scale, scale, size=(d, k))
+    W = np.random.default_rng(hyper.seed).uniform(-scale, scale, size=(d, k))  # W_0
 
-    # The labeled rows of Ahat^2 X are fixed during training: the
-    # logistic-regression design matrix, from the sparse 2-hop rows. Scipy
-    # sums each entry in the 2-hop rows' order from +0.0 either way, so the
-    # CSR form, which only skips zero terms, gives the same bits.
-    ahat = normalize_adjacency(g.csr)
-    idx = np.flatnonzero(g.labeled_mask)
-    two_hop = ahat[idx] @ ahat
-    f_lab = (two_hop @ g.sparse_features).toarray() if g.sparse_features is not None else two_hop @ g.features
-    q, r = scipy.linalg.qr(f_lab.T, mode="economic", check_finite=False)
-    r_t = np.ascontiguousarray(r.T)  # logits are R^T M
-    onehot = np.eye(k)[g.labels[idx]]
-
-    decay = 1.0 - hyper.lr * hyper.weight_decay
-    M0 = q.T @ W0
-    M = M0
+    design = _labeled_design(g)
+    onehot = np.eye(k)[g.labels[g.labeled_mask]]
+    decay, step = 1.0 - hyper.lr * hyper.weight_decay, hyper.lr / len(design)
+    if d <= len(design):
+        for _ in range(hyper.epochs):
+            W = decay * W - step * (design.T @ (softmax(design @ W) - onehot))
+        return SurrogateParams(W)
+    gram = design @ design.T
+    Z, S = design @ W, np.zeros_like(onehot)
     for _ in range(hyper.epochs):
-        probs = softmax(r_t @ M)
-        M = decay * M - hyper.lr * (r @ (probs - onehot)) / len(idx)
-    c = decay**hyper.epochs
-    return SurrogateParams(c * W0 + q @ (M - c * M0))
+        D = softmax(Z) - onehot
+        S = decay * S + D
+        Z = decay * Z - step * (gram @ D)
+    return SurrogateParams(decay**hyper.epochs * W - step * (design.T @ S))
 
 
 def pseudo_labels(params: SurrogateParams, g: Graph) -> Array:
-    """Ground-truth labels where visible, surrogate argmax elsewhere.
-
-    Argmax ties resolve to the smallest class index.
-    """
-    logits = forward_logits(params, normalize_adjacency(g.csr), g.features)
-    out = logits.argmax(axis=1)
-    out[g.labeled_mask] = g.labels[g.labeled_mask]
-    return out.astype(np.int64)
+    """Ground-truth labels where visible, surrogate argmax elsewhere (ties to the smallest class index)."""
+    logits = forward_logits(params, normalize_adjacency(g.csr), feature_operand(g))
+    return np.where(g.labeled_mask, g.labels, logits.argmax(axis=1)).astype(np.int64)
 
 
 def margins(logits: Array, labels: Array) -> Array:
@@ -268,8 +267,8 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     onehot = np.eye(k)[g.labels[idx]]
     keep = 1.0 - hyper.dropout
 
-    sparse = g.sparse_features is not None
-    X = g.sparse_features if sparse else g.features  # CSR data: the nonzeros in row-major order
+    X = feature_operand(g)  # CSR data: the nonzeros in row-major order
+    sparse = sp.issparse(X)
     x2 = X[n2]
     nnz = x2.nnz if sparse else np.count_nonzero(x2)
     if sparse:

@@ -19,7 +19,9 @@ from graphpoison import (
     build_graph,
     forward_logits,
     load_dataset,
+    margin_gradient_scatter,
     margins,
+    meta_attack,
     normalize_adjacency,
     pseudo_labels,
     sbm_graph,
@@ -27,6 +29,7 @@ from graphpoison import (
     train_victim,
 )
 from graphpoison import graph, models
+from graphpoison.gradients import attack_factors
 from .conftest import tiny_graph, write_plain_dataset
 from .oracles import log_softmax_rowwise, surrogate_nll, train_surrogate_primal, train_victim_full
 
@@ -112,6 +115,8 @@ def _design_case(kind: str) -> Graph:
     elif kind == "gaussian":  # d < L
         feats = rng.normal(size=(n, 4))
         assert feats.shape[1] < n_lab
+    elif kind in ("square", "one_wider"):  # d = L, the widest primal fit; d = L + 1, the narrowest dual one
+        feats = rng.normal(size=(n, n_lab + (kind == "one_wider")))
     elif kind == "identity":  # d = N
         feats = np.eye(n)
     else:  # labeled twins 0 and 1: adjacent, same other neighbours
@@ -135,7 +140,7 @@ def _design_case(kind: str) -> Graph:
 
 
 @pytest.mark.parametrize("epochs", [0, 1, 50])
-@pytest.mark.parametrize("kind", ["bag_of_words", "gaussian", "identity", "rank_deficient"])
+@pytest.mark.parametrize("kind", ["bag_of_words", "gaussian", "square", "one_wider", "identity", "rank_deficient"])
 def test_train_surrogate_matches_primal_gradient_descent(kind, epochs):
     g = _design_case(kind)
     hyper = SurrogateHyper(lr=0.2, epochs=epochs, weight_decay=0.01, seed=3)
@@ -363,13 +368,13 @@ def test_train_surrogate_sparse_design_matches_the_dense_one_bit_for_bit(seed, m
     X = rng.normal(size=(g.n_nodes, 40)) * 10.0 ** rng.integers(-8, 9, size=(g.n_nodes, 40))
     X[rng.random(X.shape) < 0.9] = 0.0
     X[rng.random(X.shape) < 0.05] = -0.0
-    designs, qr = [], models.scipy.linalg.qr
+    designs, build = [], models._labeled_design
 
-    def spy(f_t, **kwargs):  # train_surrogate factors the design's transpose
-        designs.append(f_t.T.copy())
-        return qr(f_t, **kwargs)
+    def spy(h):  # train_surrogate builds its design here, on either side of the switch
+        designs.append(build(h))
+        return designs[-1]
 
-    monkeypatch.setattr(models.scipy.linalg, "qr", spy)
+    monkeypatch.setattr(models, "_labeled_design", spy)
     weights = []
     for density, has_csr in ((1.0, True), (0.0, False)):
         monkeypatch.setattr(graph, "SPARSE_FEATURE_DENSITY", density)
@@ -379,6 +384,38 @@ def test_train_surrogate_sparse_design_matches_the_dense_one_bit_for_bit(seed, m
     assert (X < 0).any() and (np.signbit(X) & (X == 0)).any()
     assert np.array_equal(designs[0], designs[1])
     assert np.array_equal(weights[0], weights[1])
+
+
+class _NoMatmul(np.ndarray):
+    """A feature array that refuses every matrix product: a surrogate forward must take the CSR form."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            raise AssertionError("dense product with sparse features")
+        plain = (x.view(np.ndarray) if isinstance(x, _NoMatmul) else x for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def test_every_surrogate_forward_multiplies_sparse_features_as_csr(monkeypatch):
+    spec = LossSpec("nll", True, CAWeightParams(4.5, 1.0, 1.0, 1.0))
+    cfg = AttackConfig(budget=2, loss_spec=spec, surrogate_hyper=SurrogateHyper(epochs=50))
+    runs = []
+    for density in (1.0, 0.0):
+        monkeypatch.setattr(graph, "SPARSE_FEATURE_DENSITY", density)
+        g = _bow_sbm()
+        assert (g.sparse_features is not None) == (density > 0)
+        if density:  # the dense array stays for other readers, but no forward may multiply it
+            object.__setattr__(g, "features", g.features.view(_NoMatmul))
+        params = train_surrogate(g, cfg.surrogate_hyper)
+        pseudo = pseudo_labels(params, g)
+        us, vs, s, _ = attack_factors(g, params, spec, pseudo)
+        scatter = margin_gradient_scatter(g, spec, cfg.surrogate_hyper)
+        runs.append((pseudo, us, vs, s, np.array(scatter), meta_attack(g, cfg).flips))
+    (pseudo, *factors, scatter, flips), (pseudo_d, *factors_d, scatter_d, flips_d) = runs
+    assert np.array_equal(pseudo, pseudo_d)
+    assert all(np.allclose(a, b, rtol=1e-10, atol=1e-14) for a, b in zip(factors, factors_d))
+    assert np.allclose(scatter, scatter_d, rtol=1e-10, atol=1e-14)
+    assert len(flips) == 2 and flips == flips_d
 
 
 def _with_outlying_components(g: Graph) -> Graph:
