@@ -17,7 +17,7 @@ import numpy as np
 from .gradients import CHUNK_ROWS, attack_factors, attack_objective, upper_blocks
 from .graph import Graph, _check_pair, count_flips, flip_edge
 from .losses import LossSpec
-from .models import SurrogateHyper, check_fields, feature_operand, pseudo_labels, train_surrogate
+from .models import SurrogateHyper, check_fields, feature_operand, propagation, pseudo_labels, train_surrogate
 
 Array = np.ndarray
 
@@ -244,7 +244,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
         op = DELETE if current.csr[i, j] == 1.0 else ADD
         current = flip_edge(current, i, j)
         objective_after = attack_objective(
-            current.csr, feature_operand(g), params, pseudo, g.unlabeled_mask, cfg.loss_spec, info["weights"]
+            propagation(current), feature_operand(g), params, pseudo, g.unlabeled_mask, cfg.loss_spec, info["weights"]
         )
         flips.append((i, j, op))
         trace.append(

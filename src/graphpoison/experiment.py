@@ -203,17 +203,14 @@ def apply_flips(g: Graph, flips) -> Graph:
     seen = set()
     for k, (i, j, op) in enumerate(flips):
         try:
-            i, j, op = check_type("i", i, int), check_type("j", j, int), check_type("op", op, str)
+            out = flip_edge(out, i, j)  # the one id check
+            op = check_type("op", op, str)
         except ValueError as e:
             raise DatasetError(f"flip {k}: {e}") from None
-        pair = (min(i, j), max(i, j))
+        pair = tuple(sorted((int(i), int(j))))  # ids flip_edge accepted
         if pair in seen:
             raise DatasetError(f"flip {k}: pair {pair} is flipped twice")
         seen.add(pair)
-        try:
-            out = flip_edge(out, i, j)
-        except ValueError as e:
-            raise DatasetError(f"flip {k}: {e}") from None
         state = ADD if out.csr[i, j] == 1.0 else DELETE
         if op != state:
             raise DatasetError(f"flip {k}: op {op!r} on pair {pair}, whose flip is {state!r}")

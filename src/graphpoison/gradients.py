@@ -25,9 +25,9 @@ the attack drives down). Cost-aware weights are computed from the margins
 at the evaluation point and treated as constants, so the gradient of a
 weighted node term is exactly the weight times the unweighted gradient.
 That definition is written once, in :func:`_evaluate`, from the logits of
-one forward pass. ``attack_objective`` calls it on any (relaxed) adjacency,
-every other reader through :func:`_forward`; both multiply ``X W`` with X
-from ``models.feature_operand``, CSR when the features are sparse.
+one forward pass. ``attack_objective`` calls it at a given Ahat, every
+other reader through :func:`_forward` at ``models.propagation``; both multiply
+``X W`` with X from ``models.feature_operand``, CSR when features are sparse.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import scipy.sparse as sp
 
 from .graph import Graph, normalize_adjacency
 from .losses import NLL, LossSpec, loss_value, resolve_weights
-from .models import SurrogateParams, feature_operand, forward_logits, margins, runner_up, softmax
+from .models import SurrogateParams, feature_operand, forward_logits, margins, propagation, runner_up, softmax
 
 Array = np.ndarray
 CHUNK_ROWS = 256  # rows per score block: one block of CHUNK_ROWS x N doubles at a time
@@ -67,7 +67,7 @@ def _evaluate(
 
 
 def attack_objective(
-    adjacency: Array,
+    ahat: sp.spmatrix,
     features: Array | sp.spmatrix,
     params: SurrogateParams,
     labels: Array,
@@ -75,19 +75,19 @@ def attack_objective(
     spec: LossSpec,
     weights: Array | None = None,
 ) -> float:
-    """The scalar the attack ascends, evaluated on a (possibly relaxed) adjacency.
+    """The scalar the attack ascends at ``ahat``: a graph's ``models.propagation``, or a relaxed one.
 
     For the NLL base this is the weighted masked loss sum; for the CW base
     it is the negated weighted clamp sum. ``weights`` freezes the cost-aware
     schedule at given values; ``features`` is dense or CSR (``feature_operand``).
     """
-    logits = forward_logits(params, normalize_adjacency(adjacency), features)
+    logits = forward_logits(params, ahat, features)
     return _evaluate(logits, labels, mask, spec, weights)[2]
 
 
 def _forward(g: Graph, params: SurrogateParams, spec: LossSpec, labels: Array) -> tuple:
     """``(ahat, P1, P2, logits, _evaluate(...))`` of one forward pass, over the unlabeled nodes."""
-    ahat = normalize_adjacency(g.csr)
+    ahat = propagation(g)
     prop1 = feature_operand(g) @ params.weight
     prop2 = ahat @ prop1
     logits = ahat @ prop2
@@ -226,7 +226,7 @@ def finite_difference_gradient(
     for i in range(n):
         for j in range(i + 1, n):
             step = sp.csr_matrix(([h, h], ([i, j], [j, i])), shape=(n, n))
-            f_plus = attack_objective(g.csr + step, X, params, labels, mask, spec, weights)
-            f_minus = attack_objective(g.csr - step, X, params, labels, mask, spec, weights)
+            f_plus = attack_objective(normalize_adjacency(g.csr + step), X, params, labels, mask, spec, weights)
+            f_minus = attack_objective(normalize_adjacency(g.csr - step), X, params, labels, mask, spec, weights)
             out[i, j] = out[j, i] = (f_plus - f_minus) / (4.0 * h)
     return out

@@ -54,7 +54,7 @@ def _sparse_form(X: Array) -> sp.csr_matrix | None:
     return out
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Graph:
     """An undirected, unweighted attributed graph with a labeled/unlabeled split.
 
@@ -80,7 +80,8 @@ class Graph:
     Every array, the three of ``csr`` and of ``sparse_features`` included,
     is a read-only copy. The constructor accepts a dense or scipy-sparse
     adjacency; ``adjacency`` is a dense copy of ``csr``, O(N^2) per access,
-    for readers outside the library.
+    for readers outside the library. Graphs compare by identity, so each one
+    keys its own Ahat (``models.propagation``).
     """
 
     csr: sp.csr_matrix

@@ -12,15 +12,16 @@ from __future__ import annotations
 import dataclasses
 import sys
 import typing
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Graph, normalize_adjacency
+from .graph import Graph, _read_only, normalize_adjacency
 
 Array = np.ndarray
-
+_PROPAGATION: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # graph -> its Ahat, see propagation
 
 _KINDS = {bool: "a bool", int: "an integer", float: "a number", str: "a string"}
 
@@ -133,9 +134,20 @@ def feature_operand(g: Graph) -> Array | sp.csr_matrix:
     return g.features if g.sparse_features is None else g.sparse_features
 
 
+def propagation(g: Graph) -> sp.csr_matrix:
+    """Read-only ``normalize_adjacency(g.csr)``, derived once per graph value and shared by every reader of Ahat.
+
+    Keyed weakly by identity: a graph ``flip_edge`` derives is a new key, and an entry goes with its graph."""
+    ahat = _PROPAGATION.get(g)
+    if ahat is None:
+        ahat = _PROPAGATION[g] = normalize_adjacency(g.csr)
+        _read_only(ahat.data, ahat.indices, ahat.indptr)
+    return ahat
+
+
 def _labeled_design(g: Graph) -> Array:
     """``Ahat[lab] Ahat X`` (L x d); scipy sums each entry in the same order, so a CSR X gives the dense bits."""
-    ahat = normalize_adjacency(g.csr)
+    ahat = propagation(g)
     design = (ahat[np.flatnonzero(g.labeled_mask)] @ ahat) @ feature_operand(g)
     return design.toarray() if sp.issparse(design) else design
 
@@ -178,7 +190,7 @@ def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> Surro
 
 def pseudo_labels(params: SurrogateParams, g: Graph) -> Array:
     """Ground-truth labels where visible, surrogate argmax elsewhere (ties to the smallest class index)."""
-    logits = forward_logits(params, normalize_adjacency(g.csr), feature_operand(g))
+    logits = forward_logits(params, propagation(g), feature_operand(g))
     return np.where(g.labeled_mask, g.labels, logits.argmax(axis=1)).astype(np.int64)
 
 
@@ -257,7 +269,7 @@ def train_victim(g: Graph, hyper: VictimHyper = VictimHyper()) -> float:
     W1 = _glorot(rng, d, h)
     W2 = _glorot(rng, h, k)
 
-    ahat_sp = normalize_adjacency(g.csr)
+    ahat_sp = propagation(g)
     idx = np.flatnonzero(g.labeled_mask)
     n1, a_lab = _receptive(ahat_sp[idx])  # Ahat[lab, N1]
     n2, a_12 = _receptive(ahat_sp[n1])  # Ahat[N1, N2]

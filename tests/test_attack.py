@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import graphpoison
 import graphpoison.attack as attack_module
 from graphpoison import (
     AttackConfig,
@@ -8,10 +12,12 @@ from graphpoison import (
     CAWeightParams,
     LossSpec,
     SurrogateHyper,
+    VictimHyper,
     build_graph,
     constraint_check,
     count_flips,
     dice_attack,
+    evaluate,
     flip_edge,
     meta_attack,
     pseudo_labels,
@@ -457,6 +463,39 @@ def _record_graphs(monkeypatch, name, graph_arg):
 
     monkeypatch.setattr(attack_module, name, wrapped)
     return graphs
+
+
+def _count_normalizations(monkeypatch) -> list:
+    """Wrap ``normalize_adjacency`` under every graphpoison module name that holds it; the list collects each call."""
+    calls = []
+    real = graphpoison.normalize_adjacency
+    for info in pkgutil.iter_modules(graphpoison.__path__):
+        module = importlib.import_module(f"graphpoison.{info.name}")
+        if getattr(module, "normalize_adjacency", None) is real:
+            monkeypatch.setattr(module, "normalize_adjacency", lambda a: calls.append(a) or real(a))
+    return calls
+
+
+@pytest.mark.parametrize("retrain_every", [1, 2])
+@pytest.mark.parametrize("refresh", [False, True])
+def test_meta_attack_and_evaluate_derive_one_ahat_per_graph(monkeypatch, retrain_every, refresh):
+    g = sbm_graph((20, 20), 0.2, 0.02, seed=1)  # a fresh graph: no Ahat derived yet
+    calls = _count_normalizations(monkeypatch)
+    budget = 4
+    result = meta_attack(g, _cfg(budget=budget, retrain_every=retrain_every, refresh_pseudo_labels=refresh))
+    assert len(result.flips) == budget
+    assert len(calls) == budget + 1  # the clean graph and each flipped one
+    evaluate(g, result.poisoned, VictimHyper(epochs=5), seeds=(0, 1, 2))
+    assert len(calls) == budget + 1  # every victim seed reuses the poisoned graph's
+
+
+def test_dice_attack_and_evaluate_derive_two_ahats(monkeypatch):
+    g = sbm_graph((20, 20), 0.2, 0.02, seed=1)
+    calls = _count_normalizations(monkeypatch)
+    result = dice_attack(g, _cfg(budget=4))
+    assert len(result.flips) == 4
+    evaluate(g, result.poisoned, VictimHyper(epochs=5), seeds=(0, 1, 2))
+    assert len(calls) == 2  # the clean graph's for the surrogate, the poisoned one's for the victims
 
 
 def test_retrain_every_controls_surrogate_refresh(medium_sbm, monkeypatch):

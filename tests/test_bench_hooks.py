@@ -87,6 +87,17 @@ def test_resolved_hooks_fire_in_an_attack_and_are_restored(bench_trace):
     assert "attack.constraint" in {span.name for span in tracer.spans}
 
 
+def test_the_normalize_hook_times_one_derivation_per_graph(bench_trace):
+    # graph.normalize_s reads only the names the hook table wraps: a
+    # normalization under any other name would leave it short
+    g = sbm_graph((20, 20), 0.2, 0.02, seed=1)
+    tracer = bench_trace.Tracer()
+    with tracer.installed(bench_trace.LAYER_HOOKS):
+        result = meta_attack(g, AttackConfig(budget=3, surrogate_hyper=SurrogateHyper(epochs=5)))
+    assert len(result.flips) == 3
+    assert [span.name for span in tracer.spans].count("graph.normalize") == len(result.flips) + 1
+
+
 def test_the_victim_hook_times_every_fit(bench_trace):
     # models.victim_s_per_fit reads 0 if a victim refactor bypasses the hook
     g = sbm_graph((20, 20), 0.2, 0.02, seed=1)

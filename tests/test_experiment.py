@@ -213,7 +213,7 @@ def test_apply_flips_rejects_repeated_pair():
 ], ids=["float-id", "float-j", "bool-id", "numpy-bool-id", "string-id", "int-op"])
 def test_apply_flips_rejects_mistyped_flips(flip):
     """A non-integer id is rejected, never truncated onto another pair."""
-    with pytest.raises(DatasetError, match=r"flip 0: (i|j|op) must be (an integer|a string)"):
+    with pytest.raises(DatasetError, match=r"flip 0: (node id [ij]|op) must be (an integer|a string)"):
         apply_flips(_path4(), [flip])
 
 

@@ -15,6 +15,7 @@ from graphpoison import (
     train_surrogate,
 )
 from graphpoison.gradients import CHUNK_ROWS, attack_factors, attack_objective, pair_scores, score_factors
+from graphpoison.models import propagation
 
 from .conftest import tiny_graph
 from .oracles import (
@@ -96,7 +97,7 @@ def test_factors_report_the_objective_attack_objective_evaluates(spec):
     g = sbm_graph((15, 15, 15), 0.2, 0.02, seed=2)
     params, labels = _trained(g)
     _, _, _, info = attack_factors(g, params, spec, labels)
-    again = attack_objective(g.csr, g.features, params, labels, g.unlabeled_mask, spec, weights=info["weights"])
+    again = attack_objective(propagation(g), g.features, params, labels, g.unlabeled_mask, spec, weights=info["weights"])
     assert info["objective"] == again
 
 

@@ -1,10 +1,14 @@
 import dataclasses
+import gc
 import tracemalloc
 import typing
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphpoison import (
     AttackConfig,
@@ -17,6 +21,7 @@ from graphpoison import (
     SurrogateParams,
     VictimHyper,
     build_graph,
+    flip_edge,
     forward_logits,
     load_dataset,
     margin_gradient_scatter,
@@ -84,6 +89,36 @@ def test_forward_logits_linear_in_weights():
         SurrogateParams(w2), ahat, g.features
     )
     assert np.allclose(combo, parts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 20),
+    pairs=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)).filter(lambda p: p[0] != p[1]), max_size=8),
+    undo=st.booleans(),
+)
+def test_propagation_is_each_derived_graph_s_own_normalized_adjacency(seed, pairs, undo):
+    # pairs draw deletions and additions alike; undo flips them back to the clean state
+    g = sbm_graph((6, 6), 0.5, 0.1, seed=seed, connected=False)
+    graphs = [g]
+    for i, j in pairs + (pairs[::-1] if undo else []):
+        graphs.append(flip_edge(graphs[-1], i, j))
+    for h in graphs:
+        ahat, want = models.propagation(h), normalize_adjacency(h.csr)
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(ahat, name), getattr(want, name))
+            assert not getattr(ahat, name).flags.writeable
+        assert models.propagation(h) is ahat
+    assert len({id(models.propagation(h)) for h in graphs}) == len(graphs)  # none inherits its parent's
+
+
+def test_propagation_is_released_with_its_graph():
+    g = tiny_graph()
+    ahat = weakref.ref(models.propagation(g))
+    assert g == g and g != flip_edge(g, 0, 1)  # graphs compare by identity
+    del g
+    gc.collect()
+    assert ahat() is None
 
 
 def test_train_surrogate_separable_reaches_full_accuracy():
