@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import CHUNK_ROWS, attack_factors, attack_objective, upper_blocks
+from .gradients import CHUNK_ROWS, attack_factors, attack_objective, float32_factors, score_factors, upper_block
 from .graph import Graph, _check_pair, count_flips, flip_edge
 from .losses import LossSpec
 from .models import SurrogateHyper, check_fields, feature_operand, propagation, pseudo_labels, train_surrogate
@@ -151,7 +151,7 @@ def _margin_summary(phi: Array, mask: Array) -> dict:
 
 def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer: Array, rules, ref):
     """The best allowed positive-score pair i < j of ``g`` outside ``excluded``, as
-    ``((score, i, j) or None, rejects)``, in one pass over :func:`upper_blocks`.
+    ``((score, i, j) or None, rejects)``, from the :func:`upper_block` scores.
 
     A score is the gradient in the one flip a pair admits (deleting an edge
     negates it); pairs rank by score, ties by the smaller row-major index.
@@ -159,6 +159,11 @@ def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer:
     ``excluded`` that rank ahead. Deletions are judged per edge, additions
     on the grid of distinct degrees (gathered over a block only when one of
     its keys is forbidden). ``ref`` is the reference's :func:`_tail_stats`.
+
+    Pass 1 bounds every block's best score in float32; pass 2 recomputes
+    blocks in float64, best bound first, until a bound is more than the
+    float32 margin below the best score (module ``gradients``): the result
+    is that of a full float64 scan.
     """
     n, deg = g.n_nodes, g.degrees()
     stats = ref + _tail_stats(deg)
@@ -170,16 +175,30 @@ def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer:
     grid = _reject_codes(levels[:, None], levels, False, rules, stats)
     add = grid[:, cls] if grid.any() else None  # per degree class, the addition codes of every column
     ex = np.array(excluded, dtype=np.int64).reshape(-1, 2)
-    best, best_index, found = 0.0, -1, []
-    for rows, block in upper_blocks(us, vs, s, buffer):
-        r0, r1, cols = rows.start, rows.stop, n - rows.start
-        flat = block.reshape(-1)
-        edges = slice(*np.searchsorted(iu, [r0, r1]))
-        at_edges, codes = (iu[edges] - r0) * cols + ju[edges] - r0, del_codes[edges]
-        flat[at_edges] *= -1.0  # before the masks: an excluded edge must stay -inf
-        block[:, : r1 - r0][np.tri(r1 - r0, dtype=bool)] = -np.inf
-        mine = (ex[:, 0] >= r0) & (ex[:, 0] < r1)
+    tri = np.tri(CHUNK_ROWS, dtype=bool)
+
+    def candidates(left, right, r0):
+        """Block ``r0`` scored in the flip each pair admits, -inf off the candidates; and its edges."""
+        rows, block = upper_block(left, right, r0, buffer)
+        h, cols = rows.stop - r0, n - r0
+        edges = slice(*np.searchsorted(iu, [r0, rows.stop]))
+        at_edges = (iu[edges] - r0) * cols + ju[edges] - r0
+        block.reshape(-1)[at_edges] *= -1.0  # before the masks: an excluded edge must stay -inf
+        block[:, :h][tri[:h, :h]] = -np.inf
+        mine = (ex[:, 0] >= r0) & (ex[:, 0] < rows.stop)
         block[ex[mine, 0] - r0, ex[mine, 1] - r0] = -np.inf
+        return rows, block.reshape(-1), edges, at_edges
+
+    left, right = score_factors(us, vs, s)
+    left32, right32, shift, margin = float32_factors(left, right)
+    starts = range(0, n, CHUNK_ROWS)
+    bounds = np.array([candidates(left32, right32, r0)[1].max() for r0 in starts], dtype=np.float64)
+    best, best_index, found = 0.0, -1, []
+    for b in np.argsort(-bounds, kind="stable"):
+        if bounds[b] < np.ldexp(best, shift) - margin:
+            break  # this block and every later one score below the best
+        rows, flat, edges, at_edges = candidates(left, right, starts[b])
+        r0, cols, codes = rows.start, n - rows.start, del_codes[edges]
         if add is None:  # only edges can be forbidden
             at, codes = at_edges[codes != 0], codes[codes != 0]
         else:
@@ -191,9 +210,10 @@ def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer:
             codes = block_codes[at]
         found.append((flat[at], at, codes, r0))  # block-local offsets: no index temporaries
         flat[at] = -np.inf
-        k = int(flat.argmax())
-        if flat[k] > best:  # later blocks hold larger indices: ties stay put
-            best, best_index = float(flat[k]), (r0 + k // cols) * n + r0 + k % cols
+        k = int(flat.argmax())  # the block's first max, in row-major order
+        index = (r0 + k // cols) * n + r0 + k % cols
+        if flat[k] > best or (flat[k] == best and index < best_index):  # blocks come out of row order
+            best, best_index = float(flat[k]), index
     counts = np.zeros(len(REASONS) + 1, dtype=np.int64)
     for vals, at, codes, r0 in found:  # part by part: never a concatenated copy
         ahead, tie = vals > best, np.flatnonzero(vals == best)

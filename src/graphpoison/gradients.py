@@ -13,8 +13,25 @@ with ``d`` the degrees of ``A + I`` and ``r``/``c`` the row/column sums of
 ``c = sum_k v_k * Ahat u_k``, so :func:`attack_factors` pulls ``G`` back
 with no N x N array. Nor does scoring: :func:`score_factors` stacks the
 pulled-back factors into two (4K+2) x N factors whose product is the
-symmetrized gradient, and :func:`upper_blocks` scans the upper triangle in
-row chunks through one CHUNK_ROWS x N buffer. :func:`per_node_gradients`
+symmetrized gradient, and :func:`upper_block` computes the upper triangle's
+row chunks, one at a time, in one CHUNK_ROWS x N buffer.
+
+The attack's scan over those blocks (``attack._top_pairs``) takes two
+passes. Pass 1 computes every block in float32 from :func:`float32_factors`,
+which rescale the factors by powers of two so their largest column norms lie
+in [1/2, 1) and no product can overflow, and keeps each masked block's max.
+By Higham's bound for a dot product of length n = 4K+2 in any summation order
+(*Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 3.1), a
+float32 score of the scaled factors (two conversions, n products and sums)
+lies within
+
+    E = (gamma_{n+2}(2^-24) + gamma_n(2^-53)) max||left_i|| max||right_j|| + (n+2) 2^-149
+
+of the float64 one scaled alike, with ``gamma_n(u) = n u / (1 - n u)``, the
+largest scaled column norms, and the last term covering underflow. Pass 2 visits the blocks by decreasing float32 max and
+recomputes each in float64 until one's max falls below ``best - E``: no
+pair there can reach the best score, so the float64 scores, the choice and
+the rejects are those of a full float64 scan. :func:`per_node_gradients`
 takes each node's gradient norm from K x K Grams and a sum over its 2-hop
 ball. The dense N x N gradient, the two-product scores, the dense formula
 and the per-node loop are test oracles (``tests/oracles.py``).
@@ -143,19 +160,40 @@ def pair_scores(left: Array, right: Array, rows: slice, cols: slice, out=None) -
     return out
 
 
-def upper_blocks(us: Array, vs: Array, s: Array, buffer: Array):
-    """Yield ``(rows, pair_scores(..., rows, r0:N))`` for row chunks ``rows = r0:r1``.
+def upper_block(left: Array, right: Array, r0: int, buffer: Array) -> tuple[slice, Array]:
+    """``(rows, pair_scores(left, right, rows, r0:N))`` for the row chunk ``rows = r0:r0 + CHUNK_ROWS``.
 
-    The factors are stacked once. Each block is a view of ``buffer``, a
-    CHUNK_ROWS * N array, valid until the next is drawn. BLAS rounds an
-    entry by the shape of its product, so all score readers come through here.
+    The block is a view of ``buffer``, a CHUNK_ROWS * N float64 array, in the
+    factors' dtype: a float32 block uses the same bytes. It is valid until the
+    next is drawn. BLAS rounds an entry by the shape of its product, so every
+    score reader comes through here.
     """
-    n = s.size
-    left, right = score_factors(us, vs, s)
-    for r0 in range(0, n, CHUNK_ROWS):
-        rows = slice(r0, min(r0 + CHUNK_ROWS, n))
-        out = buffer[: (rows.stop - r0) * (n - r0)].reshape(rows.stop - r0, n - r0)
-        yield rows, pair_scores(left, right, rows, slice(r0, n), out)
+    n = left.shape[1]
+    rows = slice(r0, min(r0 + CHUNK_ROWS, n))
+    out = buffer.view(left.dtype)[: (rows.stop - r0) * (n - r0)].reshape(rows.stop - r0, n - r0)
+    return rows, pair_scores(left, right, rows, slice(r0, n), out)
+
+
+def _margin(depth: int, left_norm: float, right_norm: float) -> float:
+    """E of the module docstring: how far a float32 score of factors ``depth`` deep, of column
+    norms at most ``left_norm`` and ``right_norm``, can lie from the float64 one."""
+    n32, n64 = (depth + 2) * 2.0**-24, depth * 2.0**-53  # gamma_n(u) = n u / (1 - n u)
+    return (n32 / (1.0 - n32) + n64 / (1.0 - n64)) * left_norm * right_norm + (depth + 2) * 2.0**-149
+
+
+def float32_factors(left: Array, right: Array) -> tuple[Array, Array, int, float]:
+    """``(left32, right32, shift, margin)``: the :func:`score_factors` in float32, for bounding scores.
+
+    ``left`` and ``right`` are scaled by powers of two so that their largest
+    column norms lie in [1/2, 1): no float32 product of them can overflow. A
+    float32 pair score of the scaled factors is within ``margin`` (:func:`_margin`)
+    of the float64 pair score times ``2**shift``.
+    """
+    norms = [np.sqrt(np.einsum("kn,kn->n", f, f).max(initial=0.0)) for f in (left, right)]
+    exps = [int(np.frexp(x)[1]) for x in norms]  # x * 2**-e lies in [1/2, 1)
+    left32, right32 = (np.ldexp(f, -e).astype(np.float32) for f, e in zip((left, right), exps))
+    margin = _margin(left.shape[0], *(np.ldexp(x, -e) for x, e in zip(norms, exps)))
+    return left32, right32, -sum(exps), margin
 
 
 def per_node_gradients(

@@ -71,11 +71,12 @@ class Graph:
         None otherwise. Derived once here and shared by every graph
         ``flip_edge`` derives; every feature product reads it (``models.feature_operand``).
     labels : (N,) int array
-        Class index per node, in ``{0 .. n_classes-1}``.
+        Class index per node, in ``{0 .. n_classes-1}``; given as any integer
+        dtype (never cast from floats or bools).
     labeled_mask : (N,) bool array
         True for nodes whose label is visible to the attacker (the training
         set); the complement is the unlabeled pool used for the attack loss
-        and for evaluation.
+        and for evaluation. Given as a boolean array (never cast from numbers).
 
     Every array, the three of ``csr`` and of ``sparse_features`` included,
     is a read-only copy. The constructor accepts a dense or scipy-sparse
@@ -94,8 +95,12 @@ class Graph:
     def __init__(self, adjacency, features, labels, labeled_mask, n_classes: int = 0) -> None:
         shape = np.shape(adjacency)
         X = np.array(features, dtype=np.float64, order="C")
-        y = np.array(labels, dtype=np.int64)
-        m = np.array(labeled_mask, dtype=bool)
+        y, m = np.asarray(labels), np.asarray(labeled_mask)
+        if y.dtype.kind not in "iu":  # a cast would truncate 1.9 to class 1
+            raise ValueError(f"labels must be of integer dtype, got {y.dtype}")
+        if m.dtype != bool:  # a cast would read 2 as True
+            raise ValueError(f"labeled_mask must be of boolean dtype, got {m.dtype}")
+        y, m = np.array(y, dtype=np.int64), m.copy()
 
         if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError(f"adjacency must be square, got shape {shape}")

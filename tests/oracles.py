@@ -124,7 +124,7 @@ def attack_gradient(g: Graph, params: SurrogateParams, spec: LossSpec, labels: n
     """Analytic gradient of the attack objective over the unlabeled nodes, as an (N, N) array.
 
     The symmetrized ``(M + M^T)/2`` with a zero diagonal: the upper triangle
-    from ``upper_blocks``, mirrored, so each entry equals the score
+    from ``upper_block``, mirrored, so each entry equals the score
     ``meta_attack`` reads for its pair bit for bit. ``attack_factors`` is
     looked up on its module, where a test may replace it.
     """
@@ -132,10 +132,12 @@ def attack_gradient(g: Graph, params: SurrogateParams, spec: LossSpec, labels: n
 
 
 def assembled_scores(us: np.ndarray, vs: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The (N, N) symmetric matrix of all pair scores, mirrored from ``upper_blocks``."""
+    """The (N, N) symmetric matrix of all pair scores, mirrored from the float64 ``upper_block``s."""
     n = s.size
-    grad = np.empty((n, n))
-    for rows, block in gradients.upper_blocks(us, vs, s, np.empty(gradients.CHUNK_ROWS * n)):
+    left, right = gradients.score_factors(us, vs, s)
+    buffer, grad = np.empty(gradients.CHUNK_ROWS * n), np.empty((n, n))
+    for r0 in range(0, n, gradients.CHUNK_ROWS):
+        rows, block = gradients.upper_block(left, right, r0, buffer)
         grad[rows.start :, rows] = block.T
         grad[rows, rows.start :] = block
         square, lower = grad[rows, rows], np.tril_indices(rows.stop - rows.start, -1)

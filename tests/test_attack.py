@@ -3,6 +3,8 @@ import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphpoison
 import graphpoison.attack as attack_module
@@ -450,6 +452,126 @@ def test_top_pairs_rejects_every_positive_pair_when_every_flip_is_forbidden(thre
             assert _scan(current, g, factors, cfg, excluded) == (None, expected)
             singletons += expected["singleton"]
     assert singletons > 0
+
+
+def _float64_blocks(monkeypatch):
+    """Spy on the scan's blocks: the list collects one entry per float64 block computed."""
+    blocks, real = [], attack_module.upper_block
+
+    def spy(left, right, r0, buffer):
+        if left.dtype == np.float64:
+            blocks.append(r0)
+        return real(left, right, r0, buffer)
+
+    monkeypatch.setattr(attack_module, "upper_block", spy)
+    return blocks
+
+
+def _heavy_reject_case():
+    """The graph and config of ``test_a_heavily_rejecting_scan_holds_few_chunks_of_rejects``."""
+    g = sbm_graph((700, 700, 600), p_in=0.0075, p_out=0.00075, seed=0)
+    cfg = AttackConfig(
+        budget=8, loss_spec=LossSpec("cw"), constraints=AttackConstraints(degree_test=True, degree_test_threshold=1e-5)
+    )
+    return g, cfg
+
+
+def test_recomputing_every_block_in_float64_changes_no_flip_score_or_reject(medium_sbm, monkeypatch):
+    """With an infinite float32 margin pass 2 recomputes every block; the
+    flips, scores and rejects are those of the pruned scan, on the pinned
+    configs and on a scan that rejects over 470k pairs a step."""
+    import graphpoison.gradients as gradients_module
+
+    runs = [(medium_sbm, _cfg(budget=8, loss_spec=LossSpec(base, ca, CA if ca else None)))
+            for base, ca in sorted(PINNED_META_FLIPS)]
+    runs.append(_heavy_reject_case())
+    blocks = _float64_blocks(monkeypatch)
+
+    def run(g, cfg):
+        blocks.clear()
+        trace = meta_attack(g, cfg).trace
+        return [(t["flip"], t["score"], t["rejects"]) for t in trace], len(blocks)
+
+    pruned = [run(g, cfg) for g, cfg in runs]
+    monkeypatch.setattr(gradients_module, "_margin", lambda *args: np.inf)
+    for (g, cfg), (steps, pruned_blocks) in zip(runs, pruned):
+        assert run(g, cfg) == (steps, len(steps) * -(-g.n_nodes // CHUNK_ROWS))
+    assert max(rejects["degree_test"] for *_, rejects in steps) > 470_000
+    assert pruned_blocks < len(steps) * -(-g.n_nodes // CHUNK_ROWS)  # even there, some block is never recomputed
+
+
+def _near_tie_factors(g, q):
+    """Factors (s = 0) under which the non-edge (a, x), a in the second row chunk,
+    scores ``m * m`` and the non-edge (b, y), b in the first, scores ``q``; every
+    other pair scores 0. In float32 (a, x) scores ``m32 * m32 = 1 + 2**-22``."""
+    n, m = g.n_nodes, 1.0 + 2.0**-24 + 2.0**-26
+    a, b, x, y = CHUNK_ROWS + 10, 10, n - 2, n - 1
+    assert g.csr[a, x] == g.csr[b, y] == 0.0
+    us, vs = np.zeros((2, n)), np.zeros((2, n))
+    us[0, a], vs[0, x] = m, 2.0 * m
+    us[1, b], vs[1, y] = q, 2.0
+    return (us, vs, np.zeros(n)), m * m, (a, x), (b, y)
+
+
+@pytest.mark.parametrize("offset", [0.0, 2.0**-50, -(2.0**-50)])
+def test_top_pairs_ranks_pairs_float32_cannot_tell_apart(three_chunk_sbm, offset):
+    """(a, x) in the second row chunk scores ``m**2`` and (b, y) in the first
+    ``m**2 + offset``. Both round to about 1 + 2**-23 in float32, but the second
+    chunk's float32 max is the larger, so pass 2 visits it first: the float64
+    scores decide, and an exact tie goes to (b, y), the smaller row-major index."""
+    g = three_chunk_sbm
+    factors, square, p, q = _near_tie_factors(g, (1.0 + 2.0**-24 + 2.0**-26) ** 2 + offset)
+    m32 = np.float32(1.0 + 2.0**-24 + 2.0**-26)
+    assert m32 * m32 > np.float32(square)  # the premise: float32 ranks (a, x) first
+    cfg = _cfg()
+    found = _scan(g, g, factors, cfg, [])
+    assert found == dense_best_pair(assembled_scores(*factors), g, [], cfg, g)
+    assert found[0] == ((square, *p) if offset < 0 else (square + offset, *q))
+
+
+def test_top_pairs_rescales_factors_whose_products_overflow_float32(three_chunk_sbm):
+    """Factors near 1e25 (and degree terms near 1e50) score pairs far beyond the
+    float32 range; after the power-of-two rescale the scan still equals the
+    dense ranking, rejects included."""
+    g = three_chunk_sbm
+    rng = np.random.default_rng(3)
+    n = g.n_nodes
+    factors = (1e25 * rng.normal(size=(4, n)), 1e25 * rng.normal(size=(4, n)), 1e50 * rng.normal(size=n))
+    grad = assembled_scores(*factors)
+    assert np.abs(grad).max() > np.finfo(np.float32).max
+    for threshold in (None, 1e-4):
+        cfg = _cfg(constraints=AttackConstraints(degree_test=threshold is not None, degree_test_threshold=threshold or 0.004))
+        found = _scan(g, g, factors, cfg, [])
+        assert found == dense_best_pair(grad, g, [], cfg, g) and found[0] is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 2 * CHUNK_ROWS + 40),
+    depth=st.integers(1, 7),
+    scales=st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    spread=st.integers(0, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float32_block_maxima_lie_within_the_margin_of_float64(n, depth, scales, spread, seed):
+    """Over factors at scales 1e-30 to 1e30, with entries spread over up to
+    1e+-20 (float32 underflow included), every float32 block entry and block
+    max lies within E of the float64 one, in the rescaled units."""
+    from graphpoison.gradients import float32_factors, score_factors, upper_block
+
+    rng = np.random.default_rng(seed)
+    us, vs = (10.0 ** scales[0] * rng.normal(size=(depth, n)) * 10.0 ** rng.uniform(-spread, spread, (depth, n))
+              for _ in range(2))
+    s = 10.0 ** scales[1] * rng.normal(size=n)
+    left, right = score_factors(us, vs, s)
+    left32, right32, shift, margin = float32_factors(left, right)
+    buffer = np.empty(CHUNK_ROWS * n)
+    for r0 in range(0, n, CHUNK_ROWS):
+        exact = np.ldexp(upper_block(left, right, r0, buffer)[1], shift)
+        rounded = upper_block(left32, right32, r0, buffer)[1].astype(np.float64)
+        assert np.isfinite(rounded).all()
+        assert np.abs(rounded - exact).max() <= margin
+        assert abs(rounded.max() - exact.max()) <= margin
 
 
 def _record_graphs(monkeypatch, name, graph_arg):

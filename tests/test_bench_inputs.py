@@ -103,23 +103,23 @@ SEED_1_DIGESTS = {
 
 
 @pytest.fixture(scope="module")
-def seed_1_inputs(bench_inputs, tmp_path_factory):
-    """Generate each full-size seed-1 workload once: name -> (directory, generate's info)."""
+def full_inputs(bench_inputs, tmp_path_factory):
+    """Generate each full-size workload once per seed: (name, seed) -> (directory, generate's info)."""
     cache = {}
 
-    def get(name):
-        if name not in cache:
-            d = str(tmp_path_factory.mktemp(name))
-            cache[name] = d, bench_inputs.generate(bench_inputs.WORKLOADS[name], 1, d)
-        return cache[name]
+    def get(name, seed=1):
+        if (name, seed) not in cache:
+            d = str(tmp_path_factory.mktemp(f"{name}-{seed}"))
+            cache[name, seed] = d, bench_inputs.generate(bench_inputs.WORKLOADS[name], seed, d)
+        return cache[name, seed]
 
     return get
 
 
 @pytest.mark.parametrize("name", sorted(SEED_1_DIGESTS))
-def test_full_size_seed_1_inputs_are_pinned(bench_inputs, seed_1_inputs, name):
+def test_full_size_seed_1_inputs_are_pinned(bench_inputs, full_inputs, name):
     assert bench_inputs.WORKLOADS.keys() == SEED_1_DIGESTS.keys()
-    _, info = seed_1_inputs(name)
+    _, info = full_inputs(name)
     assert info["sha256"] == SEED_1_DIGESTS[name]
 
 
@@ -134,16 +134,35 @@ SEED_1_FINGERPRINTS = {
     "dice-eval": "5730b61858fba925947efe4cf54f9c0176eedcbb9147961c33988c0d5caeadf3",
 }
 
+# The same fingerprints on seed 2, recorded before the float32 pair-score
+# scan landed (identical with 1 and 2 BLAS threads): a check of exactness
+# on inputs that no speed change was tuned against.
+SEED_2_FINGERPRINTS = {
+    "meta-cora": "2ff4212ce77c8ffb95fce2770104fe341c1b8d224dd82b02c9fc64a5cc82ee90",
+    "meta-large": "5ecbfc9d7538ebc05a01a63ef194cde8df3d430281715316323811151e43d5de",
+    "dice-eval": "e0ec6d62edd1fcd4709fbe0229c99fdb39572ad1838128099063c411bc282506",
+}
 
-@pytest.mark.parametrize("name", sorted(SEED_1_FINGERPRINTS))
-def test_seed_1_benchmark_runs_keep_their_fingerprints(bench_inputs, seed_1_inputs, tmp_path, name):
-    assert bench_inputs.WORKLOADS.keys() == SEED_1_FINGERPRINTS.keys()
-    d, info = seed_1_inputs(name)
+
+def _fingerprint(bench_inputs, full_inputs, out_dir, name, seed):
+    """The benchmark's fingerprint of one run of workload ``name`` on ``seed``."""
+    d, info = full_inputs(name, seed)
     w = bench_inputs.WORKLOADS[name]
-    cfg = bench_inputs.experiment_config(w, d, info["edges"], str(tmp_path / "out.json"))
+    cfg = bench_inputs.experiment_config(w, d, info["edges"], str(out_dir / "out.json"))
     report = run_experiment(cfg)
     with open(flips_path(resolve_output(cfg.output))) as fh:
         flips = [[f["i"], f["j"], f["op"]] for f in json.load(fh)]
     payload = {"flips": flips, "per_seed_accuracy": report.per_seed_accuracy}
-    fingerprint = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    assert fingerprint == SEED_1_FINGERPRINTS[name]
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SEED_1_FINGERPRINTS))
+def test_seed_1_benchmark_runs_keep_their_fingerprints(bench_inputs, full_inputs, tmp_path, name):
+    assert bench_inputs.WORKLOADS.keys() == SEED_1_FINGERPRINTS.keys()
+    assert _fingerprint(bench_inputs, full_inputs, tmp_path, name, 1) == SEED_1_FINGERPRINTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(SEED_2_FINGERPRINTS))
+def test_seed_2_benchmark_runs_keep_their_fingerprints(bench_inputs, full_inputs, tmp_path, name):
+    assert bench_inputs.WORKLOADS.keys() == SEED_2_FINGERPRINTS.keys()
+    assert _fingerprint(bench_inputs, full_inputs, tmp_path, name, 2) == SEED_2_FINGERPRINTS[name]

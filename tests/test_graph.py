@@ -128,6 +128,34 @@ def test_graph_requires_mixed_mask():
         Graph(np.zeros((2, 2)), _features(2), [0, 1], np.ones(2, dtype=bool))
 
 
+@pytest.mark.parametrize("labels", [[0.7, 1.9, 0.2], [0.0, 1.0, 0.0], [True, False, False], ["0", "1", "0"]], ids=repr)
+def test_graph_rejects_labels_of_a_non_integer_dtype(labels):
+    # a cast would store [0.7, 1.9, 0.2] as classes [0, 1, 0]
+    mask = [True, False, False]
+    with pytest.raises(ValueError, match="labels must be of integer dtype"):
+        build_graph([(0, 1), (1, 2)], np.eye(3), labels, mask)
+    with pytest.raises(ValueError, match="labels must be of integer dtype"):
+        Graph(np.zeros((3, 3)), np.eye(3), labels, mask)
+
+
+@pytest.mark.parametrize("mask", [[0, 2, 1], [1, 0, 0], [1.0, 0.0, 0.0], np.array([1, 0, 0], dtype=np.uint8)], ids=repr)
+def test_graph_rejects_a_labeled_mask_of_a_non_boolean_dtype(mask):
+    # a cast would read [0, 2, 1] as [False, True, True]
+    with pytest.raises(ValueError, match="labeled_mask must be of boolean dtype"):
+        build_graph([(0, 1), (1, 2)], np.eye(3), [1, 0, 0], mask)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+def test_graph_stores_labels_of_any_integer_dtype_as_int64(dtype):
+    labels = np.array([1, 0, 2], dtype=dtype)
+    mask = np.array([True, False, False])
+    g = build_graph([(0, 1), (1, 2)], np.eye(3), labels, mask)
+    assert g.labels.dtype == np.int64 and g.labels.tolist() == [1, 0, 2]
+    assert g.labeled_mask.tolist() == [True, False, False]
+    mask[1] = True  # the graph keeps its own copy
+    assert not g.labeled_mask[1]
+
+
 def test_graph_arrays_are_immutable():
     g = tiny_graph()
     with pytest.raises(ValueError):
