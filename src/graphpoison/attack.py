@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradients import CHUNK_ROWS, attack_factors, attack_objective, float32_factors, score_factors, upper_block
-from .graph import Graph, _check_pair, count_flips, flip_edge
+from .graph import Graph, _check_pair, count_flips, flip_edge, has_edge, upper_edges
 from .losses import LossSpec
 from .models import SurrogateHyper, check_fields, feature_operand, propagation, pseudo_labels, train_surrogate
 
@@ -25,6 +25,7 @@ ADD = "add"
 DELETE = "delete"
 DICE_MAX_RETRIES = 200  # draws per DICE step before the attack stops, exhausted
 REASONS = ("singleton", "degree_test")  # reject reasons, by code - 1
+FIT, REUSED, HELD = "fit", "reused", "held"  # a meta trace entry's surrogate: see meta_attack
 
 
 @dataclass(frozen=True)
@@ -56,6 +57,12 @@ class AttackConfig:
     re-labels at every retraining step instead, which keeps targets synced
     to the evolving surrogate but can never see a negative margin when
     ``retrain_every == 1``.
+
+    ``retrain_every`` schedules a greedy refit at every ``retrain_every``-th
+    step after the first; at a scheduled step the weights are, bit for bit,
+    those of a fresh fit on the current graph. A refit whose labeled design
+    the flips left unchanged returns the weights it already has
+    (``train_surrogate``'s ``prior``) instead of rerunning the epochs.
     """
 
     budget: int = 0
@@ -135,7 +142,7 @@ def constraint_check(
     i, j = _check_pair(g, i, j)
     rules, deg = cfg.constraints, g.degrees()
     stats = _tail_stats((reference or g).degrees()) + _tail_stats(deg) if rules.degree_test else None
-    code = int(_reject_codes(deg[i], deg[j], g.csr[i, j] == 1.0, rules, stats))
+    code = int(_reject_codes(deg[i], deg[j], has_edge(g, i, j), rules, stats))
     return REASONS[code - 1] if code else None
 
 
@@ -167,9 +174,7 @@ def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer:
     """
     n, deg = g.n_nodes, g.degrees()
     stats = ref + _tail_stats(deg)
-    iu, ju = g.csr.nonzero()  # row-major
-    upper = iu < ju
-    iu, ju = iu[upper], ju[upper]
+    iu, ju = upper_edges(g)
     del_codes = _reject_codes(deg[iu], deg[ju], True, rules, stats)
     levels, cls = np.unique(deg, return_inverse=True)
     grid = _reject_codes(levels[:, None], levels, False, rules, stats)
@@ -228,14 +233,19 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
 
     The surrogate and pseudo-labels are fit on the clean graph. Per
     iteration: refit the surrogate at every ``retrain_every``-th step after
-    the first (re-deriving pseudo-labels only when
+    the first, passing the current weights as ``train_surrogate``'s
+    ``prior`` (re-deriving pseudo-labels on the current graph only when
     ``cfg.refresh_pseudo_labels``), compute the attack gradient under
     ``cfg.loss_spec`` with weights from the current margins, and apply the
     best-scoring constraint-allowed flip, found by one scan (:func:`_top_pairs`).
     Stops early, flagged ``exhausted``, when no allowed candidate still has
     positive score. A pair is never flipped twice. Each trace entry counts
     by reason the rejects, the forbidden pairs that rank ahead of its flip;
-    ``candidates_checked`` is their count plus one. Deterministic given the config.
+    ``candidates_checked`` is their count plus one. Its ``surrogate`` says
+    where the step's weights came from: ``"fit"``, fitted at this step (the
+    clean fit at step 0); ``"reused"``, a scheduled refit returned the
+    prior weights, its labeled design unchanged; ``"held"``, no refit was
+    scheduled. Deterministic given the config.
     """
     n = g.n_nodes
     if cfg.budget > n * (n - 1) // 2:
@@ -250,8 +260,10 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     ref = _tail_stats(g.degrees())
 
     for step in range(cfg.budget):
+        surrogate = FIT if step == 0 else HELD
         if step and step % cfg.retrain_every == 0:
-            params = train_surrogate(current, cfg.surrogate_hyper)
+            prior, params = params, train_surrogate(current, cfg.surrogate_hyper, params)
+            surrogate = REUSED if params is prior else FIT
             if cfg.refresh_pseudo_labels:
                 pseudo = pseudo_labels(params, current)
         us, vs, s, info = attack_factors(current, params, cfg.loss_spec, pseudo)
@@ -261,7 +273,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
             break
 
         score, i, j = chosen
-        op = DELETE if current.csr[i, j] == 1.0 else ADD
+        op = DELETE if has_edge(current, i, j) else ADD
         current = flip_edge(current, i, j)
         objective_after = attack_objective(
             propagation(current), feature_operand(g), params, pseudo, g.unlabeled_mask, cfg.loss_spec, info["weights"]
@@ -277,6 +289,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
                 "margins": _margin_summary(info["margins"], g.unlabeled_mask),
                 "candidates_checked": sum(rejects.values()) + 1,
                 "rejects": rejects,
+                "surrogate": surrogate,
             }
         )
 
@@ -305,15 +318,15 @@ def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     trace: list[dict] = []
     # within-class edges in row-major order; additions are cross-class, so
     # only deletions change the list
-    iu, ju = g.csr.nonzero()
-    same = (iu < ju) & (pseudo[iu] == pseudo[ju])
+    iu, ju = upper_edges(g)
+    same = pseudo[iu] == pseudo[ju]
     within = list(zip(iu[same].tolist(), ju[same].tolist()))
 
     for step in range(cfg.budget):
         for _ in range(DICE_MAX_RETRIES):
             if rng.random() < cfg.dice_add_prob:
                 i, j = int(rng.integers(n)), int(rng.integers(n))
-                if i == j or current.csr[i, j] == 1.0 or pseudo[i] == pseudo[j]:
+                if i == j or has_edge(current, i, j) or pseudo[i] == pseudo[j]:
                     continue
                 op = ADD
             else:

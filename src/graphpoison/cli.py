@@ -33,6 +33,7 @@ from .experiment import (
     write_json,
     write_text,
 )
+from .graph import upper_edges
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,8 +101,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     payload = report_payload(cfg, result.flips, budget, exhausted=result.exhausted)
     stage("write", write_json, out, payload)
     if args.poisoned_edges:
-        iu, ju = result.poisoned.csr.nonzero()  # row-major; keep the upper triangle
-        lines = [f"{i} {j}" for i, j in zip(iu.tolist(), ju.tolist()) if i < j]
+        iu, ju = upper_edges(result.poisoned)
+        lines = [f"{i} {j}" for i, j in zip(iu.tolist(), ju.tolist())]
         stage("write", write_text, args.poisoned_edges, "\n".join(lines) + "\n")
     print(f"{len(result.flips)} flips written to {out}" + (" (budget exhausted early)" if result.exhausted else ""))
     return EXIT_OK

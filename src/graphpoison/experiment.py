@@ -14,7 +14,7 @@ import numpy as np
 from .attack import ADD, DELETE, AttackConfig, AttackConstraints, AttackResult, dice_attack, meta_attack
 from .data import DatasetError, check_split, load_dataset
 from .evaluation import EvalReport, evaluate
-from .graph import Graph, flip_edge
+from .graph import Graph, flip_edge, has_edge
 from .losses import CAWeightParams, LossSpec
 from .models import SurrogateHyper, VictimHyper, check_fields, check_type
 
@@ -211,7 +211,7 @@ def apply_flips(g: Graph, flips) -> Graph:
         if pair in seen:
             raise DatasetError(f"flip {k}: pair {pair} is flipped twice")
         seen.add(pair)
-        state = ADD if out.csr[i, j] == 1.0 else DELETE
+        state = ADD if has_edge(out, i, j) else DELETE
         if op != state:
             raise DatasetError(f"flip {k}: op {op!r} on pair {pair}, whose flip is {state!r}")
     return out

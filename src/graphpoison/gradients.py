@@ -63,13 +63,21 @@ CHUNK_ROWS = 256  # rows per score block: one block of CHUNK_ROWS x N doubles at
 
 
 def _evaluate(
-    logits: Array, labels: Array, mask: Array, spec: LossSpec, weights=None
-) -> tuple[Array, Array, float, Array]:
-    """``(margins, weights, objective, d objective / d logits)`` at ``logits``; weights resolved if None."""
-    phi = margins(logits, labels)
+    logits: Array, labels: Array, mask: Array, spec: LossSpec, weights=None, derivative: bool = True
+) -> tuple[Array | None, Array, float, Array | None]:
+    """``(margins, weights, objective, d objective / d logits)`` at ``logits``; weights resolved if None.
+
+    With ``derivative=False`` only what the objective reads is computed: the
+    derivative comes back None, and so do the margins when ``weights`` are given.
+    """
+    phi = margins(logits, labels) if weights is None or derivative else None
     if weights is None:
         weights = resolve_weights(phi, spec)
     total, _ = loss_value(logits, labels, mask, spec, weights)
+    if spec.base != NLL:
+        total = -total  # the attack drives the clamped margin down
+    if not derivative:
+        return phi, weights, total, None
     rows = np.flatnonzero(mask)
     g_z = np.zeros_like(logits)
     if spec.base == NLL:
@@ -80,7 +88,7 @@ def _evaluate(
     active = rows[phi[rows] > -spec.cw_kappa]
     g_z[active, labels[active]] = -weights[active]
     g_z[active, runner_up(logits[active], labels[active])] = weights[active]
-    return phi, weights, -total, g_z  # the attack drives the clamped margin down
+    return phi, weights, total, g_z
 
 
 def attack_objective(
@@ -97,9 +105,10 @@ def attack_objective(
     For the NLL base this is the weighted masked loss sum; for the CW base
     it is the negated weighted clamp sum. ``weights`` freezes the cost-aware
     schedule at given values; ``features`` is dense or CSR (``feature_operand``).
+    Computes the objective alone, not its derivative.
     """
     logits = forward_logits(params, ahat, features)
-    return _evaluate(logits, labels, mask, spec, weights)[2]
+    return _evaluate(logits, labels, mask, spec, weights, derivative=False)[2]
 
 
 def _forward(g: Graph, params: SurrogateParams, spec: LossSpec, labels: Array) -> tuple:

@@ -6,7 +6,9 @@ A graph is validated once, at the boundary: ``Graph(...)``, ``build_graph``
 (the one edge-list -> adjacency routine, serving both ``load_dataset`` and
 ``sbm_graph``) and ``load_dataset`` check every field. ``flip_edge`` then
 derives new values from a valid graph without re-validating them; it is
-the only code that changes an adjacency entry.
+the only code that changes an adjacency entry, and it copies the CSR
+arrays with the two entries inserted or deleted; ``has_edge`` and
+``upper_edges`` read an entry and the edge list from the same arrays.
 Sparse features get their CSR form once, in ``Graph(...)``, and every
 graph derived by ``flip_edge`` shares it.
 ``largest_component``, the one LCC routine, restricts an edge list before any
@@ -234,22 +236,50 @@ def _check_pair(g: Graph, i, j) -> tuple[int, int]:
     return i, j
 
 
+def _position(csr: sp.csr_matrix, i: int, j: int) -> int:
+    """Where column ``j`` sits, or would be inserted, among row ``i``'s sorted indices of ``csr``."""
+    lo, hi = csr.indptr[i], csr.indptr[i + 1]
+    return int(lo + np.searchsorted(csr.indices[lo:hi], j))
+
+
+def has_edge(g: Graph, i: int, j: int) -> bool:
+    """Whether ``{i, j}`` is an edge of ``g`` (``i``, ``j`` node ids of ``g``): one binary search in row i."""
+    k = _position(g.csr, i, j)
+    return bool(k < g.csr.indptr[i + 1] and g.csr.indices[k] == j)
+
+
+def upper_edges(g: Graph) -> tuple[Array, Array]:
+    """The edges ``i < j`` of ``g`` as two id arrays, in row-major order, read from the CSR arrays."""
+    indptr, indices = g.csr.indptr, g.csr.indices
+    rows = np.repeat(np.arange(g.n_nodes, dtype=indices.dtype), np.diff(indptr))
+    upper = rows < indices
+    return rows[upper], indices[upper]
+
+
 def flip_edge(g: Graph, i: int, j: int) -> Graph:
     """Toggle the undirected edge {i, j}; returns a new Graph.
 
-    Adds a two-entry +-1 CSR to ``g.csr`` (O(nnz)) and drops the zero it
-    leaves on a deletion. The new graph shares ``g``'s features, their CSR
-    form, labels and mask and is not re-validated: toggling a mirrored
-    off-diagonal pair of a canonical adjacency keeps it canonical,
-    symmetric and zero-diagonal.
+    Edits the CSR arrays of ``g.csr``: a binary search in rows i and j
+    finds the two entries, which are deleted or inserted, and ``indptr``
+    shifts by one after each of the two rows. The new arrays are one
+    O(nnz) copy; no sparse sum is formed. The new graph shares ``g``'s
+    features, their CSR form, labels and mask and is not re-validated:
+    toggling a mirrored off-diagonal pair of a canonical adjacency keeps it
+    canonical, symmetric and zero-diagonal.
     """
-    i, j = _check_pair(g, i, j)
-    step = 1.0 - 2.0 * g.csr[i, j]
-    A = g.csr + sp.csr_matrix(([step, step], ([i, j], [j, i])), shape=g.csr.shape)
-    A.eliminate_zeros()
-    _read_only(A.data, A.indices, A.indptr)
+    i, j = sorted(_check_pair(g, i, j))  # row i's entry comes first in the arrays
+    A = g.csr
+    at = [_position(A, i, j), _position(A, j, i)]
+    present = has_edge(g, i, j)
+    indices = np.delete(A.indices, at) if present else np.insert(A.indices, at, [j, i])
+    step = -1 if present else 1
+    indptr = A.indptr.copy()
+    indptr[i + 1 :] += step
+    indptr[j + 1 :] += step
+    out_csr = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=A.shape)
+    _read_only(out_csr.data, out_csr.indices, out_csr.indptr)
     out = copy.copy(g)
-    object.__setattr__(out, "csr", A)
+    object.__setattr__(out, "csr", out_csr)
     return out
 
 

@@ -22,6 +22,7 @@ from .graph import Graph, _read_only, normalize_adjacency
 
 Array = np.ndarray
 _PROPAGATION: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # graph -> its Ahat, see propagation
+_FIT_INPUTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # params -> their fit inputs, see train_surrogate
 
 _KINDS = {bool: "a bool", int: "an integer", float: "a number", str: "a string"}
 
@@ -81,9 +82,12 @@ class SurrogateHyper:
         _check_training(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurrogateParams:
-    """Weights of the linearized surrogate: a single d x K matrix."""
+    """Weights of the linearized surrogate: a single d x K matrix.
+
+    Params compare by identity, so each one fit by :func:`train_surrogate`
+    keys what it was fit on."""
 
     weight: Array
 
@@ -152,7 +156,9 @@ def _labeled_design(g: Graph) -> Array:
     return design.toarray() if sp.issparse(design) else design
 
 
-def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> SurrogateParams:
+def train_surrogate(
+    g: Graph, hyper: SurrogateHyper = SurrogateHyper(), prior: SurrogateParams | None = None
+) -> SurrogateParams:
     """Fit the linearized surrogate on the labeled nodes.
 
     Full-batch gradient descent on the mean negative log-likelihood with an
@@ -167,25 +173,39 @@ def train_surrogate(g: Graph, hyper: SurrogateHyper = SurrogateHyper()) -> Surro
     logits follow as ``Z <- decay Z - step G D`` from the Gram ``G = F F^T``,
     formed once: one L L K product per epoch and one L d L product per fit.
     Nothing is inverted, so a rank-deficient design needs no special case.
+
+    The fit reads only the bytes of F, the labels of the labeled nodes,
+    ``n_classes`` and ``hyper``. When all four equal what ``prior`` was fit
+    on by this function, it returns ``prior`` itself, the weights a new fit
+    would give bit for bit. A flip changes F only in the labeled rows within
+    two hops of its endpoints, so a greedy refit after a flip far from
+    every labeled node costs F alone.
     """
+    design = _labeled_design(g)
+    labels = g.labels[g.labeled_mask]
+    inputs = (design.shape, design.tobytes(), labels.tobytes(), g.n_classes, hyper)
+    if prior is not None and _FIT_INPUTS.get(prior) == inputs:
+        return prior
     d, k = g.features.shape[1], g.n_classes
     scale = 1.0 / np.sqrt(d)
     W = np.random.default_rng(hyper.seed).uniform(-scale, scale, size=(d, k))  # W_0
 
-    design = _labeled_design(g)
-    onehot = np.eye(k)[g.labels[g.labeled_mask]]
+    onehot = np.eye(k)[labels]
     decay, step = 1.0 - hyper.lr * hyper.weight_decay, hyper.lr / len(design)
     if d <= len(design):
         for _ in range(hyper.epochs):
             W = decay * W - step * (design.T @ (softmax(design @ W) - onehot))
-        return SurrogateParams(W)
-    gram = design @ design.T
-    Z, S = design @ W, np.zeros_like(onehot)
-    for _ in range(hyper.epochs):
-        D = softmax(Z) - onehot
-        S = decay * S + D
-        Z = decay * Z - step * (gram @ D)
-    return SurrogateParams(decay**hyper.epochs * W - step * (design.T @ S))
+    else:
+        gram = design @ design.T
+        Z, S = design @ W, np.zeros_like(onehot)
+        for _ in range(hyper.epochs):
+            D = softmax(Z) - onehot
+            S = decay * S + D
+            Z = decay * Z - step * (gram @ D)
+        W = decay**hyper.epochs * W - step * (design.T @ S)
+    params = SurrogateParams(W)
+    _FIT_INPUTS[params] = inputs
+    return params
 
 
 def pseudo_labels(params: SurrogateParams, g: Graph) -> Array:

@@ -4,7 +4,10 @@ Each one is the plain, materializing form of something the library computes
 faster or more implicitly; tests compare the two.
 """
 
+import copy
+
 import numpy as np
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from graphpoison import (
@@ -22,6 +25,16 @@ from graphpoison import (
 from graphpoison import gradients
 from graphpoison.graph import normalize_adjacency
 from graphpoison.models import _glorot, forward_logits, log_softmax, softmax
+
+
+def flip_edge_by_sum(g: Graph, i: int, j: int) -> Graph:
+    """``graph.flip_edge`` by a sparse sum: ``g.csr`` plus a two-entry +-1 CSR, less the zeros it leaves."""
+    step = 1.0 - 2.0 * g.csr[i, j]
+    A = g.csr + sp.csr_matrix(([step, step], ([i, j], [j, i])), shape=g.csr.shape)
+    A.eliminate_zeros()
+    out = copy.copy(g)
+    object.__setattr__(out, "csr", A)
+    return out
 
 
 def normalize_dense(adjacency) -> np.ndarray:

@@ -27,6 +27,7 @@ from graphpoison import (
     train_surrogate,
 )
 from graphpoison.gradients import CHUNK_ROWS, attack_factors
+from graphpoison.models import _labeled_design
 
 from .conftest import tiny_graph
 from .oracles import (
@@ -292,8 +293,10 @@ def test_meta_attack_matches_dense_greedy_oracle(three_chunk_sbm):
     """Flips, trace scores, rejects and exhaustion equal the dense loop's
     exactly, for every loss; the degree test rejects up to hundreds of pairs
     before a flip, and on the 16-node graph it forbids every positive-score
-    pair after four flips, so the run exhausts mid-budget."""
-    checked = []
+    pair after four flips, so the run exhausts mid-budget. The oracle refits
+    in full at every step; the attack reuses its weights where a refit's
+    labeled design is unchanged, and some of these runs do."""
+    checked, kinds = [], []
     cases = [(three_chunk_sbm, spec, 1e-4, 5)
              for spec in (LossSpec("nll"), LossSpec("nll", True, CA), LossSpec("cw"), LossSpec("cw", True, CA))]
     cases.append((sbm_graph((8, 8), 0.4, 0.1, seed=2), LossSpec("cw"), 1e-3, 10))
@@ -310,8 +313,10 @@ def test_meta_attack_matches_dense_greedy_oracle(three_chunk_sbm):
         assert [t["rejects"] for t in res.trace] == rejects
         assert res.exhausted == exhausted
         checked += [t["candidates_checked"] for t in res.trace]
+        kinds += [t["surrogate"] for t in res.trace]
     assert exhausted and 0 < len(flips) < budget  # the last case
     assert max(checked) > 32
+    assert "reused" in kinds
 
 
 def _tie_factors(g):
@@ -637,6 +642,27 @@ def test_retrain_every_controls_surrogate_refresh(medium_sbm, monkeypatch):
         labelings.clear()
         meta_attack(medium_sbm, _cfg(budget=0, refresh_pseudo_labels=refresh))
         assert len(fits) == len(labelings) == 1
+
+
+@pytest.mark.parametrize("retrain_every", [1, 3])
+def test_each_trace_entry_says_where_its_surrogate_came_from(three_chunk_sbm, retrain_every):
+    res = meta_attack(three_chunk_sbm, _cfg(budget=7, retrain_every=retrain_every))
+    assert len(res.flips) == 7
+    fitted_on = current = three_chunk_sbm
+    expected = []
+    for step, (i, j, _) in enumerate(res.flips):
+        if step == 0:
+            expected.append("fit")
+        elif step % retrain_every:
+            expected.append("held")
+        else:  # reused exactly when the labeled design is the one of the last fit
+            same = _labeled_design(current).tobytes() == _labeled_design(fitted_on).tobytes()
+            expected.append("reused" if same else "fit")
+            fitted_on = current
+        current = flip_edge(current, i, j)
+    assert [t["surrogate"] for t in res.trace] == expected
+    if retrain_every == 1:
+        assert "reused" in expected  # the first flip lies away from every labeled node
 
 
 def _mechanism_fixture():

@@ -8,7 +8,7 @@ benchmark without failing anything else, so this test loads the module
 (read-only, by path) and reads a shrunk copy of every workload back.
 It also runs every full-size seed-1 workload once and checks the
 benchmark's flip/accuracy fingerprint, the exactness oracle of every
-speed change.
+speed change, and pins how many of meta-cora's refits reuse their weights.
 """
 
 import dataclasses
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from graphpoison import load_dataset, sbm_graph
-from graphpoison.experiment import attack_budget, flips_path, resolve_output, run_experiment
+from graphpoison.experiment import attack_budget, flips_path, load_graph, resolve_output, run_attack, run_experiment
 
 from .conftest import REPO_ROOT
 
@@ -166,3 +166,20 @@ def test_seed_1_benchmark_runs_keep_their_fingerprints(bench_inputs, full_inputs
 def test_seed_2_benchmark_runs_keep_their_fingerprints(bench_inputs, full_inputs, tmp_path, name):
     assert bench_inputs.WORKLOADS.keys() == SEED_2_FINGERPRINTS.keys()
     assert _fingerprint(bench_inputs, full_inputs, tmp_path, name, 2) == SEED_2_FINGERPRINTS[name]
+
+
+# How many of the meta-cora run's 3 scheduled refits (4 flips, a refit
+# every flip) return the prior weights because the flips before them left
+# the labeled design unchanged, by seed. A change that breaks the reuse
+# rule, or applies it where the design changed, moves a count.
+META_CORA_REUSED_REFITS = {1: 3, 2: 0}
+
+
+@pytest.mark.parametrize("seed", sorted(META_CORA_REUSED_REFITS))
+def test_meta_cora_runs_reuse_their_pinned_refits(bench_inputs, full_inputs, tmp_path, seed):
+    d, info = full_inputs("meta-cora", seed)
+    w = bench_inputs.WORKLOADS["meta-cora"]
+    cfg = bench_inputs.experiment_config(w, d, info["edges"], str(tmp_path / "out.json"))
+    kinds = [t["surrogate"] for t in run_attack(cfg, load_graph(cfg)).trace]
+    assert len(kinds) == w.flips and kinds.count("held") == 0
+    assert kinds.count("reused") == META_CORA_REUSED_REFITS[seed]

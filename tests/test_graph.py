@@ -21,7 +21,7 @@ from graphpoison import graph
 from graphpoison.graph import largest_component
 
 from .conftest import tiny_graph
-from .oracles import normalize_dense
+from .oracles import flip_edge_by_sum, normalize_dense
 
 
 def _features(n, d=2):
@@ -400,30 +400,53 @@ def test_flip_is_involution(seed):
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
-    pairs=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=15),
+    # -1 is the last node, N - 1
+    pairs=st.lists(st.tuples(st.integers(-1, 29), st.integers(-1, 29)), max_size=15),
 )
 def test_flip_edge_keeps_a_valid_read_only_graph(seed, pairs):
     g = sbm_graph((15, 15), p_in=0.3, p_out=0.05, seed=seed)
     n = g.n_nodes  # sbm_graph keeps the largest component, so n may be below 30
+    clean = g
+    pairs = [(i % n, j % n) for i, j in pairs if i % n != j % n]
     for i, j in pairs:
-        i, j = i % n, j % n
-        if i == j:
-            continue
-        before = g.adjacency.copy()
-        out = flip_edge(g, i, j)
-        # rebuilding through the constructor re-runs every check flip_edge skips
-        again = Graph(out.adjacency, out.features, out.labels, out.labeled_mask, out.n_classes)
-        assert np.array_equal(again.adjacency, out.adjacency)
-        assert not out.adjacency.flags.writeable
-        assert np.array_equal(g.adjacency, before)
-        assert count_flips(g, out) == 1 and out.adjacency[i, j] != g.adjacency[i, j]
-        assert np.array_equal(out.degrees(), again.degrees()) and out.n_edges == again.n_edges
-        # the stored CSR stays canonical and read-only, and either form rebuilds to it
-        assert out.csr.has_canonical_format and np.all(out.csr.data == 1.0)
-        assert not any(a.flags.writeable for a in _csr_arrays(out.csr))
-        from_csr = Graph(out.csr, out.features, out.labels, out.labeled_mask, out.n_classes)
-        assert _same_csr(from_csr.csr, out.csr) and _same_csr(again.csr, out.csr)
-        g = out
+        g = _checked_flip(g, i, j)
+    # node 0 goes to degree 0 and back
+    isolate = [(0, int(v)) for v in g.csr.indices[g.csr.indptr[0] : g.csr.indptr[1]]]
+    for i, j in isolate:
+        g = _checked_flip(g, i, j)
+    assert g.degrees()[0] == 0
+    for i, j in isolate[::-1] + pairs[::-1]:  # every flip flipped back
+        g = _checked_flip(g, i, j)
+    assert _same_csr(g.csr, clean.csr)
+
+
+def _checked_flip(g, i, j):
+    """``flip_edge(g, i, j)``, checked against the sparse-sum oracle and the constructor's rules."""
+    n = g.n_nodes
+    before = g.adjacency.copy()
+    out = flip_edge(g, i, j)
+    # the array edit gives the arrays, and their dtypes, of the sparse sum it replaced
+    expected = flip_edge_by_sum(g, i, j).csr
+    assert all(a.dtype == b.dtype for a, b in zip(_csr_arrays(out.csr), _csr_arrays(expected)))
+    assert _same_csr(out.csr, expected)
+    # rebuilding through the constructor re-runs every check flip_edge skips
+    again = Graph(out.adjacency, out.features, out.labels, out.labeled_mask, out.n_classes)
+    assert np.array_equal(again.adjacency, out.adjacency)
+    assert not out.adjacency.flags.writeable
+    assert np.array_equal(g.adjacency, before)
+    assert count_flips(g, out) == 1 and out.adjacency[i, j] != g.adjacency[i, j]
+    assert np.array_equal(out.degrees(), again.degrees()) and out.n_edges == again.n_edges
+    # the stored CSR stays canonical and read-only, and either form rebuilds to it
+    assert out.csr.has_canonical_format and np.all(out.csr.data == 1.0)
+    assert not any(a.flags.writeable for a in _csr_arrays(out.csr))
+    from_csr = Graph(out.csr, out.features, out.labels, out.labeled_mask, out.n_classes)
+    assert _same_csr(from_csr.csr, out.csr) and _same_csr(again.csr, out.csr)
+    # one row lookup per entry, and the upper triangle of the edge list, read from the arrays
+    assert [[graph.has_edge(out, a, b) for b in range(n)] for a in range(n)] == (out.adjacency == 1.0).tolist()
+    iu, ju = out.csr.nonzero()
+    upper = iu < ju
+    assert [a.tolist() for a in graph.upper_edges(out)] == [iu[upper].tolist(), ju[upper].tolist()]
+    return out
 
 
 def test_degrees_are_stored_and_returned_as_copies():

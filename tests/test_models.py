@@ -194,6 +194,36 @@ def test_train_surrogate_loss_nonincreasing(small_sbm):
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    wide=st.booleans(),
+    pairs=st.lists(st.tuples(st.integers(0, 89), st.integers(0, 89)), min_size=1, max_size=6),
+)
+def test_a_refit_returns_its_prior_exactly_when_the_labeled_design_is_unchanged(seed, wide, pairs):
+    g = sbm_graph((30, 30, 30), 0.07, 0.004, seed=seed)
+    if wide:  # d > L: the dual fit, on CSR features
+        g = Graph(g.csr, np.eye(g.n_nodes), g.labels, g.labeled_mask, g.n_classes)
+    hyper = SurrogateHyper(epochs=10)
+    n, prior = g.n_nodes, train_surrogate(g, hyper)
+    for i, j in pairs:
+        if i % n == j % n:
+            continue
+        h = flip_edge(g, i % n, j % n)
+        out = train_surrogate(h, hyper, prior)
+        assert out.weight.tobytes() == train_surrogate(h, hyper).weight.tobytes()
+        unchanged = models._labeled_design(h).tobytes() == models._labeled_design(g).tobytes()
+        assert (out is prior) == unchanged
+        # another seed, other labels or another class count never reuse
+        assert train_surrogate(h, dataclasses.replace(hyper, seed=1), prior) is not prior
+        labels = h.labels.copy()
+        first = np.flatnonzero(h.labeled_mask)[0]
+        labels[first] = (labels[first] + 1) % 3
+        assert train_surrogate(Graph(h.csr, h.features, labels, h.labeled_mask, 3), hyper, prior) is not prior
+        assert train_surrogate(Graph(h.csr, h.features, h.labels, h.labeled_mask, 4), hyper, prior) is not prior
+        g, prior = h, out
+
+
 @pytest.mark.parametrize("k", [2, 7, 8, 9, 40])
 def test_log_softmax_matches_the_row_wise_max_bit_for_bit(k):
     rng = np.random.default_rng(k)
