@@ -37,8 +37,8 @@ worst = 0.0
 for name, spec in (
     ("nll", LossSpec("nll")),
     ("cw", LossSpec("cw", cw_kappa=1.0)),
-    ("ca-nll", LossSpec("nll", True, schedule)),
-    ("ca-cw", LossSpec("cw", True, schedule, cw_kappa=1.0)),
+    ("ca-nll", LossSpec("nll", schedule)),
+    ("ca-cw", LossSpec("cw", schedule, cw_kappa=1.0)),
 ):
     numeric = finite_difference_gradient(g, params, spec, labels, h=1e-5)
     rel = np.abs(analytic_gradient(spec) - numeric).max() / np.abs(numeric).max()

@@ -13,7 +13,7 @@ from graphpoison import CAWeightParams, LossSpec, margin_gradient_scatter, sbm_g
 g = sbm_graph((60, 60), p_in=0.1, p_out=0.02, feature_noise=1.5, seed=5)
 schedule = CAWeightParams(alpha1=4.5, beta1=1.0, alpha2=1.0, beta2=1.0)
 
-for name, spec in (("nll", LossSpec("nll")), ("ca-nll", LossSpec("nll", True, schedule))):
+for name, spec in (("nll", LossSpec("nll")), ("ca-nll", LossSpec("nll", schedule))):
     rows = margin_gradient_scatter(g, spec)
     path = f"scatter_{name}.csv"
     with open(path, "w") as fh:

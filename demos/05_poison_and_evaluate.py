@@ -27,7 +27,7 @@ runs = [
     ("dice", lambda: dice_attack(g, AttackConfig(budget=budget, seed=0))),
     ("ce", lambda: meta_attack(g, AttackConfig(budget=budget, loss_spec=LossSpec("nll")))),
     ("ca-ce", lambda: meta_attack(
-        g, AttackConfig(budget=budget, loss_spec=LossSpec("nll", True, schedule)))),
+        g, AttackConfig(budget=budget, loss_spec=LossSpec("nll", schedule)))),
 ]
 for name, run in runs:
     result = run()

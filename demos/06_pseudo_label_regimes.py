@@ -33,7 +33,7 @@ regimes = [
     ("fixed initial labels     ", dict(retrain_every=1, refresh_pseudo_labels=False)),
 ]
 for name, knobs in regimes:
-    cfg = AttackConfig(budget=budget, loss_spec=LossSpec("nll", True, schedule), **knobs)
+    cfg = AttackConfig(budget=budget, loss_spec=LossSpec("nll", schedule), **knobs)
     res = meta_attack(g, cfg)
     frac_neg = np.array([t["margins"]["frac_negative"] for t in res.trace])
     acc = evaluate(g, res.poisoned, seeds=range(5)).mean

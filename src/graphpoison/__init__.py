@@ -20,7 +20,7 @@ from .graph import (
     flip_edge,
     normalize_adjacency,
 )
-from .losses import CAWeightParams, LossSpec, ca_weights, cw_loss, loss_value, nll_loss
+from .losses import CAWeightParams, LossSpec, ca_weights, loss_value
 from .models import (
     SurrogateHyper,
     SurrogateParams,
@@ -55,7 +55,6 @@ __all__ = [
     "ca_weights",
     "constraint_check",
     "count_flips",
-    "cw_loss",
     "dice_attack",
     "evaluate",
     "finite_difference_gradient",
@@ -66,7 +65,6 @@ __all__ = [
     "margin_gradient_scatter",
     "margins",
     "meta_attack",
-    "nll_loss",
     "normalize_adjacency",
     "per_node_gradients",
     "pseudo_labels",

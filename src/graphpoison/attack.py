@@ -255,7 +255,6 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
     trace: list[dict] = []
     params = train_surrogate(g, cfg.surrogate_hyper)
     pseudo = pseudo_labels(params, g)
-    exhausted = False
     buffer = np.empty(CHUNK_ROWS * n)  # once per run: freed every step, it would stay in the heap
     ref = _tail_stats(g.degrees())
 
@@ -269,7 +268,6 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
         us, vs, s, info = attack_factors(current, params, cfg.loss_spec, pseudo)
         chosen, rejects = _top_pairs(us, vs, s, current, [f[:2] for f in flips], buffer, cfg.constraints, ref)
         if chosen is None:
-            exhausted = True
             break
 
         score, i, j = chosen
@@ -294,7 +292,7 @@ def meta_attack(g: Graph, cfg: AttackConfig) -> AttackResult:
         )
 
     assert count_flips(g, current) == len(flips)
-    return AttackResult(flips, current, trace, pseudo, exhausted)
+    return AttackResult(flips, current, trace, pseudo, exhausted=len(flips) < cfg.budget)
 
 
 def dice_attack(g: Graph, cfg: AttackConfig) -> AttackResult:

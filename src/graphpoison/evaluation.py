@@ -18,13 +18,20 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Victim accuracy per seed on one graph, its mean and 95% CI half-width
-    (0 for one seed), and the number of pairs flipped against the clean graph."""
+    """Victim accuracy per seed on one graph and the number of pairs flipped
+    against the clean graph; the mean and 95% CI half-width (0 for one seed)
+    are derived from the accuracies."""
 
     per_seed_accuracy: list[float]
-    mean: float
-    ci95_halfwidth: float
     flip_count: int
+
+    @property
+    def mean(self) -> float:
+        return float(np.asarray(self.per_seed_accuracy).mean())
+
+    @property
+    def ci95_halfwidth(self) -> float:
+        return confidence_halfwidth(np.asarray(self.per_seed_accuracy))
 
 
 def confidence_halfwidth(values: Array) -> float:
@@ -54,13 +61,7 @@ def evaluate(
         raise ValueError("clean and poisoned graphs must share node set and labels")
     hypers = [replace(victim_hyper, seed=s) for s in seeds]
     accs = [train_victim(poisoned, hyper) for hyper in hypers]
-    arr = np.asarray(accs)
-    return EvalReport(
-        per_seed_accuracy=accs,
-        mean=float(arr.mean()),
-        ci95_halfwidth=confidence_halfwidth(arr),
-        flip_count=count_flips(clean, poisoned),
-    )
+    return EvalReport(accs, count_flips(clean, poisoned))
 
 
 def margin_gradient_scatter(

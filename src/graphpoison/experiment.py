@@ -83,9 +83,7 @@ class ExperimentConfig:
             check_split(self.split_fraction, self.split_seed)
             ca_params = CAWeightParams(self.alpha1, self.beta1, self.alpha2, self.beta2)
             attack = AttackConfig(
-                loss_spec=LossSpec(
-                    self.base, self.ca_enabled, ca_params if self.ca_enabled else None, self.cw_kappa
-                ),
+                loss_spec=LossSpec(self.base, ca_params if self.ca_enabled else None, self.cw_kappa),
                 retrain_every=self.retrain_every,
                 surrogate_hyper=SurrogateHyper(
                     self.surrogate_lr,

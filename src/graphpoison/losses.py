@@ -1,12 +1,14 @@
-"""Attack losses: negative log-likelihood, the clamped-margin (CW) loss,
-and the margin-weighted cost-aware variants of both.
+"""Attack losses: negative log-likelihood and the clamped-margin (CW)
+loss, each optionally weighted by the cost-aware schedule.
 
-The cost-aware weight of a node is ``alpha * exp(-beta * margin^2)`` with
-separate ``(alpha, beta)`` pairs for nonnegative and negative margins, so
-a run can prioritize nearly-flipped nodes while discounting both resilient
-and already-misclassified ones. Weights are a priority schedule, not part
-of the differentiated objective: the gradient engine treats them as
-constants.
+The per-node term is ``-log softmax(z)[y]`` (NLL) or ``max(m, -kappa)``
+(CW), with ``m`` the margin of the label over the best other class. The
+cost-aware weight of a node is ``alpha * exp(-beta * m^2)`` with separate
+``(alpha, beta)`` pairs for nonnegative and negative margins, so a run can
+prioritize nearly-flipped nodes while discounting both resilient and
+already-misclassified ones. Weights are a priority schedule, not part of
+the differentiated objective: the gradient engine treats them as
+constants. :func:`loss_value` is the one place these terms are computed.
 """
 
 from __future__ import annotations
@@ -48,10 +50,13 @@ class CAWeightParams:
 
 @dataclass(frozen=True)
 class LossSpec:
-    """Which base loss to attack with, and whether to wrap it cost-aware."""
+    """Which base loss to attack with: ``base`` is ``"nll"`` or ``"cw"``.
+
+    The cost-aware schedule is on exactly when ``ca_params`` is set;
+    ``cw_kappa`` is the CW clamp and is read only by the CW base.
+    """
 
     base: str = NLL
-    ca_enabled: bool = False
     ca_params: CAWeightParams | None = None
     cw_kappa: float = 0.0
 
@@ -59,10 +64,6 @@ class LossSpec:
         check_fields(self)
         if self.base not in _BASES:
             raise ValueError(f"base must be one of {_BASES}, got {self.base!r}")
-        if self.ca_enabled and self.ca_params is None:
-            raise ValueError("ca_enabled requires ca_params")
-        if not self.ca_enabled and self.ca_params is not None:
-            raise ValueError("ca_params given but ca_enabled is False")
         if self.cw_kappa < 0:
             raise ValueError("cw_kappa must be nonnegative")
 
@@ -77,25 +78,6 @@ def _check_mask(mask: Array) -> Array:
     return mask
 
 
-def nll_loss(logits: Array, labels: Array, mask: Array) -> tuple[float, Array]:
-    """Per-node -log softmax(z)[label] and its sum over ``mask``."""
-    mask = _check_mask(mask)
-    logp = log_softmax(logits)
-    per_node = -logp[np.arange(logits.shape[0]), labels]
-    return float(per_node[mask].sum()), per_node
-
-
-def cw_loss(logits: Array, labels: Array, mask: Array, kappa: float = 0.0) -> tuple[float, Array]:
-    """Clamped margin max(margin, -kappa) per node, summed over ``mask``.
-
-    The attack drives this down: once a node's margin falls below -kappa it
-    stops contributing.
-    """
-    mask = _check_mask(mask)
-    per_node = np.maximum(margins(logits, labels), -kappa)
-    return float(per_node[mask].sum()), per_node
-
-
 def ca_weights(margin_values: Array, params: CAWeightParams) -> Array:
     """alpha * exp(-beta * margin^2) with the branch picked by the margin sign."""
     phi = np.asarray(margin_values, dtype=np.float64)
@@ -107,8 +89,7 @@ def ca_weights(margin_values: Array, params: CAWeightParams) -> Array:
 
 def resolve_weights(margin_values: Array, spec: LossSpec) -> Array:
     """Per-node stop-gradient weights for ``spec`` at the given margins."""
-    if spec.ca_enabled:
-        assert spec.ca_params is not None
+    if spec.ca_params is not None:
         return ca_weights(margin_values, spec.ca_params)
     return np.ones(len(margin_values))
 
@@ -118,17 +99,20 @@ def loss_value(
 ) -> tuple[float, Array]:
     """Weighted base loss of ``spec``: per-node ``w(v) * loss(v)``, summed over ``mask``.
 
-    Weights come from :func:`resolve_weights` at the margins of ``logits``
-    (the cost-aware schedule, or ones). Passing precomputed ``weights``
-    freezes the stop-gradient weights when a caller (the finite-difference
-    oracle) re-evaluates the loss at perturbed adjacencies.
+    The attack drives the CW term down; a node stops contributing once its
+    margin falls below ``-cw_kappa``. Weights come from :func:`resolve_weights`
+    at the margins of ``logits`` (the cost-aware schedule, or ones). Passing
+    precomputed ``weights`` freezes the stop-gradient weights when a caller
+    (the finite-difference oracle) re-evaluates the loss at perturbed adjacencies.
     """
     mask = _check_mask(mask)
-    if spec.base == NLL:
-        _, per_node = nll_loss(logits, labels, mask)
-    else:
-        _, per_node = cw_loss(logits, labels, mask, spec.cw_kappa)
+    if weights is None or spec.base == CW:
+        phi = margins(logits, labels)
     if weights is None:
-        weights = resolve_weights(margins(logits, labels), spec)
+        weights = resolve_weights(phi, spec)
+    if spec.base == NLL:
+        per_node = -log_softmax(logits)[np.arange(logits.shape[0]), labels]
+    else:
+        per_node = np.maximum(phi, -spec.cw_kappa)
     weighted = weights * per_node
     return float(weighted[mask].sum()), weighted

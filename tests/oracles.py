@@ -19,6 +19,7 @@ from graphpoison import (
     VictimHyper,
     constraint_check,
     flip_edge,
+    margins,
     pseudo_labels,
     train_surrogate,
 )
@@ -131,6 +132,21 @@ def surrogate_nll(params: SurrogateParams, g: Graph) -> float:
     idx = np.flatnonzero(g.labeled_mask)
     logp = log_softmax(logits[idx])
     return float(-logp[np.arange(len(idx)), g.labels[idx]].mean())
+
+
+def nll_loss(logits: np.ndarray, labels: np.ndarray, mask) -> tuple[float, np.ndarray]:
+    """Per-node -log softmax(z)[label] and its sum over ``mask``: ``loss_value``'s unweighted NLL."""
+    mask = np.asarray(mask, dtype=bool)
+    logp = log_softmax(logits)
+    per_node = -logp[np.arange(logits.shape[0]), labels]
+    return float(per_node[mask].sum()), per_node
+
+
+def cw_loss(logits: np.ndarray, labels: np.ndarray, mask, kappa: float = 0.0) -> tuple[float, np.ndarray]:
+    """Clamped margin max(margin, -kappa) per node, summed over ``mask``: ``loss_value``'s unweighted CW."""
+    mask = np.asarray(mask, dtype=bool)
+    per_node = np.maximum(margins(logits, labels), -kappa)
+    return float(per_node[mask].sum()), per_node
 
 
 def attack_gradient(g: Graph, params: SurrogateParams, spec: LossSpec, labels: np.ndarray) -> np.ndarray:

@@ -59,7 +59,7 @@ def test_criterion_1_reduction_identity():
     logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     ok = True
     for base in ("nll", "cw"):
-        spec_ca = LossSpec(base, True, unit)
+        spec_ca = LossSpec(base, unit)
         spec_b = LossSpec(base)
         v_ca, _ = loss_value(logits, labels, g.unlabeled_mask, spec_ca)
         v_b, _ = loss_value(logits, labels, g.unlabeled_mask, spec_b)
@@ -80,8 +80,8 @@ def test_criterion_2_gradient_oracle():
     specs = [
         LossSpec("nll"),
         LossSpec("cw", cw_kappa=1.0),
-        LossSpec("nll", True, CORA_PARAMS),
-        LossSpec("cw", True, CORA_PARAMS, cw_kappa=1.0),
+        LossSpec("nll", CORA_PARAMS),
+        LossSpec("cw", CORA_PARAMS, cw_kappa=1.0),
     ]
     worst = 0.0
     for seed in (11, 23, 37, 41, 59):
@@ -93,7 +93,7 @@ def test_criterion_2_gradient_oracle():
             fd = finite_difference_gradient(g, params, spec, labels, h=1e-5)
             rel = np.abs(analytic - fd).max() / np.abs(fd).max()
             worst = max(worst, rel)
-            assert rel < 1e-4, (seed, spec.base, spec.ca_enabled, rel)
+            assert rel < 1e-4, (seed, spec, rel)
     _report("2 gradient-oracle", True, f"max rel err {worst:.2e}")
 
 
@@ -102,7 +102,7 @@ def test_criterion_3_ca_scaling_identity():
     g = sbm_graph((15, 15), 0.3, 0.03, seed=6)
     params = train_surrogate(g)
     labels = pseudo_labels(params, g)
-    spec_ca = LossSpec("nll", True, CORA_PARAMS)
+    spec_ca = LossSpec("nll", CORA_PARAMS)
 
     logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     weights = resolve_weights(margins(logits, labels), spec_ca)
@@ -135,7 +135,6 @@ def test_criterion_4_budget_and_constraint_invariants():
         ca = bool(rng.integers(2))
         spec = LossSpec(
             base,
-            ca,
             CAWeightParams(float(rng.uniform(0.5, 5)), float(rng.uniform(0, 2)),
                            float(rng.uniform(0.5, 5)), float(rng.uniform(0, 2))) if ca else None,
         )
@@ -190,7 +189,7 @@ def test_criterion_6_attack_trend_reproduction():
     ce_graph = meta_attack(g, ce_cfg).poisoned
     ce = evaluate(g, ce_graph, VictimHyper(), seeds=seeds).mean
 
-    ca_cfg = AttackConfig(budget=budget, loss_spec=LossSpec("nll", True, CORA_PARAMS))
+    ca_cfg = AttackConfig(budget=budget, loss_spec=LossSpec("nll", CORA_PARAMS))
     ca_graph = meta_attack(g, ca_cfg).poisoned
     ca = evaluate(g, ca_graph, VictimHyper(), seeds=seeds).mean
 
@@ -217,7 +216,7 @@ def test_criterion_7_margin_gradient_ordering():
         norm = np.array([r[2] for r in rows])
         return norm[phi < -0.1].mean(), norm[(phi > 0) & (phi < 0.3)].mean()
 
-    ca_neg, ca_pos = split_means(LossSpec("nll", True, CORA_PARAMS))
+    ca_neg, ca_pos = split_means(LossSpec("nll", CORA_PARAMS))
     nll_neg, nll_pos = split_means(LossSpec("nll"))
     ok = (ca_neg < ca_pos) and not (nll_neg < nll_pos)
     _report("7 margin-gradient-ordering", ok,

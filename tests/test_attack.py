@@ -263,7 +263,7 @@ def test_meta_attack_exhausts_instead_of_harmful_flips():
 def test_ca_and_base_flip_sequences_match_with_unit_weights(medium_sbm):
     unit = CAWeightParams(1.0, 0.0, 1.0, 0.0)
     base_run = meta_attack(medium_sbm, _cfg(budget=10, loss_spec=LossSpec("nll")))
-    ca_run = meta_attack(medium_sbm, _cfg(budget=10, loss_spec=LossSpec("nll", True, unit)))
+    ca_run = meta_attack(medium_sbm, _cfg(budget=10, loss_spec=LossSpec("nll", unit)))
     assert base_run.flips == ca_run.flips
 
 
@@ -284,7 +284,7 @@ PINNED_META_FLIPS = {
 
 @pytest.mark.parametrize("base, ca", sorted(PINNED_META_FLIPS))
 def test_meta_attack_pinned_flip_lists(medium_sbm, base, ca):
-    spec = LossSpec(base, ca, CAWeightParams(4.5, 1.0, 1.0, 1.0) if ca else None)
+    spec = LossSpec(base, CAWeightParams(4.5, 1.0, 1.0, 1.0) if ca else None)
     res = meta_attack(medium_sbm, _cfg(budget=8, loss_spec=spec))
     assert res.flips == PINNED_META_FLIPS[(base, ca)]
 
@@ -298,7 +298,7 @@ def test_meta_attack_matches_dense_greedy_oracle(three_chunk_sbm):
     labeled design is unchanged, and some of these runs do."""
     checked, kinds = [], []
     cases = [(three_chunk_sbm, spec, 1e-4, 5)
-             for spec in (LossSpec("nll"), LossSpec("nll", True, CA), LossSpec("cw"), LossSpec("cw", True, CA))]
+             for spec in (LossSpec("nll"), LossSpec("nll", CA), LossSpec("cw"), LossSpec("cw", CA))]
     cases.append((sbm_graph((8, 8), 0.4, 0.1, seed=2), LossSpec("cw"), 1e-3, 10))
     for g, spec, threshold, budget in cases:
         cfg = _cfg(
@@ -403,7 +403,7 @@ def test_top_pairs_best_allowed_pair_and_rejects_equal_the_dense_ranking(three_c
     cfg = _cfg(constraints=AttackConstraints(degree_test=test, degree_test_threshold=threshold or 0.004))
     params = train_surrogate(g, FAST_SURROGATE)
     current, flipped = _scan_fixture(g)
-    gradient = attack_factors(g, params, LossSpec("cw", True, CA), pseudo_labels(params, g))[:3]
+    gradient = attack_factors(g, params, LossSpec("cw", CA), pseudo_labels(params, g))[:3]
     us, vs, _ = _tie_factors(g)
     for factors in (gradient, (us, vs, np.zeros(g.n_nodes))):
         grad = assembled_scores(*factors)
@@ -441,7 +441,7 @@ def test_top_pairs_rejects_every_positive_pair_when_every_flip_is_forbidden(thre
     g = three_chunk_sbm
     cfg = _cfg(constraints=AttackConstraints(degree_test=True, degree_test_threshold=-1.0))
     params = train_surrogate(g, FAST_SURROGATE)
-    us, vs, s = attack_factors(g, params, LossSpec("nll", True, CA), pseudo_labels(params, g))[:3]
+    us, vs, s = attack_factors(g, params, LossSpec("nll", CA), pseudo_labels(params, g))[:3]
     current, flipped = _scan_fixture(g)
     a = current.adjacency
     deg = a.sum(axis=1)
@@ -487,7 +487,7 @@ def test_recomputing_every_block_in_float64_changes_no_flip_score_or_reject(medi
     configs and on a scan that rejects over 470k pairs a step."""
     import graphpoison.gradients as gradients_module
 
-    runs = [(medium_sbm, _cfg(budget=8, loss_spec=LossSpec(base, ca, CA if ca else None)))
+    runs = [(medium_sbm, _cfg(budget=8, loss_spec=LossSpec(base, CA if ca else None)))
             for base, ca in sorted(PINNED_META_FLIPS)]
     runs.append(_heavy_reject_case())
     blocks = _float64_blocks(monkeypatch)
@@ -672,7 +672,7 @@ def _mechanism_fixture():
 def _ca_cfg(**kw):
     return _cfg(
         budget=25,
-        loss_spec=LossSpec("nll", True, CAWeightParams(4.5, 1.0, 1.0, 1.0)),
+        loss_spec=LossSpec("nll", CAWeightParams(4.5, 1.0, 1.0, 1.0)),
         surrogate_hyper=SurrogateHyper(),
         **kw,
     )
@@ -722,11 +722,11 @@ def test_degree_test_hook_restricts_flips():
 
 PREFIX_CASES = {
     "meta-degree-test": (meta_attack, dict(
-        loss_spec=LossSpec("cw", True, CA),
+        loss_spec=LossSpec("cw", CA),
         constraints=AttackConstraints(degree_test=True, degree_test_threshold=5e-4))),
-    "meta-retrain-every-2": (meta_attack, dict(loss_spec=LossSpec("nll", True, CA), retrain_every=2)),
+    "meta-retrain-every-2": (meta_attack, dict(loss_spec=LossSpec("nll", CA), retrain_every=2)),
     "meta-refresh-pseudo-labels": (meta_attack, dict(
-        loss_spec=LossSpec("nll", True, CA), retrain_every=2, refresh_pseudo_labels=True)),
+        loss_spec=LossSpec("nll", CA), retrain_every=2, refresh_pseudo_labels=True)),
     "dice": (dice_attack, dict(seed=3)),
 }
 
@@ -823,12 +823,11 @@ def test_attack_config_rejects_non_integer_counts_and_non_finite_threshold(make)
 
 
 SWITCHES = [
-    lambda v: LossSpec("nll", v, CA if v else None),
     lambda v: AttackConstraints(forbid_singletons=v),
     lambda v: AttackConstraints(degree_test=v),
     lambda v: AttackConfig(refresh_pseudo_labels=v),
 ]
-SWITCH_IDS = ["ca-enabled", "forbid-singletons", "degree-test", "refresh-pseudo-labels"]
+SWITCH_IDS = ["forbid-singletons", "degree-test", "refresh-pseudo-labels"]
 
 
 @pytest.mark.parametrize("make", SWITCHES, ids=SWITCH_IDS)

@@ -18,6 +18,8 @@ import pytest
 import graphpoison.gradients as gradients_module
 from graphpoison import (
     AttackConfig,
+    CAWeightParams,
+    LossSpec,
     SurrogateHyper,
     VictimHyper,
     dice_attack,
@@ -120,6 +122,25 @@ def test_the_surrogate_hook_times_every_fit(bench_trace, retrain_every):
             result = attack(g, cfg)
         assert len(result.flips) == budget
         assert [span.name for span in tracer.spans].count("models.surrogate") == fits
+
+
+@pytest.mark.parametrize("retrain_every", [1, 2])
+@pytest.mark.parametrize(
+    "spec", [LossSpec("nll"), LossSpec("cw", CAWeightParams(4.5, 1.0, 1.0, 1.0))], ids=["nll", "cw-ca"]
+)
+def test_the_loss_hook_sees_every_loss_evaluation(bench_trace, spec, retrain_every):
+    # losses.s reads only the names the hook table wraps in gradients. Per
+    # flip, the scan's forward resolves the weights and evaluates the loss,
+    # and the flip's objective_after evaluates it once more
+    g = sbm_graph((20, 20), 0.2, 0.02, seed=1)
+    cfg = AttackConfig(
+        budget=3, retrain_every=retrain_every, loss_spec=spec, surrogate_hyper=SurrogateHyper(epochs=5)
+    )
+    tracer = bench_trace.Tracer()
+    with tracer.installed(bench_trace.LAYER_HOOKS):
+        result = meta_attack(g, cfg)
+    assert len(result.flips) == 3
+    assert [span.name for span in tracer.spans].count("losses.loss") == 3 * len(result.flips)
 
 
 @pytest.mark.parametrize("path", ["graphpoison.gradients.pair_scores", "graphpoison.attack._top_pairs"])

@@ -146,7 +146,7 @@ def test_scatter_ca_scales_base_by_weights():
     from graphpoison.models import forward_logits, margins, train_surrogate
 
     g = _noisy_fixture()
-    ca = LossSpec("nll", True, CAWeightParams(4.5, 1.0, 1.0, 1.0))
+    ca = LossSpec("nll", CAWeightParams(4.5, 1.0, 1.0, 1.0))
     base_rows = {v: n for v, _, n in margin_gradient_scatter(g, LossSpec("nll"))}
     ca_rows = {v: n for v, _, n in margin_gradient_scatter(g, ca)}
 
@@ -163,7 +163,7 @@ def test_scatter_ca_downweights_misclassified_nll_does_not():
     splits = {}
     for name, spec in (
         ("nll", LossSpec("nll")),
-        ("ca", LossSpec("nll", True, CAWeightParams(4.5, 1.0, 1.0, 1.0))),
+        ("ca", LossSpec("nll", CAWeightParams(4.5, 1.0, 1.0, 1.0))),
     ):
         rows = margin_gradient_scatter(g, spec)
         phi = np.array([r[1] for r in rows])

@@ -171,7 +171,7 @@ def test_apply_flips_reproduces_poisoned_graph(dataset_dir):
     schedule = CAWeightParams(4.5, 1.0, 1.0, 1.0)
     runs = [
         meta_attack(clean, AttackConfig(
-            budget=8, loss_spec=LossSpec(base, ca, schedule if ca else None), surrogate_hyper=hyper,
+            budget=8, loss_spec=LossSpec(base, schedule if ca else None), surrogate_hyper=hyper,
         ))
         for base in ("nll", "cw")
         for ca in (False, True)

@@ -30,8 +30,8 @@ CA = CAWeightParams(4.5, 1.0, 1.0, 1.0)
 ALL_SPECS = [
     LossSpec("nll"),
     LossSpec("cw", cw_kappa=1.0),
-    LossSpec("nll", True, CA),
-    LossSpec("cw", True, CA, cw_kappa=1.0),
+    LossSpec("nll", CA),
+    LossSpec("cw", CA, cw_kappa=1.0),
 ]
 
 
@@ -130,7 +130,7 @@ def test_ca_unit_weights_reduce_to_base_gradient():
     params, labels = _trained(g)
     unit = CAWeightParams(1.0, 0.0, 1.0, 0.0)
     for base in ("nll", "cw"):
-        ca = attack_gradient(g, params, LossSpec(base, True, unit), labels)
+        ca = attack_gradient(g, params, LossSpec(base, unit), labels)
         plain = attack_gradient(g, params, LossSpec(base), labels)
         assert np.abs(ca - plain).max() <= 1e-12 * np.abs(plain).max()
 
@@ -201,7 +201,7 @@ def test_ca_scaling_identity_entrywise():
 
     g = sbm_graph((15, 15), 0.3, 0.03, seed=6)
     params, labels = _trained(g)
-    spec_ca = LossSpec("nll", True, CA)
+    spec_ca = LossSpec("nll", CA)
     logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     weights = resolve_weights(margins(logits, labels), spec_ca)
 
@@ -219,7 +219,7 @@ def test_per_node_norm_scales_with_weight():
     from graphpoison.graph import normalize_adjacency
     from graphpoison.models import forward_logits, margins
 
-    spec_ca = LossSpec("nll", True, CA)
+    spec_ca = LossSpec("nll", CA)
     logits = forward_logits(params, normalize_adjacency(g.adjacency), g.features)
     weights = resolve_weights(margins(logits, labels), spec_ca)
     base = dict(per_node_gradients(g, params, LossSpec("nll"), labels))
@@ -256,7 +256,7 @@ def test_fd_agreement_on_stress_graphs():
 def test_huge_beta_drives_norm_to_zero():
     g = tiny_graph(n=8, seed=21)
     params, labels = _trained(g)
-    crushing = LossSpec("nll", True, CAWeightParams(1.0, 1e6, 1.0, 1e6))
+    crushing = LossSpec("nll", CAWeightParams(1.0, 1e6, 1.0, 1e6))
     norms = dict(per_node_gradients(g, params, crushing, labels))
     base = dict(per_node_gradients(g, params, LossSpec("nll"), labels))
     shrunk = [v for v in norms if norms[v] < 1e-6 * max(base[v], 1e-30) or base[v] < 1e-12]
@@ -279,7 +279,7 @@ def test_factored_gradient_matches_dense_formula(spec, graph, medium_sbm):
 
 
 @pytest.mark.parametrize(
-    "spec", [LossSpec("nll"), LossSpec("nll", True, CA), LossSpec("cw"), LossSpec("cw", True, CA)]
+    "spec", [LossSpec("nll"), LossSpec("nll", CA), LossSpec("cw"), LossSpec("cw", CA)]
 )
 def test_one_product_scores_match_the_two_product_form(three_chunk_sbm, spec):
     """The stacked rank-(4K+2) product rounds differently from two rank-2K
@@ -311,7 +311,7 @@ def test_gradient_memory_stays_within_a_few_n_by_n_arrays():
     n = g.n_nodes
     assert n > 1300
     params, labels = _trained(g, epochs=20)
-    spec = LossSpec("nll", True, CA)
+    spec = LossSpec("nll", CA)
     square = n * n * 8
     # the output itself is one N x N array; the reused score block and the
     # temporaries of the scan beside it come to about 1.75 chunks of rows

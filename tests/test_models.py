@@ -462,7 +462,7 @@ class _NoMatmul(np.ndarray):
 
 
 def test_every_surrogate_forward_multiplies_sparse_features_as_csr(monkeypatch):
-    spec = LossSpec("nll", True, CAWeightParams(4.5, 1.0, 1.0, 1.0))
+    spec = LossSpec("nll", CAWeightParams(4.5, 1.0, 1.0, 1.0))
     cfg = AttackConfig(budget=2, loss_spec=spec, surrogate_hyper=SurrogateHyper(epochs=50))
     runs = []
     for density in (1.0, 0.0):
