@@ -14,7 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import CHUNK_ROWS, attack_factors, attack_objective, float32_factors, score_factors, upper_block
+from .gradients import (
+    CHUNK_ROWS,
+    attack_factors,
+    attack_objective,
+    float32_factors,
+    norm_bound,
+    score_factors,
+    upper_block,
+)
 from .graph import Graph, _check_pair, count_flips, flip_edge, has_edge, upper_edges
 from .losses import LossSpec
 from .models import SurrogateHyper, check_fields, feature_operand, propagation, pseudo_labels, train_surrogate
@@ -26,6 +34,7 @@ DELETE = "delete"
 DICE_MAX_RETRIES = 200  # draws per DICE step before the attack stops, exhausted
 REASONS = ("singleton", "degree_test")  # reject reasons, by code - 1
 FIT, REUSED, HELD = "fit", "reused", "held"  # a meta trace entry's surrogate: see meta_attack
+GROUP_ROWS = 64  # rows per norm group of a pass-1 row chunk
 
 
 @dataclass(frozen=True)
@@ -156,6 +165,70 @@ def _margin_summary(phi: Array, mask: Array) -> dict:
     }
 
 
+def _floor(left: Array, right: Array, m: Array, slack: float, edges, del_codes, grid, cls, ex) -> float:
+    """tau of pass 1: the best allowed float64 score among the CHUNK_ROWS nodes of largest
+    norm ``m``, or 0 if it is lower, less ``slack``; no pair that scores below it can be chosen.
+
+    ``edges`` are :func:`upper_edges` with their ``del_codes``; ``grid`` holds the addition
+    codes by degree class, ``cls`` each node's class; ``ex`` the excluded pairs.
+    """
+    top = np.sort(np.argpartition(-m, min(CHUNK_ROWS, m.size) - 1)[:CHUNK_ROWS])
+    at = np.full(m.size, -1)
+    at[top] = np.arange(top.size)
+    scores = np.take(left, top, axis=1).T @ np.take(right, top, axis=1)
+    codes = grid[cls[top]][:, cls[top]]
+    codes[np.tri(top.size, dtype=bool)] = 1  # only pairs i < j
+    a, b, x, y = at[edges[0]], at[edges[1]], at[ex[:, 0]], at[ex[:, 1]]
+    inside = (a >= 0) & (b >= 0)
+    scores[a[inside], b[inside]] *= -1.0
+    codes[a[inside], b[inside]] = del_codes[inside]
+    inside = (x >= 0) & (y >= 0)
+    codes[x[inside], y[inside]] = 1
+    return max(scores.max(where=codes == 0, initial=-np.inf), 0.0) - slack
+
+
+def _group_columns(m: Array, s: Array, r0: int, tau: float) -> list:
+    """Pass 1's products for row chunk ``r0``, as ``(rows, cols)`` id arrays per group of rows.
+
+    The chunk's rows are ranked by norm ``m`` and cut into groups of GROUP_ROWS; a group
+    multiplies the columns ``j >= r0`` whose bound ``(max m_i * m_j - min s_i - s_j) / 2``
+    over its rows ``i`` is not below ``tau``, and is left out when it keeps none.
+    """
+    ranked = r0 + np.argsort(-m[r0 : r0 + CHUNK_ROWS], kind="stable")
+    heads = np.arange(0, ranked.size, GROUP_ROWS)
+    bound = np.multiply.outer(m[ranked[heads]], m[r0:])
+    bound -= np.minimum.reduceat(s[ranked], heads)[:, None]
+    bound -= s[r0:]
+    bound *= 0.5
+    keep = ~(bound < tau)
+    return [(ranked[head : head + GROUP_ROWS], r0 + np.flatnonzero(row)) for head, row in zip(heads, keep) if row.any()]
+
+
+def _chunk_bounds(left32: Array, right32: Array, m: Array, s: Array, tau: float, edges, ex: Array, buffer) -> Array:
+    """Pass 1: per row chunk, the float32 max of its edges' flip scores (excluded pairs
+    left out) and of the products :func:`_group_columns` keeps, -inf if none.
+
+    A product may hold (j, i) for a pair (i, j) of its own chunk, equal up to rounding
+    that E covers as well, or a pair that is no candidate (i = j, an edge, an excluded
+    pair): either can only raise the bound, which stays safe.
+    """
+    n = m.size
+    lt, rt = np.ascontiguousarray(left32.T), np.ascontiguousarray(right32.T)  # node-major: a gather copies rows
+    iu, ju = (e.astype(np.intp) for e in edges)
+    flip = -np.einsum("ek,ek->e", np.take(lt, iu, axis=0), np.take(rt, ju, axis=0))
+    flip[np.isin(iu * n + ju, ex[:, 0] * n + ex[:, 1])] = -np.inf
+    flat32 = buffer.view(np.float32)
+    starts = range(0, n, CHUNK_ROWS)
+    bounds = np.full(len(starts), -np.inf)
+    for b, (r0, lo, hi) in enumerate(zip(starts, *np.searchsorted(iu, [starts, [*starts[1:], n]]))):  # edges row-major
+        bounds[b] = flip[lo:hi].max(initial=-np.inf)
+        for rows, cols in _group_columns(m, s, r0, tau):
+            out = flat32[: rows.size * cols.size].reshape(rows.size, cols.size)
+            np.matmul(np.take(lt, rows, axis=0), np.take(rt, cols, axis=0).T, out=out)
+            bounds[b] = max(bounds[b], out.max())
+    return bounds
+
+
 def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer: Array, rules, ref):
     """The best allowed positive-score pair i < j of ``g`` outside ``excluded``, as
     ``((score, i, j) or None, rejects)``, from the :func:`upper_block` scores.
@@ -167,10 +240,12 @@ def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer:
     on the grid of distinct degrees (gathered over a block only when one of
     its keys is forbidden). ``ref`` is the reference's :func:`_tail_stats`.
 
-    Pass 1 bounds every block's best score in float32; pass 2 recomputes
-    blocks in float64, best bound first, until a bound is more than the
-    float32 margin below the best score (module ``gradients``): the result
-    is that of a full float64 scan.
+    Pass 1 bounds every block's best score in float32, multiplying only the
+    pairs whose norm bound reaches the floor tau (:func:`_floor`,
+    :func:`_group_columns`, :func:`_chunk_bounds`); pass 2 recomputes blocks
+    in float64, best bound first, until a bound is more than the float32
+    margin below the best score (module ``gradients``): the result is that
+    of a full float64 scan.
     """
     n, deg = g.n_nodes, g.degrees()
     stats = ref + _tail_stats(deg)
@@ -182,8 +257,8 @@ def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer:
     ex = np.array(excluded, dtype=np.int64).reshape(-1, 2)
     tri = np.tri(CHUNK_ROWS, dtype=bool)
 
-    def candidates(left, right, r0):
-        """Block ``r0`` scored in the flip each pair admits, -inf off the candidates; and its edges."""
+    def candidates(r0):
+        """Block ``r0`` scored in float64 in the flip each pair admits, -inf off the candidates; and its edges."""
         rows, block = upper_block(left, right, r0, buffer)
         h, cols = rows.stop - r0, n - r0
         edges = slice(*np.searchsorted(iu, [r0, rows.stop]))
@@ -196,13 +271,15 @@ def _top_pairs(us: Array, vs: Array, s: Array, g: Graph, excluded: list, buffer:
 
     left, right = score_factors(us, vs, s)
     left32, right32, shift, margin = float32_factors(left, right)
+    m, slack = norm_bound(us, vs, s)
+    tau = _floor(left, right, m, slack, (iu, ju), del_codes, grid, cls, ex)
     starts = range(0, n, CHUNK_ROWS)
-    bounds = np.array([candidates(left32, right32, r0)[1].max() for r0 in starts], dtype=np.float64)
+    bounds = _chunk_bounds(left32, right32, m, s, tau, (iu, ju), ex, buffer)
     best, best_index, found = 0.0, -1, []
     for b in np.argsort(-bounds, kind="stable"):
         if bounds[b] < np.ldexp(best, shift) - margin:
             break  # this block and every later one score below the best
-        rows, flat, edges, at_edges = candidates(left, right, starts[b])
+        rows, flat, edges, at_edges = candidates(starts[b])
         r0, cols, codes = rows.start, n - rows.start, del_codes[edges]
         if add is None:  # only edges can be forbidden
             at, codes = at_edges[codes != 0], codes[codes != 0]

@@ -17,21 +17,43 @@ symmetrized gradient, and :func:`upper_block` computes the upper triangle's
 row chunks, one at a time, in one CHUNK_ROWS x N buffer.
 
 The attack's scan over those blocks (``attack._top_pairs``) takes two
-passes. Pass 1 computes every block in float32 from :func:`float32_factors`,
-which rescale the factors by powers of two so their largest column norms lie
-in [1/2, 1) and no product can overflow, and keeps each masked block's max.
-By Higham's bound for a dot product of length n = 4K+2 in any summation order
-(*Accuracy and Stability of Numerical Algorithms*, 2nd ed., section 3.1), a
-float32 score of the scaled factors (two conversions, n products and sums)
-lies within
+passes. Pass 1 bounds each block's best score in float32, from
+:func:`float32_factors`, which rescale the factors by powers of two so their
+largest column norms lie in [1/2, 1) and no product can overflow. By Higham's
+bound for a dot product of length n = 4K+2 in any summation order (*Accuracy
+and Stability of Numerical Algorithms*, 2nd ed., section 3.1), a float32
+score of the scaled factors (two conversions, n products and sums) lies within
 
     E = (gamma_{n+2}(2^-24) + gamma_n(2^-53)) max||left_i|| max||right_j|| + (n+2) 2^-149
 
 of the float64 one scaled alike, with ``gamma_n(u) = n u / (1 - n u)``, the
-largest scaled column norms, and the last term covering underflow. Pass 2 visits the blocks by decreasing float32 max and
-recomputes each in float64 until one's max falls below ``best - E``: no
-pair there can reach the best score, so the float64 scores, the choice and
-the rejects are those of a full float64 scan. :func:`per_node_gradients`
+largest scaled column norms, and the last term covering underflow. Pass 1
+multiplies only the pairs that can reach the step's best flip. With
+``m_i = ||(us_i, vs_i)||`` (:func:`norm_bound`), Cauchy-Schwarz bounds a
+non-edge's score by ``(m_i m_j - s_i - s_j) / 2``; cost-aware weights put
+most of the gradient on few nodes, so most bounds are small. The floor tau
+is the best allowed float64 score among the CHUNK_ROWS nodes of largest m
+(forbidden and excluded pairs out; 0 if it is lower), less the slack
+
+    delta = (6 gamma_{2n+4}(2^-53) + n 2^-535)(1 + max||left_i|| max||right_j||)
+
+(norms of the unscaled factors), which covers the float64 rounding of that
+score, of its value in a block of another shape, of any other pair's float64
+score and of the bound itself, square roots and underflow included: a
+non-edge whose bound lies below tau scores below the best flip. Each block
+ranks its rows by m in groups, and a group multiplies only the columns whose
+bound, over the group's largest m and smallest s, reaches tau; the block's
+edges are always scored. A block's bound is the float32 max of its edges'
+flip scores and of its products (-inf if none); a product may hold (j, i)
+for a pair (i, j) of the block, equal up to rounding that E covers, or a pair
+that is no candidate (i = j, an edge, an excluded pair), which can only raise
+the bound. Pass 2 visits the blocks by decreasing bound and recomputes each in float64, at
+:func:`upper_block`'s shape, until a bound falls below ``best - E``. A pair
+that could be chosen, tie with the choice or be a reject ranked ahead of it
+scores at least the best flip, so its bound reaches tau: pass 1 multiplied
+it, and its block comes back. Pass 2 is unchanged by the pruning, so the
+float64 scores, the choice and the rejects are those of a full float64 scan,
+bit for bit. :func:`per_node_gradients`
 takes each node's gradient norm from K x K Grams and a sum over its 2-hop
 ball. The dense N x N gradient, the two-product scores, the dense formula
 and the per-node loop are test oracles (``tests/oracles.py``).
@@ -73,7 +95,7 @@ def _evaluate(
     phi = margins(logits, labels) if weights is None or derivative else None
     if weights is None:
         weights = resolve_weights(phi, spec)
-    total, _ = loss_value(logits, labels, mask, spec, weights)
+    total, _ = loss_value(logits, labels, mask, spec, weights, phi)
     if spec.base != NLL:
         total = -total  # the attack drives the clamped margin down
     if not derivative:
@@ -175,7 +197,8 @@ def upper_block(left: Array, right: Array, r0: int, buffer: Array) -> tuple[slic
     The block is a view of ``buffer``, a CHUNK_ROWS * N float64 array, in the
     factors' dtype: a float32 block uses the same bytes. It is valid until the
     next is drawn. BLAS rounds an entry by the shape of its product, so every
-    score reader comes through here.
+    float64 score reader comes through here; the float32 pass 1, whose scores
+    are only bounds within E, multiplies its own row groups (``attack``).
     """
     n = left.shape[1]
     rows = slice(r0, min(r0 + CHUNK_ROWS, n))
@@ -188,6 +211,20 @@ def _margin(depth: int, left_norm: float, right_norm: float) -> float:
     norms at most ``left_norm`` and ``right_norm``, can lie from the float64 one."""
     n32, n64 = (depth + 2) * 2.0**-24, depth * 2.0**-53  # gamma_n(u) = n u / (1 - n u)
     return (n32 / (1.0 - n32) + n64 / (1.0 - n64)) * left_norm * right_norm + (depth + 2) * 2.0**-149
+
+
+def norm_bound(us: Array, vs: Array, s: Array) -> tuple[Array, float]:
+    """``(m, delta)``: ``m_i = ||(us_i, vs_i)||``, so a non-edge scores at most ``(m_i m_j - s_i - s_j) / 2``.
+
+    ``delta`` is the slack of the module docstring: a non-edge whose bound,
+    computed in float64, lies ``delta`` below some pair's float64 score (any
+    product shape) has a float64 score below that pair's.
+    """
+    m2 = np.einsum("kn,kn->n", us, us) + np.einsum("kn,kn->n", vs, vs)
+    depth = 2 * us.shape[0] + 2
+    k = 2 * depth + 4
+    lr = (1.0 + (m2 + s * s).max(initial=0.0)) / 2.0  # max||left_i|| max||right_j||: ||left_i|| = ||right_i|| / 2
+    return np.sqrt(m2), (6.0 * k * 2.0**-53 / (1.0 - k * 2.0**-53) + depth * 2.0**-535) * (1.0 + lr)
 
 
 def float32_factors(left: Array, right: Array) -> tuple[Array, Array, int, float]:

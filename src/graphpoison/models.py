@@ -117,15 +117,22 @@ class VictimHyper:
 
 
 def log_softmax(z: Array) -> Array:
-    # The row max read class-major: a reduction over the long axis, where
-    # numpy's axis-1 max over a few classes runs one short loop per row. A
-    # max reads its entries in any order to the same value.
-    shifted = z - np.ascontiguousarray(z.T).max(axis=0)[:, None]
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # The max, the exp-sum and the log run class-major, along the long axis,
+    # where numpy's row-wise reductions over a few classes run one short loop
+    # per row. A max reads its entries in any order to the same value; numpy
+    # sums fewer than 8 entries of a row one after another, as the class-major
+    # sum adds the class rows, and from 8 on it unrolls a row's sum, so wider
+    # rows keep that sum.
+    t = np.ascontiguousarray(z.T)
+    t -= t.max(axis=0)
+    e = np.exp(t)
+    lse = np.log(e.sum(axis=0) if t.shape[0] < 8 else np.ascontiguousarray(e.T).sum(axis=1))
+    return np.subtract(t.T, lse[:, None], out=np.empty(t.T.shape))
 
 
 def softmax(z: Array) -> Array:
-    return np.exp(log_softmax(z))
+    out = log_softmax(z)
+    return np.exp(out, out=out)
 
 
 def forward_logits(params: SurrogateParams, ahat: sp.spmatrix, features: Array | sp.spmatrix) -> Array:

@@ -2,8 +2,9 @@
 
 ``sbm_graph`` draws its edge coins in ``_COIN_ROWS``-row blocks of one stream
 (consecutive ``rng.random((rows, N))`` calls read exactly the stream of one
-``rng.random((N, N))``) and hands the upper-triangle hits to ``build_graph``:
-the graph of one N x N draw, in O(_COIN_ROWS * N) memory.
+``rng.random((N, N))``), compares only the columns at or right of a block's
+first row, and hands the upper-triangle hits to ``build_graph``: the graph of
+one N x N draw, in O(_COIN_ROWS * N) memory.
 """
 
 from __future__ import annotations
@@ -72,9 +73,10 @@ def sbm_graph(
 
     edges = []
     for start in range(0, n, _COIN_ROWS):
-        same = labels[start : start + _COIN_ROWS, None] == labels
-        i, j = np.nonzero(rng.random(same.shape) < np.where(same, p_in, p_out))
-        edges.append(np.stack([i + start, j], axis=1)[j > i + start])
+        same = labels[start : start + _COIN_ROWS, None] == labels[start:]
+        coins = rng.random((same.shape[0], n))[:, start:]  # the coins left of the block's first row go unread
+        i, j = np.nonzero(coins < np.where(same, p_in, p_out))
+        edges.append(np.stack([i, j], axis=1)[j > i] + start)
     edges = np.concatenate(edges)
 
     features = np.eye(len(sizes))[labels] + feature_noise * rng.normal(size=(n, len(sizes)))

@@ -59,20 +59,20 @@ def three_chunk_sbm() -> Graph:
 
 
 def spy_graph_builds(monkeypatch) -> collections.Counter:
-    """Count, from here on, ``Graph`` constructions and ``connected_components`` calls."""
+    """Count, from here on, ``Graph`` constructions and ``component_roots`` calls."""
     calls = collections.Counter()
-    init, components = graph.Graph.__init__, graph.connected_components
+    init, components = graph.Graph.__init__, graph.component_roots
 
     def counting_init(self, *args, **kwargs):
         calls["Graph"] += 1
         init(self, *args, **kwargs)
 
     def counting_components(*args, **kwargs):
-        calls["connected_components"] += 1
+        calls["component_roots"] += 1
         return components(*args, **kwargs)
 
     monkeypatch.setattr(graph.Graph, "__init__", counting_init)
-    monkeypatch.setattr(graph, "connected_components", counting_components)
+    monkeypatch.setattr(graph, "component_roots", counting_components)
     return calls
 
 

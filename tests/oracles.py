@@ -409,3 +409,11 @@ def sbm_graph_dense(
     winner = np.lexsort((first, -np.bincount(comp)))[0]
     keep = np.flatnonzero(comp == winner)
     return Graph(g.csr[keep][:, keep], features[keep], labels[keep], mask[keep], n_classes=len(sizes))
+
+
+def component_roots_csgraph(pairs, n: int) -> np.ndarray:
+    """``graph.component_roots`` by scipy's ``connected_components``: per node, the smallest id of its component."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    _, comp = connected_components(sp.coo_matrix((np.ones(len(pairs)), pairs.T), shape=(n, n)), directed=False)
+    _, first = np.unique(comp, return_index=True)  # each component's smallest id, by component number
+    return first[comp]

@@ -579,6 +579,156 @@ def test_float32_block_maxima_lie_within_the_margin_of_float64(n, depth, scales,
         assert abs(rounded.max() - exact.max()) <= margin
 
 
+def _pass1_spy(monkeypatch):
+    """Spy on pass 1: ``taus`` collects each scan's tau, ``groups`` each chunk's ``(rows, cols)`` list."""
+    taus, groups = [], []
+    floor, columns = attack_module._floor, attack_module._group_columns
+    monkeypatch.setattr(attack_module, "_floor", lambda *args: taus.append(floor(*args)) or taus[-1])
+    monkeypatch.setattr(attack_module, "_group_columns", lambda *args: groups.append(columns(*args)) or groups[-1])
+    return taus, groups
+
+
+def _multiplied(groups, n):
+    """The N x N mask of the pairs (row, col) that the recorded pass-1 groups multiplied."""
+    done = np.zeros((n, n), dtype=bool)
+    for chunk in groups:
+        for rows, cols in chunk:
+            done[np.ix_(rows, np.arange(n)[cols])] = True
+    return done
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    depth=st.integers(1, 3),
+    tail=st.sampled_from([0.0, 1.0, 3.0]),
+    parallel=st.integers(0, 4),
+    s_scale=st.sampled_from([0.0, 0.1, 1.0]),
+    n_excluded=st.integers(0, 3),
+    threshold=st.sampled_from([None, 1e-4, 1e-5]),
+    flipped=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_norm_pruned_scan_equals_the_dense_ranking(
+    three_chunk_sbm, depth, tail, parallel, s_scale, n_excluded, threshold, flipped, seed
+):
+    """Factor norms log-normal with spread up to e^3 (a few nodes hold most of
+    the gradient, as under cost-aware weights), pairs whose factors are parallel
+    up to 1e-12 (Cauchy-Schwarz tight: their bound is their score), degree terms,
+    the graph's edges, the dense ranking's best pairs excluded, and the degree
+    test on and off: the pruned scan gives the dense ranking's choice and rejects."""
+    g = three_chunk_sbm
+    current, excluded = _scan_fixture(g) if flipped else (g, [])
+    n = g.n_nodes
+    rng = np.random.default_rng(seed)
+    scale = np.exp(tail * rng.normal(size=n))
+    us, vs = rng.normal(size=(depth, n)) * scale, rng.normal(size=(depth, n)) * scale
+    for i, j in rng.choice(n, (parallel, 2), replace=False):
+        c = rng.uniform(0.5, 2.0) * (1.0 + 1e-12 * rng.normal())
+        us[:, i], vs[:, i] = c * vs[:, j], c * us[:, j]
+    s = s_scale * rng.normal(size=n) * scale
+    grad = assembled_scores(us, vs, s)
+    excluded = excluded + [(i, j) for i, j, _ in score_flips(grad, current)[:n_excluded] if (i, j) not in excluded]
+    cfg = _cfg(constraints=AttackConstraints(degree_test=threshold is not None, degree_test_threshold=threshold or 0.004))
+    assert _scan(current, g, (us, vs, s), cfg, excluded) == dense_best_pair(grad, current, excluded, cfg, g)
+
+
+def _pruning_factors(g, rival):
+    """Factors under which the non-edge (a, x) scores v, with a in the first row
+    chunk, and its bound is its score (parallel factors) yet rounds one ulp below
+    it; the decoy (c, z) in the second chunk scores v / 2 under a loose bound; the
+    rival (b, y), if any, has b in the second chunk and flip score 2 v. Every other
+    pair scores 0. A rival "edge" is an edge at a node of degree 1, which the
+    singleton rule keeps, and a rival "deletion" an edge it lets go."""
+    n, deg = g.n_nodes, g.degrees()
+    a, x, c, z = 100, n - 100, CHUNK_ROWS + 44, n - 50
+    b, y = CHUNK_ROWS + 100, n - 20
+    if rival in ("edge", "deletion"):
+        b, y = next((i, j) for i, j in zip(*g.csr.nonzero()) if CHUNK_ROWS <= i < min(j, 2 * CHUNK_ROWS)
+                    and (min(deg[i], deg[j]) == 1) == (rival == "edge") and not {i, j} & {a, x, c, z})
+    us, vs = np.zeros((4, n)), np.zeros((4, n))
+    ux, vx, k = 1.9026086356816523, 1.7237803311822981, 0.5041077502552221
+    us[0, x], vs[0, x], us[0, a], vs[0, a] = ux, vx, k * vx, k * ux
+    score = 0.5 * k * (vx * vx + ux * ux)
+    us[1, c], us[3, c], vs[1, z] = 1.0, 10.0 * score, score  # the decoy's bound is 10 times its score
+    if rival is not None:
+        us[2, b], vs[2, y] = 1.0, 4.0 * score * (1.0 if rival == "excluded" else -1.0)
+    return (us, vs, np.zeros(n)), (a, x), (b, y)
+
+
+@pytest.mark.parametrize("rival", [None, "excluded", "edge", "deletion"])
+def test_tau_is_the_best_allowed_float64_score_less_the_slack(three_chunk_sbm, rival):
+    """tau comes from allowed pairs only, in float64, less the rounding slack: a
+    rival that outscores (a, x) but is excluded, or forbidden by the singleton rule,
+    cannot raise it past the bound of (a, x), and the slack keeps a bound that rounds
+    below its own score; a chunk's edges count at their flip scores. Otherwise pass 2
+    would visit the decoy's chunk and stop, and the decoy would be chosen."""
+    from graphpoison.gradients import norm_bound
+
+    g = three_chunk_sbm
+    factors, (a, x), rival_pair = _pruning_factors(g, rival)
+    grad = assembled_scores(*factors)
+    m = norm_bound(*factors)[0]
+    assert 0.5 * (m[a] * m[x]) < grad[a, x]  # the premise: the bound rounds below the score
+    assert g.csr[a, x] == 0.0 and (g.csr[rival_pair] == 1.0) == (rival in ("edge", "deletion"))
+    excluded = [rival_pair] if rival == "excluded" else []
+    cfg = _cfg()
+    found = _scan(g, g, factors, cfg, excluded)
+    assert found == dense_best_pair(grad, g, excluded, cfg, g)
+    best = (-grad[rival_pair], *rival_pair) if rival == "deletion" else (grad[a, x], a, x)
+    assert found == (best, {"singleton": int(rival == "edge"), "degree_test": 0})
+
+
+@pytest.mark.parametrize("threshold", [None, 1e-4])
+def test_every_pair_pass_1_leaves_out_scores_below_tau(three_chunk_sbm, monkeypatch, threshold):
+    """On attack factors (CA-CW and plain NLL, with flipped and excluded pairs) no
+    non-edge that pass 1 leaves out scores as much as tau in float64, and pass 1
+    does leave most pairs out under the cost-aware weights."""
+    g = three_chunk_sbm
+    n = g.n_nodes
+    params = train_surrogate(g, FAST_SURROGATE)
+    labels = pseudo_labels(params, g)
+    current, flipped = _scan_fixture(g)
+    cfg = _cfg(constraints=AttackConstraints(degree_test=threshold is not None, degree_test_threshold=threshold or 0.004))
+    taus, groups = _pass1_spy(monkeypatch)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1) & (current.adjacency == 0.0)
+    upper[tuple(np.array(flipped).T)] = False
+    shares = []
+    for spec in (LossSpec("cw", CA), LossSpec("nll")):
+        factors = attack_factors(g, params, spec, labels)[:3]
+        groups.clear()
+        _scan(current, g, factors, cfg, flipped)
+        left_out = upper & ~_multiplied(groups, n)
+        assert assembled_scores(*factors)[left_out].max() < taus[-1]
+        shares.append(left_out.sum() / upper.sum())
+    assert shares[0] > 0.5
+
+
+def test_tau_at_minus_infinity_multiplies_every_pair_and_changes_nothing(medium_sbm, monkeypatch):
+    """With tau forced to -inf pass 1 multiplies every pair of every chunk; the
+    flips, scores and rejects are those of the pruned scan, on the pinned configs,
+    a CA-CW run with the degree test and the heavily rejecting scan."""
+    runs = [(medium_sbm, _cfg(budget=8, loss_spec=LossSpec(base, CA if ca else None)))
+            for base, ca in sorted(PINNED_META_FLIPS)]
+    runs.append((medium_sbm, _cfg(budget=8, loss_spec=LossSpec("cw", CA), constraints=AttackConstraints(degree_test=True))))
+    runs.append(_heavy_reject_case())
+
+    def run(g, cfg):
+        return [(t["flip"], t["score"], t["rejects"]) for t in meta_attack(g, cfg).trace]
+
+    pruned = [run(g, cfg) for g, cfg in runs]
+    _, groups = _pass1_spy(monkeypatch)
+    monkeypatch.setattr(attack_module, "_floor", lambda *args: -np.inf)
+    for (g, cfg), steps in zip(runs, pruned):
+        groups.clear()
+        assert run(g, cfg) == steps
+        n = g.n_nodes
+        chunks = -(-n // CHUNK_ROWS)
+        assert len(groups) == len(steps) * chunks
+        for k, chunk in enumerate(groups):
+            r0 = k % chunks * CHUNK_ROWS
+            assert _multiplied([chunk], n)[r0 : r0 + CHUNK_ROWS, r0:].all()
+
+
 def _record_graphs(monkeypatch, name, graph_arg):
     """Wrap ``graphpoison.attack.<name>``; the list collects the graph of each call."""
     graphs = []
@@ -592,14 +742,15 @@ def _record_graphs(monkeypatch, name, graph_arg):
     return graphs
 
 
-def _count_normalizations(monkeypatch) -> list:
-    """Wrap ``normalize_adjacency`` under every graphpoison module name that holds it; the list collects each call."""
+def _count_calls(monkeypatch, name: str) -> list:
+    """Wrap ``graphpoison.models.<name>`` or ``graphpoison.graph.<name>`` under every graphpoison
+    module name that holds it; the list collects the first argument of each call."""
     calls = []
-    real = graphpoison.normalize_adjacency
+    real = getattr(graphpoison.models, name, None) or getattr(graphpoison.graph, name)
     for info in pkgutil.iter_modules(graphpoison.__path__):
         module = importlib.import_module(f"graphpoison.{info.name}")
-        if getattr(module, "normalize_adjacency", None) is real:
-            monkeypatch.setattr(module, "normalize_adjacency", lambda a: calls.append(a) or real(a))
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, lambda a, *rest: calls.append(a) or real(a, *rest))
     return calls
 
 
@@ -607,7 +758,7 @@ def _count_normalizations(monkeypatch) -> list:
 @pytest.mark.parametrize("refresh", [False, True])
 def test_meta_attack_and_evaluate_derive_one_ahat_per_graph(monkeypatch, retrain_every, refresh):
     g = sbm_graph((20, 20), 0.2, 0.02, seed=1)  # a fresh graph: no Ahat derived yet
-    calls = _count_normalizations(monkeypatch)
+    calls = _count_calls(monkeypatch, "normalize_adjacency")
     budget = 4
     result = meta_attack(g, _cfg(budget=budget, retrain_every=retrain_every, refresh_pseudo_labels=refresh))
     assert len(result.flips) == budget
@@ -616,9 +767,20 @@ def test_meta_attack_and_evaluate_derive_one_ahat_per_graph(monkeypatch, retrain
     assert len(calls) == budget + 1  # every victim seed reuses the poisoned graph's
 
 
+@pytest.mark.parametrize("base, expected", [("cw", 6), ("nll", 3)])
+def test_meta_attack_takes_the_margins_once_per_evaluation(monkeypatch, base, expected):
+    """A step takes the margins once for its gradient (weights, derivative and the
+    CW clamp alike) and, for CW, once more for the objective after its flip."""
+    g = sbm_graph((20, 20), 0.2, 0.02, seed=1)
+    calls = _count_calls(monkeypatch, "margins")
+    result = meta_attack(g, _cfg(budget=3, loss_spec=LossSpec(base, CA)))
+    assert len(result.flips) == 3
+    assert len(calls) == expected
+
+
 def test_dice_attack_and_evaluate_derive_two_ahats(monkeypatch):
     g = sbm_graph((20, 20), 0.2, 0.02, seed=1)
-    calls = _count_normalizations(monkeypatch)
+    calls = _count_calls(monkeypatch, "normalize_adjacency")
     result = dice_attack(g, _cfg(budget=4))
     assert len(result.flips) == 4
     evaluate(g, result.poisoned, VictimHyper(epochs=5), seeds=(0, 1, 2))

@@ -92,7 +92,7 @@ def test_load_dataset_builds_one_graph_after_one_components_pass(tmp_path, monke
         (d / "features.csv").write_text("1,0\n9,9\n0,1\n2,0\n0,3\n")
     calls = spy_graph_builds(monkeypatch)
     assert load_dataset(str(d), split_fraction=0.3).n_nodes == 4
-    assert (calls["Graph"], calls["connected_components"]) == (1, 1)
+    assert (calls["Graph"], calls["component_roots"]) == (1, 1)
 
 
 def test_split_is_seed_deterministic(tmp_path, small_sbm):

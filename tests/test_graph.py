@@ -18,10 +18,10 @@ from graphpoison import (
     sbm_graph,
 )
 from graphpoison import graph
-from graphpoison.graph import largest_component
+from graphpoison.graph import component_roots, largest_component
 
 from .conftest import tiny_graph
-from .oracles import flip_edge_by_sum, normalize_dense
+from .oracles import component_roots_csgraph, flip_edge_by_sum, normalize_dense
 
 
 def _features(n, d=2):
@@ -344,6 +344,41 @@ def test_largest_component_matches_bfs_on_a_dense_adjacency(n, raw):
     want = _largest_component_by_bfs(pairs, n)
     assert keep.tolist() == want
     position = {v: k for k, v in enumerate(want)}
+    assert sub.tolist() == [[position[i], position[j]] for i, j in pairs if i in position]
+
+
+@st.composite
+def _edge_lists(draw):
+    """Edge lists over up to 40 ids: random pairs, repeated and reversed, isolated
+    ids, and paths laid over shuffled ids (the longest hook chains)."""
+    n = draw(st.integers(1, 40))
+    ids = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=30))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+        pairs += list(zip(path, path[1:]))
+    pairs = [(i, j) for i, j in pairs if i != j]
+    pairs += [(j, i) for i, j in draw(st.lists(st.sampled_from(pairs), max_size=5))] if pairs else []
+    return draw(st.permutations(pairs)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+@example(([(1, 2), (0, 3)], 4))  # two components of size 2: the one holding 0 wins
+@example(([(4, 5), (0, 3), (2, 1), (5, 4), (3, 0)], 7))  # three of size 2, repeated and reversed pairs, an isolated id
+@example(([(k, k + 1) for k in range(39)][::-1], 40))  # a path listed from its far end
+@example(([], 3))  # no edge: every id its own component
+def test_component_roots_and_largest_component_match_csgraph(case):
+    """Each node's root is its component's smallest id, as scipy's labeling gives;
+    the largest component is the biggest root class, ties to the smallest root."""
+    pairs, n = case
+    roots = component_roots(np.array(pairs, dtype=np.int64).reshape(-1, 2), n)
+    want = component_roots_csgraph(pairs, n)
+    assert np.array_equal(roots, want)
+    sizes = np.bincount(want, minlength=n)
+    keep, sub = largest_component(pairs, n)
+    assert keep.tolist() == np.flatnonzero(want == np.flatnonzero(sizes == sizes.max())[0]).tolist()
+    position = {v: k for k, v in enumerate(keep.tolist())}
     assert sub.tolist() == [[position[i], position[j]] for i, j in pairs if i in position]
 
 

@@ -241,6 +241,27 @@ def test_log_softmax_matches_the_row_wise_max_bit_for_bit(k):
     assert models.log_softmax(z[:, ::-1]).tobytes() == log_softmax_rowwise(z[:, ::-1]).tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 300), st.integers(1, 12)),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 1e150, 1e300]),
+    ties=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_major_softmax_is_the_row_wise_one_bit_for_bit(shape, scale, ties, seed):
+    """Any row count and 1 to 12 classes (both sides of numpy's 8-entry unrolled
+    sum), scales up to 1e300, tied and signed-zero entries: ``log_softmax`` and
+    ``softmax`` give the row-wise formula's bytes, C-contiguous."""
+    rng = np.random.default_rng(seed)
+    z = scale * rng.normal(size=shape)
+    tied = rng.random(shape) < ties
+    z[tied] = np.where(rng.random(tied.sum()) < 0.5, 0.0, -0.0)
+    want = log_softmax_rowwise(z)
+    for got, expected in ((models.log_softmax(z), want), (models.softmax(z), np.exp(want))):
+        assert got.flags.c_contiguous and got.shape == z.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_pseudo_labels_keep_ground_truth():
     g = _toy_separable()
     params = train_surrogate(g, SurrogateHyper(epochs=50))

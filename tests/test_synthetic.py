@@ -79,7 +79,7 @@ def test_sbm_graph_redraws_a_mask_the_largest_component_cut_to_one_side():
 def test_sbm_graph_builds_one_graph_after_one_components_pass(monkeypatch, connected, components, seed):
     calls = spy_graph_builds(monkeypatch)
     sbm_graph((15, 15), 0.3, 0.05, seed=seed, connected=connected)
-    assert (calls["Graph"], calls["connected_components"]) == (1, components)
+    assert (calls["Graph"], calls["component_roots"]) == (1, components)
 
 
 BAD_ARGUMENTS = [
